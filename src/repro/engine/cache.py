@@ -13,7 +13,13 @@ it is cheap and depends on the TP config.
 Correctness stance: cached values are **shared, not copied**. ``LoweredOp``
 and ``KernelTask`` are frozen dataclasses; ``OperatorGraph`` is mutable but
 treated as read-only by the whole engine (the executor never mutates a
-built graph). The fast-path parity suite asserts a cache hit produces
+built graph). Sharing goes one level further inside each lowering:
+:func:`~repro.engine.lowering.lower_graph` gives every op with the same
+work signature (an identical decoder layer, say) the same kernel tuple, so
+a cached lowering holds one tuple per distinct operator, not one per op.
+That is safe for the same reason: the tuples are frozen, and the labels
+that tell the ops apart live on each ``LoweredOp.op``, which stays per op.
+The fast-path parity suite asserts a cache hit produces
 results bit-identical to a fresh lowering, and the hypothesis suite checks
 hit-vs-fresh structural equality plus ``repro check graph`` cleanliness.
 

@@ -143,8 +143,26 @@ def lower_op(op: Op) -> LoweredOp:
 
 
 def lower_graph(graph: OperatorGraph) -> list[LoweredOp]:
-    """Lower an entire operator stream."""
-    return [lower_op(op) for op in graph.ops]
+    """Lower an entire operator stream.
+
+    Equivalent to ``[lower_op(op) for op in graph.ops]``, but each distinct
+    operator *work signature* is lowered once and its kernel tuple shared by
+    every op that repeats it — the N identical decoder layers of a model
+    differ only in their labels, which no lowering rule reads. Each
+    ``LoweredOp`` still carries its own ``Op``, so label-driven passes (TP
+    sharding, graph checks) see every op as before. Kernel tuples are frozen,
+    so sharing them is safe.
+    """
+    kernels_by_work: dict[tuple, tuple[KernelTask, ...]] = {}
+    out = []
+    for op in graph.ops:
+        work = (op.kind, op.flops, op.bytes_read, op.bytes_written, op.dims,
+                op.launches_kernel, op.kernel_fanout)
+        kernels = kernels_by_work.get(work)
+        if kernels is None:
+            kernels = kernels_by_work[work] = lower_op(op).kernels
+        out.append(LoweredOp(op, kernels))
+    return out
 
 
 def kernel_count(graph: OperatorGraph) -> int:

@@ -71,27 +71,40 @@ def _op_plans(lowered, core, platform, mode, config, world):
     tuple per lowered op, where ``kernels`` is a tuple of
     ``(kernel, duration_ns, is_collective_here)`` and ``child_name`` is
     already None whenever the child-op scope would not be emitted.
+
+    A plan reads only the op's kind and its kernel tuple, never its label,
+    so ops that share both share one plan tuple. :func:`lower_graph` shares
+    kernel tuples across identical decoder layers, so each distinct operator
+    is planned once per call. The memo keys on the kernel tuple's identity:
+    ``lowered`` keeps every tuple alive for the whole call, so no id is
+    reused, and tuples that are equal but not shared simply plan again.
     """
     fuses = mode.fuses_elementwise
     guard = config.compiled_guard_ns / platform.cpu.dispatch_score
+    plan_by_op: dict[tuple, tuple] = {}
     plans = []
     for lowered_op in lowered:
         op = lowered_op.op
-        dispatch = guard if fuses else platform.dispatch_ns(op.dispatch_cost_ns)
-        epilogue = dispatch * config.dispatch_epilogue_fraction
-        pre = dispatch - epilogue
-        child_name = _CHILD_OP_NAMES.get(op.kind)
-        if not (child_name and lowered_op.kernels and not fuses):
-            child_name = None
-        kernels = tuple(
-            (kernel,
-             core.link.allreduce_ns(kernel.comm_bytes, world)
-             if kernel.is_collective and world > 1
-             else kernel_duration(platform, kernel),
-             kernel.is_collective and world > 1)
-            for kernel in lowered_op.kernels)
-        plans.append((op.aten_name, dispatch, epilogue, pre, child_name,
-                      kernels))
+        key = (op.kind, id(lowered_op.kernels))
+        plan = plan_by_op.get(key)
+        if plan is None:
+            dispatch = (guard if fuses
+                        else platform.dispatch_ns(op.dispatch_cost_ns))
+            epilogue = dispatch * config.dispatch_epilogue_fraction
+            pre = dispatch - epilogue
+            child_name = _CHILD_OP_NAMES.get(op.kind)
+            if not (child_name and lowered_op.kernels and not fuses):
+                child_name = None
+            kernels = tuple(
+                (kernel,
+                 core.link.allreduce_ns(kernel.comm_bytes, world)
+                 if kernel.is_collective and world > 1
+                 else kernel_duration(platform, kernel),
+                 kernel.is_collective and world > 1)
+                for kernel in lowered_op.kernels)
+            plan = plan_by_op[key] = (op.aten_name, dispatch, epilogue, pre,
+                                      child_name, kernels)
+        plans.append(plan)
     return plans
 
 

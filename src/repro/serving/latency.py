@@ -64,72 +64,55 @@ class LatencyModel:
                 config=self.engine_config, tp=self.tp, pp=self.pp)
         return self._result_cache[key]
 
-    def ttft_ns(self, model: ModelConfig, batch_size: int, prompt_len: int) -> float:
-        """Prefill latency (time-to-first-token)."""
-        key = (model.name, batch_size, prompt_len)
-        if key not in self._ttft_cache:
-            # Tape mode: metrics_from_tape is bit-identical to computing
-            # metrics from the full trace, so cached latencies (and every
-            # serving result built on them) are unchanged by the fast path.
+    def _lookup(self, phase: Phase, cpu: bool, model: ModelConfig,
+                batch_size: int, length: int) -> float:
+        """Latency (or, with ``cpu``, dispatch-CPU busy time) of a prefill
+        of ``length`` tokens or a decode step at KV length ``length``.
+
+        A miss fills both caches of ``phase`` from one engine run. Tape
+        mode: ``metrics_from_tape`` is bit-identical to computing metrics
+        from the full trace, so cached latencies (and every serving result
+        built on them) are unchanged by the fast path.
+        """
+        if phase is Phase.PREFILL:
+            latency, cpu_busy = self._ttft_cache, self._ttft_cpu_cache
+            seq_len, context_len = length, None
+        else:
+            latency, cpu_busy = self._decode_cache, self._decode_cpu_cache
+            seq_len, context_len = 1, length
+        cache = cpu_busy if cpu else latency
+        key = (model.name, batch_size, length)
+        if key not in cache:
             result = run(model, self.platform, batch_size=batch_size,
-                         seq_len=prompt_len, mode=self.mode,
-                         config=self.engine_config, tp=self.tp, pp=self.pp,
-                         tape=True)
+                         seq_len=seq_len, phase=phase, context_len=context_len,
+                         mode=self.mode, config=self.engine_config, tp=self.tp,
+                         pp=self.pp, tape=True)
             assert result.tape is not None
             metrics = metrics_from_tape(result.tape)
-            self._ttft_cache[key] = metrics.inference_latency_ns
-            self._ttft_cpu_cache[key] = metrics.cpu_busy_ns
-        return self._ttft_cache[key]
+            latency[key] = metrics.inference_latency_ns
+            cpu_busy[key] = metrics.cpu_busy_ns
+        return cache[key]
+
+    def ttft_ns(self, model: ModelConfig, batch_size: int, prompt_len: int) -> float:
+        """Prefill latency (time-to-first-token)."""
+        return self._lookup(Phase.PREFILL, False, model, batch_size, prompt_len)
 
     def ttft_cpu_ns(self, model: ModelConfig, batch_size: int,
                     prompt_len: int) -> float:
         """Dispatch-CPU busy time inside one prefill (the launch-tax share
         a host-contention run books on the finite core pool)."""
-        key = (model.name, batch_size, prompt_len)
-        if key not in self._ttft_cpu_cache:
-            result = run(model, self.platform, batch_size=batch_size,
-                         seq_len=prompt_len, mode=self.mode,
-                         config=self.engine_config, tp=self.tp, pp=self.pp,
-                         tape=True)
-            assert result.tape is not None
-            metrics = metrics_from_tape(result.tape)
-            self._ttft_cpu_cache[key] = metrics.cpu_busy_ns
-            # The engine is deterministic, so the latency this run
-            # produced matches any earlier cache entry bit-for-bit.
-            self._ttft_cache.setdefault(key, metrics.inference_latency_ns)
-        return self._ttft_cpu_cache[key]
+        return self._lookup(Phase.PREFILL, True, model, batch_size, prompt_len)
 
     def decode_step_ns(self, model: ModelConfig, batch_size: int,
                        context_len: int) -> float:
         """Latency of one decode step at a given KV-cache length."""
-        key = (model.name, batch_size, context_len)
-        if key not in self._decode_cache:
-            result = run(model, self.platform, batch_size=batch_size,
-                         seq_len=1, phase=Phase.DECODE, context_len=context_len,
-                         mode=self.mode, config=self.engine_config, tp=self.tp,
-                         pp=self.pp, tape=True)
-            assert result.tape is not None
-            metrics = metrics_from_tape(result.tape)
-            self._decode_cache[key] = metrics.inference_latency_ns
-            self._decode_cpu_cache[key] = metrics.cpu_busy_ns
-        return self._decode_cache[key]
+        return self._lookup(Phase.DECODE, False, model, batch_size, context_len)
 
     def decode_step_cpu_ns(self, model: ModelConfig, batch_size: int,
                            context_len: int) -> float:
         """Dispatch-CPU busy time inside one decode step (see
         :meth:`ttft_cpu_ns`)."""
-        key = (model.name, batch_size, context_len)
-        if key not in self._decode_cpu_cache:
-            result = run(model, self.platform, batch_size=batch_size,
-                         seq_len=1, phase=Phase.DECODE,
-                         context_len=context_len, mode=self.mode,
-                         config=self.engine_config, tp=self.tp,
-                         pp=self.pp, tape=True)
-            assert result.tape is not None
-            metrics = metrics_from_tape(result.tape)
-            self._decode_cpu_cache[key] = metrics.cpu_busy_ns
-            self._decode_cache.setdefault(key, metrics.inference_latency_ns)
-        return self._decode_cpu_cache[key]
+        return self._lookup(Phase.DECODE, True, model, batch_size, context_len)
 
     def generation_ns(self, model: ModelConfig, batch_size: int,
                       prompt_len: int, output_tokens: int) -> float:

@@ -1,23 +1,39 @@
 """Parity locks for every simulator fast path.
 
-Each optimization this package measures (lowering cache, tape metrics,
-slimmed event queue, process-pool sweeps) must be *invisible* in the
-results: same floats, same orderings, same outcomes. These tests run the
-fast path and its reference path on identical inputs and assert
-bit-identical output — not approximate, not statistical.
+Each optimization this package measures (lowering cache, per-run operator
+dedup, tape metrics, slimmed event queue, process-pool sweeps) must be
+*invisible* in the results: same floats, same orderings, same outcomes.
+These tests run the fast path and its reference path on identical inputs
+and assert bit-identical output — not approximate, not statistical.
 """
+
+import re
 
 import pytest
 
 from repro.engine import EngineConfig, ExecutionMode, TPConfig
 from repro.engine.cache import LOWERING_CACHE
-from repro.engine.executor import run
+from repro.engine.compiler import apply_inductor_fusion
+from repro.engine.executor import build_core, run
+from repro.engine.lowering import lower_graph, lower_op
+from repro.engine.pp import (
+    PPConfig,
+    build_core_pp,
+    microbatch_lowered,
+    partition_lowered,
+)
+from repro.engine.processes import _CHILD_OP_NAMES, _op_plans, kernel_duration
+from repro.engine.tp import TP_DISABLED, shard_lowered
 from repro.hardware import get_platform
 from repro.kvcache import KvPolicy
 from repro.sim.core import SimCore
 from repro.sim.queue import EventQueue, ReferenceEventQueue
 from repro.skip.metrics import compute_metrics, metrics_from_tape
-from repro.workloads import get_model
+from repro.workloads import build_graph, get_model
+from repro.workloads.builder import AttentionImpl
+from repro.workloads.catalog import ALL_MODELS
+from repro.workloads.config import Arch
+from repro.workloads.graph import Phase
 from tests import scenarios
 
 INTEL_H100 = get_platform("Intel+H100")
@@ -124,3 +140,119 @@ def test_sweep_jobs_parity():
                              jobs=4, **kwargs)
     assert pooled.batch_sizes == serial.batch_sizes
     assert pooled.points == serial.points
+
+
+# ---------------------------------------------------------------------------
+# Per-run operator dedup: lower_graph and _op_plans share identical layers
+# ---------------------------------------------------------------------------
+
+_LAYER_INDEX = re.compile(r"\.\d+(?=\.|$)")
+
+
+def _catalog_graphs():
+    for model in ALL_MODELS:
+        phases = [Phase.PREFILL]
+        if model.arch is not Arch.ENCODER_ONLY:
+            phases.append(Phase.DECODE)
+        for phase in phases:
+            for attention in AttentionImpl:
+                yield pytest.param(
+                    model, phase, attention,
+                    id=f"{model.name}-{phase.value}-{attention.value}")
+
+
+def _graph(model, phase, attention):
+    context_len = 96 if phase is Phase.DECODE else None
+    return build_graph(model, 2, 64, phase=phase, attention=attention,
+                       context_len=context_len)
+
+
+@pytest.mark.parametrize("model,phase,attention", list(_catalog_graphs()))
+def test_lower_graph_matches_per_op_lowering(model, phase, attention):
+    graph = _graph(model, phase, attention)
+    lowered = lower_graph(graph)
+    assert [lo.op for lo in lowered] == list(graph.ops)
+    assert [lo.kernels for lo in lowered] == [lower_op(op).kernels
+                                              for op in graph.ops]
+
+
+@pytest.mark.parametrize("model,phase,attention", list(_catalog_graphs()))
+def test_identical_layers_share_one_kernel_tuple(model, phase, attention):
+    """The same op in every layer holds the *same* tuple, not an equal copy:
+    a cached lowering keeps one tuple per distinct operator."""
+    layers: dict[str, list] = {}
+    for lowered_op in lower_graph(_graph(model, phase, attention)):
+        label = lowered_op.op.label
+        if _LAYER_INDEX.search(label):
+            layers.setdefault(_LAYER_INDEX.sub(".#", label),
+                              []).append(lowered_op.kernels)
+    assert layers
+    for label, tuples in layers.items():
+        assert len(tuples) > 1, label
+        assert all(kernels is tuples[0] for kernels in tuples), label
+
+
+def _reference_plans(lowered, core, platform, mode, config, world):
+    """``_op_plans`` recomputed op by op, with no sharing."""
+    fuses = mode.fuses_elementwise
+    guard = config.compiled_guard_ns / platform.cpu.dispatch_score
+    plans = []
+    for lowered_op in lowered:
+        op = lowered_op.op
+        dispatch = guard if fuses else platform.dispatch_ns(op.dispatch_cost_ns)
+        epilogue = dispatch * config.dispatch_epilogue_fraction
+        child_name = _CHILD_OP_NAMES.get(op.kind)
+        if not (child_name and lowered_op.kernels and not fuses):
+            child_name = None
+        kernels = tuple(
+            (kernel,
+             core.link.allreduce_ns(kernel.comm_bytes, world)
+             if kernel.is_collective and world > 1
+             else kernel_duration(platform, kernel),
+             kernel.is_collective and world > 1)
+            for kernel in lowered_op.kernels)
+        plans.append((op.aten_name, dispatch, epilogue, dispatch - epilogue,
+                      child_name, kernels))
+    return plans
+
+
+def _plan_inputs(mode, tp, pp):
+    """(stage lowerings, core, per-stage world) as the executor builds them."""
+    graph = build_graph(LLAMA, 2, 64)
+    lowered = shard_lowered(apply_inductor_fusion(lower_graph(graph), mode),
+                            tp)
+    if pp is None:
+        return [lowered], build_core(tp), tp.degree
+    stages = [microbatch_lowered(stage, pp.microbatches)
+              for stage in partition_lowered(lowered, pp.stages)]
+    return stages, build_core_pp(tp, pp), tp.degree
+
+
+PLAN_CONFIGS = [
+    pytest.param(ExecutionMode.EAGER, TP_DISABLED, None, id="eager"),
+    pytest.param(ExecutionMode.COMPILE_REDUCE_OVERHEAD, TP_DISABLED, None,
+                 id="reduce-overhead"),
+    pytest.param(ExecutionMode.EAGER, TPConfig(degree=2), None, id="tp2"),
+    pytest.param(ExecutionMode.EAGER, TP_DISABLED,
+                 PPConfig(stages=2, microbatches=2), id="pp2"),
+]
+
+
+@pytest.mark.parametrize("mode,tp,pp", PLAN_CONFIGS)
+def test_op_plans_match_per_op_recomputation(mode, tp, pp):
+    stages, core, world = _plan_inputs(mode, tp, pp)
+    config = EngineConfig()
+    for stage in stages:
+        plans = _op_plans(stage, core, INTEL_H100, mode, config, world)
+        assert plans == _reference_plans(stage, core, INTEL_H100, mode,
+                                         config, world)
+
+
+def test_op_plans_plan_each_distinct_operator_once():
+    stages, core, world = _plan_inputs(ExecutionMode.EAGER, TP_DISABLED, None)
+    (lowered,) = stages
+    plans = _op_plans(lowered, core, INTEL_H100, ExecutionMode.EAGER,
+                      EngineConfig(), world)
+    distinct = {(lo.op.kind, id(lo.kernels)) for lo in lowered}
+    assert len({id(plan) for plan in plans}) == len(distinct)
+    assert len(distinct) < len(lowered) // 10
