@@ -5,20 +5,27 @@ deterministic pure pipeline of the workload shape: the same
 ``(model, batch, seq, phase, attention, context_len)`` always produces the
 same operator graph, and the same graph plus mode always produces the same
 pre-shard lowering. Sweeps re-run that pipeline for every ``(platform,
-batch)`` point and every serving latency lookup, even though only a handful
-of distinct shapes exist per sweep. The cache keys the two stages on those
-shapes; sharding (:func:`repro.engine.tp.shard_lowered`) stays per-run —
-it is cheap and depends on the TP config.
+batch)`` point, even though only a handful of distinct shapes exist per
+sweep. The cache keys the two stages on those shapes; sharding
+(:func:`repro.engine.tp.shard_lowered`) stays per-run — it is cheap and
+depends on the TP config.
+
+Serving latency lookups pass through the cache too, but one serving run
+never hits it: ``LatencyModel`` memoises every shape itself, so each engine
+run it makes is a shape the cache has not seen (a trace export's
+``LatencyModel.run_for`` later re-runs each shape once). The bound
+(:data:`CACHE_ENTRIES`) is therefore sized to the sweeps, so that serving
+runs do not fill memory with graphs nobody asks for again.
 
 Correctness stance: cached values are **shared, not copied**. ``LoweredOp``
-and ``KernelTask`` are frozen dataclasses; ``OperatorGraph`` is mutable but
-treated as read-only by the whole engine (the executor never mutates a
-built graph). Sharing goes one level further inside each lowering:
-:func:`~repro.engine.lowering.lower_graph` gives every op with the same
-work signature (an identical decoder layer, say) the same kernel tuple, so
-a cached lowering holds one tuple per distinct operator, not one per op.
-That is safe for the same reason: the tuples are frozen, and the labels
-that tell the ops apart live on each ``LoweredOp.op``, which stays per op.
+is a named tuple and ``KernelTask`` a frozen dataclass; ``OperatorGraph`` is
+mutable but treated as read-only by the whole engine (the executor never
+mutates a built graph). Sharing goes one level further inside each
+lowering: :func:`~repro.engine.lowering.lower_graph` gives every copy of a
+repeated layer the template layer's kernel tuples, so a cached lowering
+holds one tuple per op of one layer, not one per op of the model. That is
+safe for the same reason: the tuples are immutable, and the labels that
+tell the layers apart live on each ``LoweredOp.op``, which stays per op.
 The fast-path parity suite asserts a cache hit produces
 results bit-identical to a fresh lowering, and the hypothesis suite checks
 hit-vs-fresh structural equality plus ``repro check graph`` cleanliness.
@@ -50,6 +57,19 @@ LoweringKey = tuple[ModelConfig, int, int, Phase, AttentionImpl,
                     "int | None", ExecutionMode]
 
 
+#: Entries per table. A FIFO table of this size keeps every hit of an
+#: unbounded one as long as each key comes back within fewer than this
+#: many newer insertions. A sweep over platforms comes back after one
+#: platform's shapes: 7 insertions for the characterization sweep (BS
+#: 1…128), 6 for ``run_replicas_per_host`` and 13 for
+#: ``run_prefix_crossover``; a TP sweep reuses its one shape at once. 64
+#: leaves room for grids of up to 64 shapes per platform. A serving stream
+#: replayed on a second platform comes back only after all of the first
+#: run's shapes (95 for ``chunk_budget_sweep``'s stream), so those hits
+#: are not kept.
+CACHE_ENTRIES = 64
+
+
 @dataclass
 class CacheStats:
     """Hit/miss counters, exposed for the perf harness and tests."""
@@ -68,7 +88,7 @@ class CacheStats:
 class LoweringCache:
     """FIFO-bounded cache for built graphs and fused pre-shard lowerings."""
 
-    max_entries: int = 512
+    max_entries: int = CACHE_ENTRIES
     enabled: bool = True
     stats: CacheStats = field(default_factory=CacheStats)
     _graphs: dict[GraphKey, OperatorGraph] = field(default_factory=dict)
@@ -113,8 +133,9 @@ class LoweringCache:
 
     def _insert(self, table: dict, key, value) -> None:
         # FIFO eviction: dicts preserve insertion order, so the first key is
-        # the oldest. Sweeps revisit a small working set; recency tracking
-        # would buy nothing over this.
+        # the oldest. Sweeps come back to their keys in insertion order and
+        # one serving run never comes back (see CACHE_ENTRIES), so recency
+        # tracking would keep no hit that FIFO loses.
         if len(table) >= self.max_entries:
             table.pop(next(iter(table)))
         table[key] = value

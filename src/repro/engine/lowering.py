@@ -16,6 +16,7 @@ names. Two properties matter for reproducing the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.errors import ConfigurationError
 from repro.workloads.graph import OperatorGraph
@@ -57,9 +58,12 @@ class KernelTask:
         return self.comm_bytes > 0
 
 
-@dataclass(frozen=True)
-class LoweredOp:
-    """An operator together with the kernels it launches (possibly none)."""
+class LoweredOp(NamedTuple):
+    """An operator together with the kernels it launches (possibly none).
+
+    A named tuple rather than a frozen dataclass: a lowering builds one per
+    op, and a tuple skips the per-field ``object.__setattr__`` calls.
+    """
 
     op: Op
     kernels: tuple[KernelTask, ...]
@@ -145,23 +149,25 @@ def lower_op(op: Op) -> LoweredOp:
 def lower_graph(graph: OperatorGraph) -> list[LoweredOp]:
     """Lower an entire operator stream.
 
-    Equivalent to ``[lower_op(op) for op in graph.ops]``, but each distinct
-    operator *work signature* is lowered once and its kernel tuple shared by
-    every op that repeats it — the N identical decoder layers of a model
-    differ only in their labels, which no lowering rule reads. Each
-    ``LoweredOp`` still carries its own ``Op``, so label-driven passes (TP
-    sharding, graph checks) see every op as before. Kernel tuples are frozen,
-    so sharing them is safe.
+    Equivalent to ``[lower_op(op) for op in graph.ops]``. When the builder
+    recorded a repeated-layer span (``graph.layer_span``), only the template
+    layer is lowered op by op; every later layer gets the template's kernel
+    tuples, position by position, since its ops differ from the template's
+    only in their labels, which no lowering rule reads. Each ``LoweredOp``
+    still carries its own ``Op``, so label-driven passes (TP sharding, graph
+    checks) see every op as before. Kernel tuples are immutable, so sharing
+    them is safe. A graph with no span is lowered op by op.
     """
-    kernels_by_work: dict[tuple, tuple[KernelTask, ...]] = {}
-    out = []
-    for op in graph.ops:
-        work = (op.kind, op.flops, op.bytes_read, op.bytes_written, op.dims,
-                op.launches_kernel, op.kernel_fanout)
-        kernels = kernels_by_work.get(work)
-        if kernels is None:
-            kernels = kernels_by_work[work] = lower_op(op).kernels
-        out.append(LoweredOp(op, kernels))
+    ops = graph.ops
+    span = graph.layer_span
+    if span is None:
+        return [lower_op(op) for op in ops]
+    head = span.start + span.width
+    out = [lower_op(op) for op in ops[:head]]
+    template = [lowered.kernels for lowered in out[span.start:]]
+    for base in range(head, span.end, span.width):
+        out.extend(map(LoweredOp, ops[base:base + span.width], template))
+    out.extend(lower_op(op) for op in ops[span.end:])
     return out
 
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+from repro.engine.cache import CACHE_ENTRIES
 from repro.engine.lowering import KernelTask, LoweredOp
 from repro.engine.modes import ExecutionMode
 from repro.engine.processes import _op_plans
@@ -173,11 +174,12 @@ class PPStageCache:
     Extends the lowered-graph cache's keying (:mod:`repro.engine.cache`)
     with the parallelism axes that shape the partition: the TP degree
     (sharding changes kernel weights and inserts collectives) and the stage
-    count. Values are shared, not copied — stages hold the same frozen
-    ``LoweredOp`` objects the lowering cache vended.
+    count. Values are shared, not copied — stages hold the same immutable
+    ``LoweredOp`` objects the lowering cache vended. Bounded like the
+    lowering cache, whose keys it extends.
     """
 
-    max_entries: int = 256
+    max_entries: int = CACHE_ENTRIES
     enabled: bool = True
     hits: int = 0
     misses: int = 0

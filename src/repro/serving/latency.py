@@ -1,9 +1,12 @@
 """LatencyModel — cached engine-backed latencies for serving simulations.
 
 Serving simulations need many latency lookups for the same (model, batch,
-length) shapes; this wrapper memoizes engine runs and interpolates decode
-steps across context lengths so a K-token generation does not need K engine
-runs.
+length) shapes; this wrapper memoizes one engine run per exact shape. It
+does not interpolate: the continuous-batching loops round decode context
+lengths up to ``ContinuousBatchPolicy.context_bucket`` before they look a
+step up, which bounds the number of distinct shapes, and
+:meth:`LatencyModel.generation_ns` prices a K-token generation from two
+decode lookups.
 """
 
 from __future__ import annotations

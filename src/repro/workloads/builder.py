@@ -18,12 +18,13 @@ FlashAttention op.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 
 from repro.errors import ConfigurationError
 from repro.workloads import ops
 from repro.workloads.config import Activation, Arch, ModelConfig, Norm, Positional
-from repro.workloads.graph import OperatorGraph, Phase
+from repro.workloads.graph import LayerSpan, OperatorGraph, Phase
 from repro.workloads.ops import Op, OpKind
 
 
@@ -78,6 +79,40 @@ def build_graph(
     return graph
 
 
+#: The fields a layer copy takes from layer 0: all but the label.
+_WORK_FIELDS = tuple(field.name for field in dataclasses.fields(Op)
+                     if field.name != "label")
+
+
+def _repeat_layer(graph: OperatorGraph, start: int, stem: str,
+                  layers: int) -> None:
+    """Append layers 1..``layers``-1 as copies of layer 0 at ``ops[start:]``.
+
+    Every layer of a model runs the same ops on the same shapes; only the
+    ``{stem}{layer}.`` label prefix differs. Layer 0 went through the op
+    factories, so each distinct op was validated once; the copies share its
+    work terms and skip ``Op.__init__``. They set their fields one by one,
+    as ``__init__`` does: filling ``copy.__dict__`` instead is faster but
+    gives every copy a dict of its own, twice the memory. The graph records
+    the span so the lowering can lower the template once (:class:`LayerSpan`).
+    """
+    template = graph.ops[start:]
+    cut = len(f"{stem}0")
+    parts = [(op.label[cut:],
+              [(name, getattr(op, name)) for name in _WORK_FIELDS])
+             for op in template]
+    set_field = object.__setattr__
+    for layer in range(1, layers):
+        prefix = f"{stem}{layer}"
+        for suffix, work in parts:
+            copy = object.__new__(Op)
+            set_field(copy, "label", prefix + suffix)
+            for name, value in work:
+                set_field(copy, name, value)
+            graph.ops.append(copy)
+    graph.layer_span = LayerSpan(start, len(template), layers)
+
+
 # ---------------------------------------------------------------------------
 # Encoder-only (BERT / XLM-RoBERTa)
 # ---------------------------------------------------------------------------
@@ -100,8 +135,9 @@ def _build_encoder(graph: OperatorGraph, config: ModelConfig, batch: int,
         ops.elementwise(OpKind.MUL, "extended_mask.scale", batch * seq, inputs=1),
     ])
 
-    for layer in range(config.layers):
-        _encoder_layer(graph, config, batch, seq, layer, attention)
+    start = len(graph)
+    _encoder_layer(graph, config, batch, seq, 0, attention)
+    _repeat_layer(graph, start, "encoder.layer.", config.layers)
 
     # Pooler: take [CLS], dense, tanh.
     graph.extend([
@@ -190,9 +226,9 @@ def _build_decoder(graph: OperatorGraph, config: ModelConfig, batch: int,
             ops.elementwise(OpKind.MUL, "rotary.sin", rope_elements),
         ])
 
-    for layer in range(config.layers):
-        _decoder_layer(graph, config, batch, q_len, kv_len, layer, phase,
-                       attention)
+    start = len(graph)
+    _decoder_layer(graph, config, batch, q_len, kv_len, 0, phase, attention)
+    _repeat_layer(graph, start, "decoder.layer.", config.layers)
 
     graph.append(_final_norm(config, "final_norm", tokens))
     # LM head over all positions in prefill (HF eager behavior), last token in

@@ -1,9 +1,11 @@
 """Operator graph: the eager-mode program a model executes.
 
 Eager PyTorch executes operators strictly in program order on one CPU thread,
-so the "graph" the engine consumes is an ordered operator stream. The class
-still carries enough structure (per-op labels, block boundaries) for SKIP
-reports to attribute costs to modules.
+so the "graph" the engine consumes is an ordered operator stream. Per-op
+labels let SKIP reports attribute costs to modules. Block boundaries are
+known only where the builder records them: a Transformer graph from
+:func:`~repro.workloads.builder.build_graph` carries a :class:`LayerSpan`
+over its identical layers; a hand-built graph carries none.
 """
 
 from __future__ import annotations
@@ -23,6 +25,25 @@ class Phase(enum.Enum):
     DECODE = "decode"
 
 
+@dataclass(frozen=True)
+class LayerSpan:
+    """A run of ``count`` identical layers, ``width`` ops each, at ``start``.
+
+    ``ops[start:start + width]`` is the template layer. Layer ``k`` occupies
+    the next ``width`` ops after layer ``k - 1`` and matches the template op
+    for op in every field but the label.
+    """
+
+    start: int
+    width: int
+    count: int
+
+    @property
+    def end(self) -> int:
+        """Index one past the last op of the last layer."""
+        return self.start + self.width * self.count
+
+
 @dataclass
 class OperatorGraph:
     """An ordered operator stream plus provenance metadata.
@@ -33,6 +54,8 @@ class OperatorGraph:
         batch_size: Batch size the shapes were built for.
         seq_len: Input sequence length (prefill) or context length (decode).
         ops: Operators in program order.
+        layer_span: The repeated-layer span, when the builder recorded one;
+            the lowering lowers its template once and shares the kernels.
     """
 
     model_name: str
@@ -40,6 +63,7 @@ class OperatorGraph:
     batch_size: int
     seq_len: int
     ops: list[Op] = field(default_factory=list)
+    layer_span: LayerSpan | None = None
 
     def __post_init__(self) -> None:
         if self.batch_size <= 0 or self.seq_len <= 0:

@@ -71,7 +71,7 @@ def test_scaled_flops_flagged_g001(gpt2_lowered, gpt2_sharded, gpt2_tp2):
     victim = gpt2_sharded[index]
     kernels = tuple(replace(k, flops=k.flops * 1.5) for k in victim.kernels)
     mutated = list(gpt2_sharded)
-    mutated[index] = replace(victim, kernels=kernels)
+    mutated[index] = victim._replace(kernels=kernels)
     findings = check_sharding(gpt2_lowered, mutated, gpt2_tp2)
     assert "G001" in _rule_ids(findings)
     assert any(victim.op.label in f.location for f in findings)
@@ -83,7 +83,7 @@ def test_scaled_bytes_flagged_g002(gpt2_lowered, gpt2_sharded, gpt2_tp2):
     kernels = tuple(replace(k, bytes_read=k.bytes_read * 2 + 64)
                     for k in victim.kernels)
     mutated = list(gpt2_sharded)
-    mutated[index] = replace(victim, kernels=kernels)
+    mutated[index] = victim._replace(kernels=kernels)
     assert "G002" in _rule_ids(
         check_sharding(gpt2_lowered, mutated, gpt2_tp2))
 
@@ -96,7 +96,7 @@ def test_mutated_replicated_op_also_flagged(gpt2_lowered, gpt2_sharded,
     victim = gpt2_sharded[index]
     kernels = tuple(replace(k, flops=k.flops + 1e6) for k in victim.kernels)
     mutated = list(gpt2_sharded)
-    mutated[index] = replace(victim, kernels=kernels)
+    mutated[index] = victim._replace(kernels=kernels)
     assert "G001" in _rule_ids(
         check_sharding(gpt2_lowered, mutated, gpt2_tp2))
 
@@ -147,8 +147,8 @@ def test_duplicated_kernel_flagged_g005(gpt2_lowered, gpt2_sharded, gpt2_tp2):
     index = _sharded_compute_index(gpt2_sharded)
     victim = gpt2_sharded[index]
     mutated = list(gpt2_sharded)
-    mutated[index] = replace(victim,
-                             kernels=victim.kernels + (victim.kernels[0],))
+    mutated[index] = victim._replace(
+        kernels=victim.kernels + (victim.kernels[0],))
     assert "G005" in _rule_ids(
         check_sharding(gpt2_lowered, mutated, gpt2_tp2))
 
@@ -165,7 +165,7 @@ def test_negative_work_flagged_g006(gpt2_lowered):
     # running validation — exactly the artifact a buggy pass could emit.
     object.__setattr__(kernels[0], "__dict__",
                        {**vars(victim.kernels[0]), "flops": -1.0})
-    mutated[index] = replace(victim, kernels=kernels + victim.kernels[1:])
+    mutated[index] = victim._replace(kernels=kernels + victim.kernels[1:])
     assert "G006" in _rule_ids(check_lowering(mutated))
 
 
@@ -175,7 +175,7 @@ def test_fused_member_mismatch_flagged_g007(gpt2_lowered):
                        bytes_written=8.0, members=(member, member))
     index = _first_index(gpt2_lowered, lambda lo: bool(lo.kernels))
     mutated = list(gpt2_lowered)
-    mutated[index] = replace(gpt2_lowered[index], kernels=(fused,))
+    mutated[index] = gpt2_lowered[index]._replace(kernels=(fused,))
     assert "G007" in _rule_ids(check_lowering(mutated))
 
 
@@ -192,8 +192,8 @@ def test_zero_work_kernel_warns_g009(gpt2_lowered):
     ghost = KernelTask("ghost", flops=0.0, bytes_read=0.0, bytes_written=0.0)
     index = _first_index(gpt2_lowered, lambda lo: bool(lo.kernels))
     mutated = list(gpt2_lowered)
-    mutated[index] = replace(gpt2_lowered[index],
-                             kernels=gpt2_lowered[index].kernels + (ghost,))
+    mutated[index] = gpt2_lowered[index]._replace(
+        kernels=gpt2_lowered[index].kernels + (ghost,))
     findings = check_lowering(mutated)
     assert _rule_ids(findings) == {"G009"}
     assert all(f.severity.value == "warning" for f in findings)

@@ -1,18 +1,18 @@
 """Parity locks for every simulator fast path.
 
-Each optimization this package measures (lowering cache, per-run operator
-dedup, tape metrics, slimmed event queue, process-pool sweeps) must be
-*invisible* in the results: same floats, same orderings, same outcomes.
+Each optimization this package measures (lowering cache, repeated-layer
+build and lowering, tape metrics, slimmed event queue, process-pool
+sweeps) must be *invisible* in the results: same floats, same orderings,
+same outcomes.
 These tests run the fast path and its reference path on identical inputs
 and assert bit-identical output — not approximate, not statistical.
 """
 
-import re
-
 import pytest
 
+from repro.analysis.sweep import DEFAULT_BATCH_SIZES
 from repro.engine import EngineConfig, ExecutionMode, TPConfig
-from repro.engine.cache import LOWERING_CACHE
+from repro.engine.cache import LOWERING_CACHE, LoweringCache
 from repro.engine.compiler import apply_inductor_fusion
 from repro.engine.executor import build_core, run
 from repro.engine.lowering import lower_graph, lower_op
@@ -24,16 +24,21 @@ from repro.engine.pp import (
 )
 from repro.engine.processes import _CHILD_OP_NAMES, _op_plans, kernel_duration
 from repro.engine.tp import TP_DISABLED, shard_lowered
-from repro.hardware import get_platform
+from repro.hardware import PAPER_PLATFORMS, get_platform
 from repro.kvcache import KvPolicy
 from repro.sim.core import SimCore
 from repro.sim.queue import EventQueue, ReferenceEventQueue
 from repro.skip.metrics import compute_metrics, metrics_from_tape
-from repro.workloads import build_graph, get_model
-from repro.workloads.builder import AttentionImpl
+from repro.workloads import PAPER_MODELS, build_graph, get_model
+from repro.workloads.builder import (
+    AttentionImpl,
+    _decoder_layer,
+    _encoder_layer,
+)
 from repro.workloads.catalog import ALL_MODELS
 from repro.workloads.config import Arch
-from repro.workloads.graph import Phase
+from repro.workloads.graph import OperatorGraph, Phase
+from repro.workloads.ops import Op
 from tests import scenarios
 
 INTEL_H100 = get_platform("Intel+H100")
@@ -86,6 +91,29 @@ def test_lowering_cache_hit_is_bit_identical(kwargs):
     for cached in (cold, warm):
         assert _trace_values(cached.trace) == _trace_values(fresh.trace)
         assert compute_metrics(cached.trace) == compute_metrics(fresh.trace)
+
+
+def test_cache_bound_keeps_every_skip_sweep_hit(monkeypatch):
+    """The characterization sweep's lookups, in its order (model, then
+    platform, then BS 1…128), hit as often under the default bound as in
+    an unbounded cache. Only the eager profiles look up: the fused
+    re-profile carries a fusion plan and bypasses the cache. The key holds
+    no platform, so the second and third platforms hit."""
+    monkeypatch.setattr("repro.engine.cache.build_graph",
+                        lambda *args, **kwargs: object())
+    monkeypatch.setattr("repro.engine.cache.lower_graph", lambda graph: [])
+    bounded, unbounded = LoweringCache(), LoweringCache(max_entries=10**9)
+    for cache in (bounded, unbounded):
+        for model in PAPER_MODELS:
+            for _platform in PAPER_PLATFORMS:
+                for batch in DEFAULT_BATCH_SIZES:
+                    key = (model, batch, 512, Phase.PREFILL,
+                           AttentionImpl.EAGER, None)
+                    cache.lowering(key, cache.graph(*key),
+                                   ExecutionMode.EAGER)
+    assert bounded.stats == unbounded.stats
+    stats = bounded.stats
+    assert stats.lowering_hits == 2 * stats.lowering_misses
 
 
 @pytest.mark.parametrize("kwargs", CONFIGS)
@@ -143,10 +171,10 @@ def test_sweep_jobs_parity():
 
 
 # ---------------------------------------------------------------------------
-# Per-run operator dedup: lower_graph and _op_plans share identical layers
+# Repeated layers: built as copies of layer 0, lowered once
 # ---------------------------------------------------------------------------
 
-_LAYER_INDEX = re.compile(r"\.\d+(?=\.|$)")
+BATCH, SEQ, CONTEXT = 2, 64, 96
 
 
 def _catalog_graphs():
@@ -162,9 +190,38 @@ def _catalog_graphs():
 
 
 def _graph(model, phase, attention):
-    context_len = 96 if phase is Phase.DECODE else None
-    return build_graph(model, 2, 64, phase=phase, attention=attention,
+    context_len = CONTEXT if phase is Phase.DECODE else None
+    return build_graph(model, BATCH, SEQ, phase=phase, attention=attention,
                        context_len=context_len)
+
+
+def _per_layer_reference(graph, model, phase, attention):
+    """``graph`` with every layer built by the op factories, one by one."""
+    span = graph.layer_span
+    reference = OperatorGraph(graph.model_name, graph.phase,
+                              graph.batch_size, graph.seq_len)
+    reference.extend(graph.ops[:span.start])
+    for layer in range(model.layers):
+        if model.arch is Arch.ENCODER_ONLY:
+            _encoder_layer(reference, model, BATCH, SEQ, layer, attention)
+        elif phase is Phase.DECODE:
+            _decoder_layer(reference, model, BATCH, 1, CONTEXT, layer, phase,
+                           attention)
+        else:
+            _decoder_layer(reference, model, BATCH, SEQ, SEQ, layer, phase,
+                           attention)
+    reference.extend(graph.ops[span.end:])
+    return reference
+
+
+@pytest.mark.parametrize("model,phase,attention", list(_catalog_graphs()))
+def test_build_graph_matches_per_layer_reference(model, phase, attention):
+    graph = _graph(model, phase, attention)
+    span = graph.layer_span
+    assert span.count == model.layers
+    reference = _per_layer_reference(graph, model, phase, attention)
+    assert all(type(op) is Op for op in graph.ops)
+    assert [vars(op) for op in graph.ops] == [vars(op) for op in reference]
 
 
 @pytest.mark.parametrize("model,phase,attention", list(_catalog_graphs()))
@@ -178,18 +235,29 @@ def test_lower_graph_matches_per_op_lowering(model, phase, attention):
 
 @pytest.mark.parametrize("model,phase,attention", list(_catalog_graphs()))
 def test_identical_layers_share_one_kernel_tuple(model, phase, attention):
-    """The same op in every layer holds the *same* tuple, not an equal copy:
-    a cached lowering keeps one tuple per distinct operator."""
-    layers: dict[str, list] = {}
-    for lowered_op in lower_graph(_graph(model, phase, attention)):
-        label = lowered_op.op.label
-        if _LAYER_INDEX.search(label):
-            layers.setdefault(_LAYER_INDEX.sub(".#", label),
-                              []).append(lowered_op.kernels)
-    assert layers
-    for label, tuples in layers.items():
-        assert len(tuples) > 1, label
-        assert all(kernels is tuples[0] for kernels in tuples), label
+    """Every copy holds the template layer's *own* tuples, not equal ones:
+    a cached lowering keeps one tuple per op of one layer."""
+    graph = _graph(model, phase, attention)
+    span = graph.layer_span
+    lowered = lower_graph(graph)
+    template = lowered[span.start:span.start + span.width]
+    for base in range(span.start + span.width, span.end, span.width):
+        copies = lowered[base:base + span.width]
+        assert all(copy.kernels is lo.kernels
+                   for copy, lo in zip(copies, template))
+
+
+def test_graph_without_span_lowers_op_by_op():
+    built = _graph(LLAMA, Phase.DECODE, AttentionImpl.EAGER)
+    hand_built = OperatorGraph(built.model_name, built.phase,
+                               built.batch_size, built.seq_len)
+    hand_built.extend(built.ops)
+    assert hand_built.layer_span is None
+    lowered = lower_graph(hand_built)
+    assert lowered == [lower_op(op) for op in hand_built.ops]
+    assert lowered == lower_graph(built)
+    tuples = [lo.kernels for lo in lowered if lo.kernels]
+    assert len({id(kernels) for kernels in tuples}) == len(tuples)
 
 
 def _reference_plans(lowered, core, platform, mode, config, world):
