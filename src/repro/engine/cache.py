@@ -10,12 +10,17 @@ sweep. The cache keys the two stages on those shapes; sharding
 (:func:`repro.engine.tp.shard_lowered`) stays per-run — it is cheap and
 depends on the TP config.
 
-Serving latency lookups pass through the cache too, but one serving run
-never hits it: ``LatencyModel`` memoises every shape itself, so each engine
-run it makes is a shape the cache has not seen (a trace export's
-``LatencyModel.run_for`` later re-runs each shape once). The bound
-(:data:`CACHE_ENTRIES`) is therefore sized to the sweeps, so that serving
-runs do not fill memory with graphs nobody asks for again.
+Serving latency lookups pass through the cache too, but a serving run's
+own lookups never hit it: ``LatencyModel`` memoises every shape itself, so
+each engine run it makes is a shape the cache has not seen. Only a trace
+export comes back: ``LatencyModel.run_for`` re-runs each shape once, in the
+order the run first used them. It hits when the run made at most
+:data:`CACHE_ENTRIES` shapes. Past that, FIFO eviction drops each shape just
+before the export asks for it, so every export lookup builds, lowers (and
+under PP partitions) its graph again: about 1.2 ms per gpt2 shape, 12% of
+the export's wall time and 6-8% under PP=2 (docs/performance.md). The
+bound is sized to the sweeps, so that serving runs do not fill memory with
+graphs asked for at most once more.
 
 Correctness stance: cached values are **shared, not copied**. ``LoweredOp``
 is a named tuple and ``KernelTask`` a frozen dataclass; ``OperatorGraph`` is
@@ -66,7 +71,8 @@ LoweringKey = tuple[ModelConfig, int, int, Phase, AttentionImpl,
 #: leaves room for grids of up to 64 shapes per platform. A serving stream
 #: replayed on a second platform comes back only after all of the first
 #: run's shapes (95 for ``chunk_budget_sweep``'s stream), so those hits
-#: are not kept.
+#: are not kept; keeping them takes at least 96 entries (128 held about
+#: 11 MiB more at peak on a long serving run).
 CACHE_ENTRIES = 64
 
 
@@ -133,9 +139,9 @@ class LoweringCache:
 
     def _insert(self, table: dict, key, value) -> None:
         # FIFO eviction: dicts preserve insertion order, so the first key is
-        # the oldest. Sweeps come back to their keys in insertion order and
-        # one serving run never comes back (see CACHE_ENTRIES), so recency
-        # tracking would keep no hit that FIFO loses.
+        # the oldest. Sweeps and trace exports come back to their keys in
+        # insertion order (see the module docstring), so recency tracking
+        # would keep no hit that FIFO loses.
         if len(table) >= self.max_entries:
             table.pop(next(iter(table)))
         table[key] = value

@@ -18,7 +18,6 @@ FlashAttention op.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 
 from repro.errors import ConfigurationError
@@ -79,37 +78,29 @@ def build_graph(
     return graph
 
 
-#: The fields a layer copy takes from layer 0: all but the label.
-_WORK_FIELDS = tuple(field.name for field in dataclasses.fields(Op)
-                     if field.name != "label")
-
-
 def _repeat_layer(graph: OperatorGraph, start: int, stem: str,
                   layers: int) -> None:
     """Append layers 1..``layers``-1 as copies of layer 0 at ``ops[start:]``.
 
     Every layer of a model runs the same ops on the same shapes; only the
     ``{stem}{layer}.`` label prefix differs. Layer 0 went through the op
-    factories, so each distinct op was validated once; the copies share its
-    work terms and skip ``Op.__init__``. They set their fields one by one,
-    as ``__init__`` does: filling ``copy.__dict__`` instead is faster but
-    gives every copy a dict of its own, twice the memory. The graph records
-    the span so the lowering can lower the template once (:class:`LayerSpan`).
+    factories, so each distinct op's shape arithmetic ran once; the copies
+    take its field values as they are. The graph records the span so the
+    lowering can lower the template once (:class:`LayerSpan`).
     """
     template = graph.ops[start:]
-    cut = len(f"{stem}0")
-    parts = [(op.label[cut:],
-              [(name, getattr(op, name)) for name in _WORK_FIELDS])
-             for op in template]
-    set_field = object.__setattr__
+    first = f"{stem}0."
+    suffixes = [op.label.removeprefix(first) for op in template]
+    assert all(op.label.startswith(first) for op in template), (
+        f"layer 0 at op {start} has an op outside {first!r}")
     for layer in range(1, layers):
-        prefix = f"{stem}{layer}"
-        for suffix, work in parts:
-            copy = object.__new__(Op)
-            set_field(copy, "label", prefix + suffix)
-            for name, value in work:
-                set_field(copy, name, value)
-            graph.ops.append(copy)
+        prefix = f"{stem}{layer}."
+        graph.extend([
+            Op(op.kind, prefix + suffix, op.flops, op.bytes_read,
+               op.bytes_written, op.dims, op.launches_kernel,
+               op.kernel_fanout)
+            for op, suffix in zip(template, suffixes)
+        ])
     graph.layer_span = LayerSpan(start, len(template), layers)
 
 

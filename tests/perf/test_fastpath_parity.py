@@ -34,6 +34,7 @@ from repro.workloads.builder import (
     AttentionImpl,
     _decoder_layer,
     _encoder_layer,
+    _repeat_layer,
 )
 from repro.workloads.catalog import ALL_MODELS
 from repro.workloads.config import Arch
@@ -245,6 +246,17 @@ def test_identical_layers_share_one_kernel_tuple(model, phase, attention):
         copies = lowered[base:base + span.width]
         assert all(copy.kernels is lo.kernels
                    for copy, lo in zip(copies, template))
+
+
+def test_layer_copy_rejects_an_op_outside_layer_zero():
+    built = _graph(LLAMA, Phase.DECODE, AttentionImpl.EAGER)
+    span = built.layer_span
+    graph = OperatorGraph(built.model_name, built.phase, built.batch_size,
+                          built.seq_len)
+    graph.extend(built.ops[:span.start + span.width])
+    graph.append(built.ops[-1])  # the LM head, labelled outside any layer
+    with pytest.raises(AssertionError, match="outside 'decoder.layer.0.'"):
+        _repeat_layer(graph, span.start, "decoder.layer.", LLAMA.layers)
 
 
 def test_graph_without_span_lowers_op_by_op():
