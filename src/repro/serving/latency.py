@@ -1,12 +1,16 @@
 """LatencyModel — cached engine-backed latencies for serving simulations.
 
 Serving simulations need many latency lookups for the same (model, batch,
-length) shapes; this wrapper memoizes one engine run per exact shape. It
-does not interpolate: the continuous-batching loops round decode context
-lengths up to ``ContinuousBatchPolicy.context_bucket`` before they look a
-step up, which bounds the number of distinct shapes, and
-:meth:`LatencyModel.generation_ns` prices a K-token generation from two
-decode lookups.
+length) shapes; this wrapper memoizes one pricing per exact shape. A
+single-GPU eager or FlashAttention model prices a shape with the scalar
+pass of :mod:`repro.engine.pricing`, which walks one layer's op plans
+through the launch recurrence and records nothing; TP, PP, compiled and
+graph-replay models run the engine in tape mode instead. Both give the
+same floats. It does not interpolate: the continuous-batching loops round
+decode context lengths up to ``ContinuousBatchPolicy.context_bucket``
+before they look a step up, which bounds the number of distinct shapes,
+and :meth:`LatencyModel.generation_ns` prices a K-token generation from
+two decode lookups.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from dataclasses import dataclass, field
 from repro.engine.executor import EngineConfig, RunResult, run
 from repro.engine.modes import ExecutionMode
 from repro.engine.pp import PPConfig
+from repro.engine.pricing import PRICED_MODES, price_step
 from repro.engine.tp import TPConfig
 from repro.errors import ConfigurationError
 from repro.hardware.platform import Platform
@@ -72,10 +77,12 @@ class LatencyModel:
         """Latency (or, with ``cpu``, dispatch-CPU busy time) of a prefill
         of ``length`` tokens or a decode step at KV length ``length``.
 
-        A miss fills both caches of ``phase`` from one engine run. Tape
-        mode: ``metrics_from_tape`` is bit-identical to computing metrics
-        from the full trace, so cached latencies (and every serving result
-        built on them) are unchanged by the fast path.
+        A miss fills both caches of ``phase`` at once. A single-GPU eager
+        or FlashAttention model prices it with :func:`price_step`; any
+        other runs the engine in tape mode and reads ``metrics_from_tape``.
+        Both are bit-identical to the metrics of the full trace, so cached
+        latencies (and every serving result built on them) do not depend
+        on the path.
         """
         if phase is Phase.PREFILL:
             latency, cpu_busy = self._ttft_cache, self._ttft_cpu_cache
@@ -86,14 +93,22 @@ class LatencyModel:
         cache = cpu_busy if cpu else latency
         key = (model.name, batch_size, length)
         if key not in cache:
-            result = run(model, self.platform, batch_size=batch_size,
-                         seq_len=seq_len, phase=phase, context_len=context_len,
-                         mode=self.mode, config=self.engine_config, tp=self.tp,
-                         pp=self.pp, tape=True)
-            assert result.tape is not None
-            metrics = metrics_from_tape(result.tape)
-            latency[key] = metrics.inference_latency_ns
-            cpu_busy[key] = metrics.cpu_busy_ns
+            if (self.mode in PRICED_MODES
+                    and (self.tp is None or not self.tp.enabled)
+                    and (self.pp is None or not self.pp.enabled)):
+                latency[key], cpu_busy[key] = price_step(
+                    model, self.platform, batch_size, seq_len, phase,
+                    context_len, self.mode, self.engine_config)
+            else:
+                result = run(model, self.platform, batch_size=batch_size,
+                             seq_len=seq_len, phase=phase,
+                             context_len=context_len, mode=self.mode,
+                             config=self.engine_config, tp=self.tp,
+                             pp=self.pp, tape=True)
+                assert result.tape is not None
+                metrics = metrics_from_tape(result.tape)
+                latency[key] = metrics.inference_latency_ns
+                cpu_busy[key] = metrics.cpu_busy_ns
         return cache[key]
 
     def ttft_ns(self, model: ModelConfig, batch_size: int, prompt_len: int) -> float:

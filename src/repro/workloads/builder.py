@@ -19,6 +19,7 @@ FlashAttention op.
 from __future__ import annotations
 
 import enum
+from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 from repro.workloads import ops
@@ -27,11 +28,53 @@ from repro.workloads.graph import LayerSpan, OperatorGraph, Phase
 from repro.workloads.ops import Op, OpKind
 
 
+#: Where the layer builders append ops: a plain list (the compact form) or
+#: an operator graph.
+_OpSink = OperatorGraph | list[Op]
+
+#: (head, layer 0, tail) of one forward pass.
+_Parts = tuple[list[Op], list[Op], list[Op]]
+
+
 class AttentionImpl(enum.Enum):
     """How the attention core is lowered."""
 
     EAGER = "eager"
     FLASH = "flash"  # FlashAttention-2 fused kernel
+
+
+@dataclass(frozen=True)
+class CompactGraph:
+    """One forward pass with its repeated layer built once.
+
+    The operator stream is ``head``, then ``layer`` ``count`` times, then
+    ``tail``. Layer ``k`` differs from ``layer`` (layer 0) only in its label
+    prefix ``{stem}{k}.``, so a pass that reads no label can walk this form
+    instead of the expanded graph. :func:`build_graph` is :meth:`expand`
+    applied to :func:`build_compact_graph`.
+    """
+
+    model_name: str
+    phase: Phase
+    batch_size: int
+    seq_len: int
+    head: list[Op]
+    layer: list[Op]
+    count: int
+    tail: list[Op]
+    stem: str
+
+    def expand(self) -> OperatorGraph:
+        """The full operator stream, with the layer run recorded as its
+        :class:`LayerSpan`."""
+        graph = OperatorGraph(model_name=self.model_name, phase=self.phase,
+                              batch_size=self.batch_size,
+                              seq_len=self.seq_len)
+        graph.extend(self.head)
+        graph.extend(self.layer)
+        _repeat_layer(graph, len(self.head), self.stem, self.count)
+        graph.extend(self.tail)
+        return graph
 
 
 def build_graph(
@@ -56,6 +99,24 @@ def build_graph(
     Returns:
         The operator stream in program order.
     """
+    return build_compact_graph(config, batch_size, seq_len, phase=phase,
+                               attention=attention,
+                               context_len=context_len).expand()
+
+
+def build_compact_graph(
+    config: ModelConfig,
+    batch_size: int,
+    seq_len: int,
+    phase: Phase = Phase.PREFILL,
+    attention: AttentionImpl = AttentionImpl.EAGER,
+    context_len: int | None = None,
+) -> CompactGraph:
+    """The first stage of :func:`build_graph`: head, layer 0 and tail.
+
+    Takes the same arguments and runs the same shape checks; only layers
+    1..N-1 are left out.
+    """
     if batch_size <= 0 or seq_len <= 0:
         raise ConfigurationError("batch_size and seq_len must be positive")
     if phase is Phase.DECODE:
@@ -64,18 +125,25 @@ def build_graph(
         if config.arch is Arch.ENCODER_ONLY:
             raise ConfigurationError("encoder-only models have no decode phase")
 
-    graph = OperatorGraph(
+    if config.arch is Arch.ENCODER_ONLY:
+        head, layer, tail = _build_encoder(config, batch_size, seq_len,
+                                           attention)
+        stem = "encoder.layer."
+    else:
+        head, layer, tail = _build_decoder(config, batch_size, seq_len, phase,
+                                           attention, context_len or seq_len)
+        stem = "decoder.layer."
+    return CompactGraph(
         model_name=config.name,
         phase=phase,
         batch_size=batch_size,
         seq_len=seq_len if phase is Phase.PREFILL else (context_len or seq_len),
+        head=head,
+        layer=layer,
+        count=config.layers,
+        tail=tail,
+        stem=stem,
     )
-    if config.arch is Arch.ENCODER_ONLY:
-        _build_encoder(graph, config, batch_size, seq_len, attention)
-    else:
-        _build_decoder(graph, config, batch_size, seq_len, phase, attention,
-                       context_len or seq_len)
-    return graph
 
 
 def _repeat_layer(graph: OperatorGraph, start: int, stem: str,
@@ -108,13 +176,13 @@ def _repeat_layer(graph: OperatorGraph, start: int, stem: str,
 # Encoder-only (BERT / XLM-RoBERTa)
 # ---------------------------------------------------------------------------
 
-def _build_encoder(graph: OperatorGraph, config: ModelConfig, batch: int,
-                   seq: int, attention: AttentionImpl) -> None:
+def _build_encoder(config: ModelConfig, batch: int, seq: int,
+                   attention: AttentionImpl) -> _Parts:
     tokens = batch * seq
     hidden = config.hidden
     elements = tokens * hidden
 
-    graph.extend([
+    head = [
         ops.embedding("embeddings.word", tokens, hidden, config.vocab),
         ops.embedding("embeddings.position", tokens, hidden, config.max_positions),
         ops.embedding("embeddings.token_type", tokens, hidden, 2),
@@ -124,21 +192,21 @@ def _build_encoder(graph: OperatorGraph, config: ModelConfig, batch: int,
         # get_extended_attention_mask: (1 - mask) * min_value
         ops.elementwise(OpKind.ADD, "extended_mask.rsub", batch * seq, inputs=1),
         ops.elementwise(OpKind.MUL, "extended_mask.scale", batch * seq, inputs=1),
-    ])
+    ]
 
-    start = len(graph)
-    _encoder_layer(graph, config, batch, seq, 0, attention)
-    _repeat_layer(graph, start, "encoder.layer.", config.layers)
+    layer: list[Op] = []
+    _encoder_layer(layer, config, batch, seq, 0, attention)
 
     # Pooler: take [CLS], dense, tanh.
-    graph.extend([
+    tail = [
         ops.reshape_copy("pooler.take_cls", batch * hidden),
         ops.linear("pooler.dense", batch, hidden, hidden, bias=True),
         ops.elementwise(OpKind.TANH, "pooler.tanh", batch * hidden),
-    ])
+    ]
+    return head, layer, tail
 
 
-def _encoder_layer(graph: OperatorGraph, config: ModelConfig, batch: int,
+def _encoder_layer(graph: _OpSink, config: ModelConfig, batch: int,
                    seq: int, layer: int, attention: AttentionImpl) -> None:
     prefix = f"encoder.layer.{layer}"
     tokens = batch * seq
@@ -193,17 +261,16 @@ def _encoder_layer(graph: OperatorGraph, config: ModelConfig, batch: int,
 # Decoder-only (GPT-2 / Llama family / Gemma)
 # ---------------------------------------------------------------------------
 
-def _build_decoder(graph: OperatorGraph, config: ModelConfig, batch: int,
-                   seq: int, phase: Phase, attention: AttentionImpl,
-                   context_len: int) -> None:
+def _build_decoder(config: ModelConfig, batch: int, seq: int, phase: Phase,
+                   attention: AttentionImpl, context_len: int) -> _Parts:
     q_len = seq if phase is Phase.PREFILL else 1
     kv_len = seq if phase is Phase.PREFILL else context_len
     tokens = batch * q_len
     hidden = config.hidden
 
-    graph.append(ops.embedding("embeddings.word", tokens, hidden, config.vocab))
+    head = [ops.embedding("embeddings.word", tokens, hidden, config.vocab)]
     if config.positional is Positional.LEARNED:
-        graph.extend([
+        head.extend([
             ops.embedding("embeddings.position", tokens, hidden,
                           config.max_positions),
             ops.elementwise(OpKind.ADD, "embeddings.add_position",
@@ -212,19 +279,21 @@ def _build_decoder(graph: OperatorGraph, config: ModelConfig, batch: int,
     else:
         # Rotary cos/sin tables built once per forward.
         rope_elements = max(1, batch * kv_len * config.effective_head_dim)
-        graph.extend([
+        head.extend([
             ops.elementwise(OpKind.MUL, "rotary.cos", rope_elements),
             ops.elementwise(OpKind.MUL, "rotary.sin", rope_elements),
         ])
 
-    start = len(graph)
-    _decoder_layer(graph, config, batch, q_len, kv_len, 0, phase, attention)
-    _repeat_layer(graph, start, "decoder.layer.", config.layers)
+    layer: list[Op] = []
+    _decoder_layer(layer, config, batch, q_len, kv_len, 0, phase, attention)
 
-    graph.append(_final_norm(config, "final_norm", tokens))
-    # LM head over all positions in prefill (HF eager behavior), last token in
-    # decode.
-    graph.append(ops.linear("lm_head", tokens, hidden, config.vocab, bias=False))
+    tail = [
+        _final_norm(config, "final_norm", tokens),
+        # LM head over all positions in prefill (HF eager behavior), last
+        # token in decode.
+        ops.linear("lm_head", tokens, hidden, config.vocab, bias=False),
+    ]
+    return head, layer, tail
 
 
 def _final_norm(config: ModelConfig, label: str, tokens: int) -> Op:
@@ -233,7 +302,7 @@ def _final_norm(config: ModelConfig, label: str, tokens: int) -> Op:
     return ops.layernorm(label, tokens, config.hidden)
 
 
-def _decoder_layer(graph: OperatorGraph, config: ModelConfig, batch: int,
+def _decoder_layer(graph: _OpSink, config: ModelConfig, batch: int,
                    q_len: int, kv_len: int, layer: int, phase: Phase,
                    attention: AttentionImpl) -> None:
     prefix = f"decoder.layer.{layer}"
@@ -345,7 +414,7 @@ def _decoder_layer(graph: OperatorGraph, config: ModelConfig, batch: int,
                                  inputs=2))
 
 
-def _moe_mlp(graph: OperatorGraph, config: ModelConfig, prefix: str,
+def _moe_mlp(graph: _OpSink, config: ModelConfig, prefix: str,
              tokens: int) -> None:
     """Eager mixture-of-experts MLP (Mixtral-style).
 
@@ -395,7 +464,7 @@ def _pre_norm(config: ModelConfig, label: str, tokens: int) -> Op:
     return ops.layernorm(label, tokens, config.hidden)
 
 
-def _gpt2_attention_core(graph: OperatorGraph, prefix: str, batch: int,
+def _gpt2_attention_core(graph: _OpSink, prefix: str, batch: int,
                          heads: int, q_len: int, kv_len: int,
                          head_dim: int) -> None:
     """GPT-2's eager attention: full/div scaling and where-based causal mask."""
@@ -417,7 +486,7 @@ def _gpt2_attention_core(graph: OperatorGraph, prefix: str, batch: int,
     ])
 
 
-def _llama_attention_core(graph: OperatorGraph, prefix: str, batch: int,
+def _llama_attention_core(graph: _OpSink, prefix: str, batch: int,
                           heads: int, q_len: int, kv_len: int,
                           head_dim: int) -> None:
     """Llama-family eager attention: additive causal mask."""

@@ -1,9 +1,9 @@
 """Parity locks for every simulator fast path.
 
 Each optimization this package measures (lowering cache, repeated-layer
-build and lowering, tape metrics, slimmed event queue, process-pool
-sweeps) must be *invisible* in the results: same floats, same orderings,
-same outcomes.
+build and lowering, tape metrics, the scalar pricing pass, slimmed event
+queue, process-pool sweeps) must be *invisible* in the results: same
+floats, same orderings, same outcomes.
 These tests run the fast path and its reference path on identical inputs
 and assert bit-identical output — not approximate, not statistical.
 """
@@ -22,10 +22,12 @@ from repro.engine.pp import (
     microbatch_lowered,
     partition_lowered,
 )
+from repro.engine.pricing import price_step
 from repro.engine.processes import _CHILD_OP_NAMES, _op_plans, kernel_duration
 from repro.engine.tp import TP_DISABLED, shard_lowered
 from repro.hardware import PAPER_PLATFORMS, get_platform
 from repro.kvcache import KvPolicy
+from repro.serving import LatencyModel
 from repro.sim.core import SimCore
 from repro.sim.queue import EventQueue, ReferenceEventQueue
 from repro.skip.metrics import compute_metrics, metrics_from_tape
@@ -35,6 +37,7 @@ from repro.workloads.builder import (
     _decoder_layer,
     _encoder_layer,
     _repeat_layer,
+    build_compact_graph,
 )
 from repro.workloads.catalog import ALL_MODELS
 from repro.workloads.config import Arch
@@ -336,3 +339,117 @@ def test_op_plans_plan_each_distinct_operator_once():
     distinct = {(lo.op.kind, id(lo.kernels)) for lo in lowered}
     assert len({id(plan) for plan in plans}) == len(distinct)
     assert len(distinct) < len(lowered) // 10
+
+
+@pytest.mark.parametrize("model,phase,attention", list(_catalog_graphs()))
+def test_build_graph_expands_the_compact_form(model, phase, attention):
+    graph = _graph(model, phase, attention)
+    context_len = CONTEXT if phase is Phase.DECODE else None
+    compact = build_compact_graph(model, BATCH, SEQ, phase=phase,
+                                  attention=attention,
+                                  context_len=context_len)
+    span = graph.layer_span
+    assert (compact.count, len(compact.layer)) == (span.count, span.width)
+    pieces = (compact.head, compact.layer, compact.tail)
+    expected = (graph.ops[:span.start],
+                graph.ops[span.start:span.start + span.width],
+                graph.ops[span.end:])
+    for piece, ops in zip(pieces, expected):
+        assert [vars(op) for op in piece] == [vars(op) for op in ops]
+    expanded = compact.expand()
+    assert expanded.layer_span == span
+    assert ((expanded.model_name, expanded.phase, expanded.batch_size,
+             expanded.seq_len)
+            == (graph.model_name, graph.phase, graph.batch_size,
+                graph.seq_len))
+    assert [vars(op) for op in expanded.ops] == [vars(op) for op in graph.ops]
+
+
+# ---------------------------------------------------------------------------
+# Scalar pricing pass: LatencyModel misses without an engine run
+# ---------------------------------------------------------------------------
+
+PRICING_PLATFORMS = [get_platform(name) for name in
+                     ("AMD+A100", "Intel+H100", "GH200", "MI300A")]
+#: (batch, prefill length or decode context length).
+PRICING_SHAPES = [(1, 1), (3, 700), (128, 4096)]
+PRICING_CONFIGS = [
+    EngineConfig(),
+    EngineConfig(iterations=1),
+    # Warm-up, a 48-deep launch queue (every model launches more kernels
+    # than that per iteration, so the backlog branch runs) and a stream gap
+    # longer than the first kernel's arrival (so the first kernel's
+    # gap-free start shows).
+    EngineConfig(iterations=2, warmup_iterations=1, launch_queue_depth=48,
+                 stream_kernel_gap_ns=50_000.0),
+]
+
+
+def _pricing_cases():
+    for model in ALL_MODELS:
+        phases = [Phase.PREFILL]
+        if model.arch is not Arch.ENCODER_ONLY:
+            phases.append(Phase.DECODE)
+        for phase in phases:
+            for mode in (ExecutionMode.EAGER, ExecutionMode.FLASH_ATTENTION):
+                yield pytest.param(
+                    model, phase, mode,
+                    id=f"{model.name}-{phase.value}-{mode.value}")
+
+
+def _step_args(phase, length):
+    """(seq_len, context_len) of a prefill of ``length`` tokens or a decode
+    step at KV length ``length``."""
+    return (length, None) if phase is Phase.PREFILL else (1, length)
+
+
+def _tape_metrics(model, platform, batch, phase, length, mode, config,
+                  tp=None, pp=None):
+    seq_len, context_len = _step_args(phase, length)
+    result = run(model, platform, batch_size=batch, seq_len=seq_len,
+                 phase=phase, context_len=context_len, mode=mode,
+                 config=config, tp=tp, pp=pp, tape=True)
+    metrics = metrics_from_tape(result.tape)
+    return metrics.inference_latency_ns, metrics.cpu_busy_ns
+
+
+@pytest.mark.parametrize("model,phase,mode", list(_pricing_cases()))
+def test_pricing_pass_matches_tape_metrics(model, phase, mode):
+    for platform in PRICING_PLATFORMS:
+        for batch, length in PRICING_SHAPES:
+            seq_len, context_len = _step_args(phase, length)
+            for config in PRICING_CONFIGS:
+                priced = price_step(model, platform, batch, seq_len, phase,
+                                    context_len, mode, config)
+                assert priced == _tape_metrics(model, platform, batch, phase,
+                                               length, mode, config), (
+                    platform.name, batch, length, config)
+
+
+LATENCY_MODEL_CONFIGS = [
+    pytest.param(dict(mode=ExecutionMode.EAGER), id="eager"),
+    pytest.param(dict(mode=ExecutionMode.EAGER, tp=TPConfig(degree=2)),
+                 id="tp2"),
+    pytest.param(dict(mode=ExecutionMode.EAGER,
+                      pp=PPConfig(stages=2, microbatches=2)), id="pp2"),
+    pytest.param(dict(mode=ExecutionMode.COMPILE_DEFAULT),
+                 id="compile-default"),
+    pytest.param(dict(mode=ExecutionMode.COMPILE_REDUCE_OVERHEAD),
+                 id="compile-reduce-overhead"),
+]
+
+
+@pytest.mark.parametrize("kwargs", LATENCY_MODEL_CONFIGS)
+def test_latency_model_matches_tape_run(kwargs):
+    model = LatencyModel(INTEL_H100, **kwargs)
+    config = model.engine_config
+    for phase, length in ((Phase.PREFILL, 200), (Phase.DECODE, 300)):
+        expected = _tape_metrics(LLAMA, INTEL_H100, 4, phase, length,
+                                 config=config, **kwargs)
+        if phase is Phase.PREFILL:
+            got = (model.ttft_ns(LLAMA, 4, length),
+                   model.ttft_cpu_ns(LLAMA, 4, length))
+        else:
+            got = (model.decode_step_ns(LLAMA, 4, length),
+                   model.decode_step_cpu_ns(LLAMA, 4, length))
+        assert got == expected
