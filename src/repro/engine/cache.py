@@ -11,24 +11,26 @@ sweep. The cache keys the two stages on those shapes; sharding
 depends on the TP config.
 
 A single-GPU eager or FlashAttention ``LatencyModel`` does not use the
-cache: it prices each shape with the scalar pass of
-:mod:`repro.engine.pricing`, which builds and lowers one layer itself. The
-other serving models (TP, PP, compiled, graph replay) run the engine, so
-their lookups pass through the cache, but a serving run's own lookups never
-hit it: ``LatencyModel`` memoises every shape itself, so each engine run it
-makes is a shape the cache has not seen. A trace export runs the engine for
-every serving model: ``LatencyModel.run_for`` re-runs each shape once, in
-the order the run first used them. After an eager or FlashAttention serve
-the cache holds none of them, so the export builds and lowers each shape
-once; the CI serve (``repro serve --rate 20 --duration 0.5``) makes 5 gpt2
-shapes, about 1.7 ms each, so its export does about 9 ms more work than
-when the serve filled the cache (docs/performance.md). After any other
-serve the export hits when the run made at most :data:`CACHE_ENTRIES`
-shapes. Past that, FIFO eviction drops each shape just before the export
-asks for it, so every export lookup builds, lowers (and under PP
-partitions) its graph again: about 1.2 ms per gpt2 shape, 6-8% of the
-export's wall time under PP=2. The bound is sized to the sweeps, so that
-serving runs do not fill memory with graphs asked for at most once more.
+cache: its engine calls are priced runs, answered by the scalar pass of
+:mod:`repro.engine.pricing`, which builds and lowers one layer itself.
+The other serving models (TP, PP, compiled, graph replay) simulate, so
+their lookups pass through the cache, but a serving run's own lookups
+never hit it: ``LatencyModel`` memoises every shape itself, so each
+engine run it makes is a shape the cache has not seen. A trace export
+simulates for every serving model: ``LatencyModel.run_for`` re-runs each
+shape once, in the order the run first used them. After an eager or
+FlashAttention serve the cache holds none of them, so the export builds
+and lowers each shape once, about 1.5 ms per gpt2 shape: 9 ms more work
+for the CI serve (``repro serve --rate 20 --duration 0.5``, 5 shapes)
+and 0.09 s, about 11% of the export, for a jittered serve of 59 shapes,
+whose every export lookup hit while eager serves still filled the cache
+(docs/performance.md). After any other serve the export hits when the
+run made at most :data:`CACHE_ENTRIES` shapes. Past that, FIFO eviction
+drops each shape just before the export asks for it, so every export
+lookup builds, lowers (and under PP partitions) its graph again: about
+1.2 ms per gpt2 shape, 6-8% of the export's wall time under PP=2. The
+bound is sized to the sweeps, so that serving runs do not fill memory
+with graphs asked for at most once more.
 
 Correctness stance: cached values are **shared, not copied**. ``LoweredOp``
 is a named tuple and ``KernelTask`` a frozen dataclass; ``OperatorGraph`` is
@@ -72,15 +74,17 @@ LoweringKey = tuple[ModelConfig, int, int, Phase, AttentionImpl,
 
 #: Entries per table. A FIFO table of this size keeps every hit of an
 #: unbounded one as long as each key comes back within fewer than this
-#: many newer insertions. A sweep over platforms comes back after one
-#: platform's shapes: 7 insertions for the characterization sweep (BS
-#: 1…128), 6 for ``run_replicas_per_host`` and 13 for
-#: ``run_prefix_crossover``; a TP sweep reuses its one shape at once. 64
-#: leaves room for grids of up to 64 shapes per platform. Eager and
-#: FlashAttention serving lookups do not reach the cache (see the module
-#: docstring); a compiled, TP or PP serving stream replayed on a second
-#: platform comes back only after all of the first run's shapes, so those
-#: hits are not kept.
+#: many newer insertions. The traffic that still reaches the cache is the
+#: characterization sweep (SKIP profiles), TP/PP/compiled serving and
+#: trace exports. The sweep comes back after one platform's shapes, 7
+#: insertions for BS 1…128; a TP sweep reuses its one shape at once; 64
+#: leaves room for grids of up to 64 shapes per platform. A compiled, TP
+#: or PP serving stream replayed on a second platform comes back only
+#: after all of the first run's shapes, so those hits are not kept, and an
+#: export comes back once per shape (see the module docstring). Analyses
+#: built on single-GPU eager or FlashAttention ``LatencyModel`` lookups
+#: (``run_replicas_per_host``, ``run_prefix_crossover``,
+#: ``chunk_budget_sweep``) price every shape without the cache.
 CACHE_ENTRIES = 64
 
 

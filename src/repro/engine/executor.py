@@ -29,6 +29,7 @@ the legacy single-device executor (:mod:`repro.engine.legacy`) bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Literal, overload
 
 from repro.engine.cache import LOWERING_CACHE
 from repro.engine.compiler import CompileReport, apply_inductor_fusion, compile_time
@@ -44,6 +45,7 @@ from repro.engine.pp import (
     pp_stage_processes,
     validate_pp,
 )
+from repro.engine.pricing import price_step, priceable
 from repro.engine.processes import (
     graph_replay_process,
     per_device_launch_processes,
@@ -163,6 +165,43 @@ def build_core(tp: TPConfig,
     return core
 
 
+@overload
+def run(
+    model: ModelConfig | OperatorGraph,
+    platform: Platform,
+    batch_size: int = ...,
+    seq_len: int = ...,
+    mode: ExecutionMode = ...,
+    phase: Phase = ...,
+    context_len: int | None = ...,
+    config: EngineConfig = ...,
+    fusion_plan: FusionPlan | None = ...,
+    recorder: RunRecorder | None = ...,
+    tp: TPConfig | None = ...,
+    pp: PPConfig | None = ...,
+    tape: bool = ...,
+    causality: CausalityLog | None = ...,
+    priced: Literal[False] = ...,
+) -> RunResult: ...
+
+
+@overload
+def run(
+    model: ModelConfig,
+    platform: Platform,
+    batch_size: int = ...,
+    seq_len: int = ...,
+    mode: ExecutionMode = ...,
+    phase: Phase = ...,
+    context_len: int | None = ...,
+    config: EngineConfig = ...,
+    *,
+    tp: TPConfig | None = ...,
+    pp: PPConfig | None = ...,
+    priced: Literal[True],
+) -> tuple[float, float]: ...
+
+
 def run(
     model: ModelConfig | OperatorGraph,
     platform: Platform,
@@ -178,8 +217,10 @@ def run(
     pp: PPConfig | None = None,
     tape: bool = False,
     causality: CausalityLog | None = None,
-) -> RunResult:
-    """Simulate inference and return the trace plus run context.
+    priced: bool = False,
+) -> RunResult | tuple[float, float]:
+    """Simulate inference and return the trace plus run context, or with
+    ``priced`` only the run's two headline metrics, without simulating.
 
     Args:
         model: A model config (a graph is built) or a prebuilt operator graph.
@@ -201,7 +242,23 @@ def run(
             full trace (metrics-only fast path; ``result.trace`` is None).
         causality: Optional happens-before log the run's core records into
             (``repro check hb`` consumes it); None = no logging, fast path.
+        priced: Return only ``(inference_latency_ns, cpu_busy_ns)``, the
+            ``metrics_from_tape`` values of the tape run, from the scalar
+            pass of :mod:`repro.engine.pricing`: no simulation, trace or
+            tape. Only for a model config in a mode and topology
+            :func:`~repro.engine.pricing.priceable` accepts, without a
+            fusion plan, recorder, tape or causality log.
     """
+    if priced:
+        if (isinstance(model, OperatorGraph) or not priceable(mode, tp, pp)
+                or fusion_plan is not None or recorder is not None or tape
+                or causality is not None):
+            raise ConfigurationError(
+                "a priced run needs a model config on one GPU and one "
+                "stage in eager or FlashAttention mode, with no fusion "
+                "plan, recorder, tape or causality log")
+        return price_step(model, platform, batch_size, seq_len, phase,
+                          context_len, mode, config)
     if tp is None:
         tp = TP_DISABLED
     if pp is None:

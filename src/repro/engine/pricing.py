@@ -16,28 +16,44 @@ computed by the same expression, in the same order, as
 :func:`~repro.engine.processes._end_iteration_sync` and
 :func:`~repro.skip.metrics.metrics_from_tape`, so the result is
 bit-identical to ``metrics_from_tape(run(..., tape=True).tape)``; the
-fast-path parity suite locks that. Compiled and graph-replay modes do not
-qualify: Inductor fusion merges kernels across layer boundaries, so their
-lowering does not repeat layer by layer.
+fast-path parity suite locks that, and each of those four points back
+here: a change to one of them must be made here too. Callers reach the
+pass through the engine entry point, ``run(..., priced=True)``, so a
+priced latency miss is still one engine call. Compiled and graph-replay
+modes do not qualify: Inductor fusion merges kernels across layer
+boundaries, so their lowering does not repeat layer by layer.
 """
 
 from __future__ import annotations
 
 from itertools import chain
+from typing import TYPE_CHECKING
 
-from repro.engine.executor import EngineConfig
 from repro.engine.lowering import lower_op
 from repro.engine.modes import ExecutionMode
+from repro.engine.pp import PPConfig
 from repro.engine.processes import _op_plans
-from repro.errors import AnalysisError
+from repro.engine.tp import TPConfig
+from repro.errors import AnalysisError, SimulationError
 from repro.hardware.platform import Platform
 from repro.workloads.builder import AttentionImpl, build_compact_graph
 from repro.workloads.config import ModelConfig
 from repro.workloads.graph import Phase
 
+if TYPE_CHECKING:
+    from repro.engine.executor import EngineConfig
+
 #: Modes whose lowering is per-op eager, so layer 0's plans stand for
 #: every layer.
 PRICED_MODES = frozenset({ExecutionMode.EAGER, ExecutionMode.FLASH_ATTENTION})
+
+
+def priceable(mode: ExecutionMode, tp: TPConfig | None,
+              pp: PPConfig | None) -> bool:
+    """Whether :func:`price_step` covers a run in ``mode`` under ``tp`` and
+    ``pp``: one GPU, one stage, a mode in :data:`PRICED_MODES`."""
+    return (mode in PRICED_MODES and (tp is None or not tp.enabled)
+            and (pp is None or not pp.enabled))
 
 
 def price_step(model: ModelConfig, platform: Platform, batch_size: int,
@@ -51,9 +67,13 @@ def price_step(model: ModelConfig, platform: Platform, batch_size: int,
     :data:`PRICED_MODES`, including warm-up iterations, several measured
     iterations and the bounded launch queue.
 
+    The engine entry point calls this for ``run(..., priced=True)``.
+
     Raises:
         AnalysisError: when an iteration launches no kernels or has no
             operators, as ``metrics_from_tape`` does.
+        SimulationError: for a negative kernel duration, stream gap or
+            launch latency, as ``StreamResource.submit`` does.
     """
     attention = (AttentionImpl.FLASH if mode.uses_flash_attention
                  else AttentionImpl.EAGER)
@@ -72,6 +92,16 @@ def price_step(model: ModelConfig, platform: Platform, batch_size: int,
     launch_cpu = platform.launch_call_cpu_ns
     launch_latency = platform.launch_latency_ns
     gap = config.stream_kernel_gap_ns
+    # StreamResource.submit's checks, made once over the distinct kernels.
+    # The CPU clock never runs backwards, so an arrival is negative only if
+    # the launch latency is.
+    if any(duration < 0 for *_, kernels in planned
+           for _kernel, duration, _collective in kernels):
+        raise SimulationError("kernel duration must be non-negative")
+    if launch_latency < 0:
+        raise SimulationError("kernel arrival must be non-negative")
+    if gap < 0:
+        raise SimulationError("gap must be non-negative")
     queue_depth = config.launch_queue_depth
     child_frac = config.child_dispatch_fraction
     cpu = 0.0

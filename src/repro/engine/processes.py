@@ -115,7 +115,8 @@ def _end_iteration_sync(builder: TraceBuilder, streams: list[StreamResource],
 
     Waits for every stream the dispatching thread feeds. Warm-up iterations
     (``measured=False``) synchronize like real ones but leave no iteration
-    mark, so analyses skip them.
+    mark, so analyses skip them. :func:`repro.engine.pricing.price_step`
+    repeats this for one stream; the two must change together.
     """
     free = max(stream.free_at for stream in streams)
     wait = max(0.0, free - cpu)
@@ -140,7 +141,11 @@ def single_thread_launch_process(
     config,
     recorder: RunRecorder | None = None,
 ) -> Process:
-    """One CPU thread dispatches ops and launches to every device in turn."""
+    """One CPU thread dispatches ops and launches to every device in turn.
+
+    :func:`repro.engine.pricing.price_step` repeats this loop's timing for
+    one device; the two must change together.
+    """
     streams = core.streams()
     world = len(streams)
     thread = core.cpu_threads[0]

@@ -32,8 +32,9 @@ measured on the tree *before* the fast paths (lowering cache, tape metrics,
 slimmed event loop, sampled recording) landed. Those fast paths change
 per-event cost, never which events the processes schedule. The scalar
 pricing pass (:mod:`repro.engine.pricing`) does change the count: a
-single-GPU eager ``LatencyModel`` miss no longer runs the engine, so the
-three eager serve scenarios lose their engine-run events (full size:
+single-GPU eager ``LatencyModel`` miss is a priced engine call that
+simulates nothing, so the three eager serve scenarios lose their
+engine-run events (full size:
 ``serve_chunked`` 411 → 227, ``serve_cluster`` 801 → 593,
 ``serve_host_contention`` 471 → 451). ``serve_kv_offload`` prices through
 CUDA-graph replay and keeps its 14,217. ``BEFORE_EVENTS`` holds the

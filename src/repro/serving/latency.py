@@ -1,12 +1,12 @@
 """LatencyModel — cached engine-backed latencies for serving simulations.
 
 Serving simulations need many latency lookups for the same (model, batch,
-length) shapes; this wrapper memoizes one pricing per exact shape. A
-single-GPU eager or FlashAttention model prices a shape with the scalar
-pass of :mod:`repro.engine.pricing`, which walks one layer's op plans
-through the launch recurrence and records nothing; TP, PP, compiled and
-graph-replay models run the engine in tape mode instead. Both give the
-same floats. It does not interpolate: the continuous-batching loops round
+length) shapes; this wrapper memoizes one engine call per exact shape. A
+single-GPU eager or FlashAttention model asks the engine for a priced run,
+which the scalar pass of :mod:`repro.engine.pricing` answers by walking
+one layer's op plans through the launch recurrence without simulating or
+recording anything; TP, PP, compiled and graph-replay models run the
+engine in tape mode instead. Both give the same floats. It does not interpolate: the continuous-batching loops round
 decode context lengths up to ``ContinuousBatchPolicy.context_bucket``
 before they look a step up, which bounds the number of distinct shapes,
 and :meth:`LatencyModel.generation_ns` prices a K-token generation from
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from repro.engine.executor import EngineConfig, RunResult, run
 from repro.engine.modes import ExecutionMode
 from repro.engine.pp import PPConfig
-from repro.engine.pricing import PRICED_MODES, price_step
+from repro.engine.pricing import priceable
 from repro.engine.tp import TPConfig
 from repro.errors import ConfigurationError
 from repro.hardware.platform import Platform
@@ -77,9 +77,10 @@ class LatencyModel:
         """Latency (or, with ``cpu``, dispatch-CPU busy time) of a prefill
         of ``length`` tokens or a decode step at KV length ``length``.
 
-        A miss fills both caches of ``phase`` at once. A single-GPU eager
-        or FlashAttention model prices it with :func:`price_step`; any
-        other runs the engine in tape mode and reads ``metrics_from_tape``.
+        A miss fills both caches of ``phase`` from one engine call. A
+        single-GPU eager or FlashAttention model makes it a priced run
+        (``run(..., priced=True)``); any other runs the engine in tape mode
+        and reads ``metrics_from_tape``.
         Both are bit-identical to the metrics of the full trace, so cached
         latencies (and every serving result built on them) do not depend
         on the path.
@@ -93,12 +94,11 @@ class LatencyModel:
         cache = cpu_busy if cpu else latency
         key = (model.name, batch_size, length)
         if key not in cache:
-            if (self.mode in PRICED_MODES
-                    and (self.tp is None or not self.tp.enabled)
-                    and (self.pp is None or not self.pp.enabled)):
-                latency[key], cpu_busy[key] = price_step(
-                    model, self.platform, batch_size, seq_len, phase,
-                    context_len, self.mode, self.engine_config)
+            if priceable(self.mode, self.tp, self.pp):
+                latency[key], cpu_busy[key] = run(
+                    model, self.platform, batch_size=batch_size,
+                    seq_len=seq_len, phase=phase, context_len=context_len,
+                    mode=self.mode, config=self.engine_config, priced=True)
             else:
                 result = run(model, self.platform, batch_size=batch_size,
                              seq_len=seq_len, phase=phase,

@@ -66,6 +66,9 @@ class StreamResource:
             gap_ns: Stream front-end gap between back-to-back kernels
                 (individually launched kernels pay a small teardown/setup
                 cost that CUDA-graph replay avoids).
+
+        :func:`repro.engine.pricing.price_step` repeats the start rule
+        and the checks; the two must change together.
         """
         if duration_ns < 0:
             raise SimulationError("kernel duration must be non-negative")

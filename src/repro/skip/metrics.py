@@ -280,11 +280,12 @@ def metrics_from_tape(tape: TraceTape) -> SkipMetrics:
     if not tape.iterations:
         raise AnalysisError("trace has no iteration marks; cannot compute metrics")
 
-    # Root detection, replicating DependencyGraph.from_trace. Runtime calls
-    # are absent from the tape but cannot change which operators are roots
-    # (they never push the containment stack and the pop scan is monotone in
-    # ts), nor the roots' order (roots come only from operator records, in
-    # per-tid scan order).
+    # Root detection, replicating DependencyGraph.from_trace; mirrored by
+    # repro.engine.pricing.price_step, so change the two together. Runtime
+    # calls are absent from the tape but cannot change which operators are
+    # roots (they never push the containment stack and the pop scan is
+    # monotone in ts), nor the roots' order (roots come only from operator
+    # records, in per-tid scan order).
     ops = sorted(tape.ops, key=lambda r: (r[OP_TS], r[OP_SEQ], r[OP_ID]))
     threads: dict[int, list[list]] = {}
     for record in ops:

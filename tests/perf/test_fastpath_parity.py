@@ -25,6 +25,7 @@ from repro.engine.pp import (
 from repro.engine.pricing import price_step
 from repro.engine.processes import _CHILD_OP_NAMES, _op_plans, kernel_duration
 from repro.engine.tp import TP_DISABLED, shard_lowered
+from repro.errors import ConfigurationError, SimulationError
 from repro.hardware import PAPER_PLATFORMS, get_platform
 from repro.kvcache import KvPolicy
 from repro.serving import LatencyModel
@@ -424,6 +425,39 @@ def test_pricing_pass_matches_tape_metrics(model, phase, mode):
                 assert priced == _tape_metrics(model, platform, batch, phase,
                                                length, mode, config), (
                     platform.name, batch, length, config)
+
+
+def test_priced_run_is_the_pricing_pass():
+    for phase, length in ((Phase.PREFILL, 200), (Phase.DECODE, 300)):
+        seq_len, context_len = _step_args(phase, length)
+        assert run(LLAMA, INTEL_H100, batch_size=4, seq_len=seq_len,
+                   phase=phase, context_len=context_len,
+                   mode=ExecutionMode.FLASH_ATTENTION,
+                   priced=True) == price_step(
+            LLAMA, INTEL_H100, 4, seq_len, phase, context_len,
+            ExecutionMode.FLASH_ATTENTION, EngineConfig())
+
+
+def test_priced_run_raises_what_the_stream_raises():
+    config = EngineConfig(stream_kernel_gap_ns=-1.0)
+    with pytest.raises(SimulationError, match="gap must be non-negative"):
+        _tape_metrics(GPT2, INTEL_H100, 1, Phase.PREFILL, 8,
+                      ExecutionMode.EAGER, config)
+    with pytest.raises(SimulationError, match="gap must be non-negative"):
+        run(GPT2, INTEL_H100, seq_len=8, config=config, priced=True)
+
+
+@pytest.mark.parametrize("kwargs", [
+    pytest.param(dict(mode=ExecutionMode.COMPILE_DEFAULT), id="compiled"),
+    pytest.param(dict(tp=TPConfig(degree=2)), id="tp2"),
+    pytest.param(dict(pp=PPConfig(stages=2)), id="pp2"),
+    pytest.param(dict(tape=True), id="tape"),
+])
+def test_priced_run_refuses_what_the_pass_does_not_cover(kwargs):
+    with pytest.raises(ConfigurationError, match="priced run"):
+        run(LLAMA, INTEL_H100, priced=True, **kwargs)
+    with pytest.raises(ConfigurationError, match="priced run"):
+        run(build_graph(GPT2, 1, 8), INTEL_H100, priced=True)
 
 
 LATENCY_MODEL_CONFIGS = [
