@@ -9,7 +9,7 @@ long after the run that produced it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Iterable, NamedTuple
 
 from repro.errors import AnalysisError
 
@@ -32,9 +32,22 @@ KV_EVENT_KINDS = frozenset({
 })
 
 
-@dataclass(frozen=True)
-class KvCacheEvent:
-    """One KV-pool event on one replica.
+class _KvCacheEventFields(NamedTuple):
+    ts_ns: float
+    kind: str
+    seq: int
+    blocks: int
+    allocated: int
+    replica: int = 0
+    refs: int = 0
+
+
+class KvCacheEvent(_KvCacheEventFields):
+    """One KV-pool event on one replica (an immutable, validated record).
+
+    A named tuple rather than a frozen dataclass: a decode step logs one
+    of these per resident sequence, and a validated tuple costs about a
+    third of a frozen dataclass to build.
 
     Attributes:
         ts_ns: Serving-clock time of the event.
@@ -48,25 +61,38 @@ class KvCacheEvent:
             only; 0 otherwise) — the counter rule R003 replays.
     """
 
-    ts_ns: float
-    kind: str
-    seq: int
-    blocks: int
-    allocated: int
-    replica: int = 0
-    refs: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in KV_EVENT_KINDS:
-            raise AnalysisError(f"unknown kv event kind: {self.kind!r}")
-        if self.blocks < 0:
-            raise AnalysisError(f"kv event has negative blocks: {self.blocks}")
-        if self.allocated < 0:
+    def __new__(cls, ts_ns: float, kind: str, seq: int, blocks: int,
+                allocated: int, replica: int = 0,
+                refs: int = 0) -> KvCacheEvent:
+        if kind not in KV_EVENT_KINDS:
+            raise AnalysisError(f"unknown kv event kind: {kind!r}")
+        if blocks < 0:
+            raise AnalysisError(f"kv event has negative blocks: {blocks}")
+        if allocated < 0:
             raise AnalysisError(
-                f"kv event has negative allocated count: {self.allocated}")
-        if self.refs < 0:
+                f"kv event has negative allocated count: {allocated}")
+        if refs < 0:
+            raise AnalysisError(f"kv event has negative refcount: {refs}")
+        return tuple.__new__(cls, (ts_ns, kind, seq, blocks, allocated,
+                                   replica, refs))
+
+    @classmethod
+    def decodes(cls, ts_ns: float, seqs: Iterable[int], allocated: int,
+                replica: int = 0) -> list[KvCacheEvent]:
+        """One ``decode`` event per sequence of one decode step.
+
+        The step's events differ only in ``seq``: kind, blocks and refs
+        are fixed and ``allocated`` is shared, so the checks of the
+        constructor run once for the whole step.
+        """
+        if allocated < 0:
             raise AnalysisError(
-                f"kv event has negative refcount: {self.refs}")
+                f"kv event has negative allocated count: {allocated}")
+        new = tuple.__new__
+        return [new(cls, (ts_ns, "decode", seq, 0, allocated, replica, 0))
+                for seq in seqs]
 
     def to_dict(self) -> dict:
         return {"ts_ns": self.ts_ns, "kind": self.kind, "seq": self.seq,

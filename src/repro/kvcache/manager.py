@@ -41,6 +41,10 @@ if TYPE_CHECKING:
     from repro.obs.recorder import RunRecorder
 
 
+#: ``_seq_prefix`` entry of a sequence bound to no prefix group.
+_UNBOUND = (0, 0)
+
+
 class KvPolicy(enum.Enum):
     """What to do when the KV pool runs out of blocks."""
 
@@ -158,8 +162,21 @@ class KvManager:
         prefix's full blocks through the group, so only the copy-on-write
         suffix counts against its private holdings.
         """
-        shared = self._seq_prefix.get(seq, (0, 0))[1]
+        shared = self._seq_prefix.get(seq, _UNBOUND)[1]
         return max(0, self.blocks_for(tokens) - shared - self.pool.held(seq))
+
+    def growth_deltas(self, seqs: Sequence[int],
+                      tokens: Sequence[int]) -> list[int]:
+        """:meth:`growth_delta` of each ``(seqs[i], tokens[i])``, in one
+        pass: ``ceil(tokens / block_tokens) - shared - held``, floored at 0.
+        """
+        block_tokens = self.block_tokens
+        bound = self._seq_prefix
+        held = self.pool.holdings
+        return [delta if (delta := -(-count // block_tokens)
+                          - bound.get(seq, _UNBOUND)[1]
+                          - held.get(seq, 0)) > 0 else 0
+                for seq, count in zip(seqs, tokens)]
 
     # -- allocation ------------------------------------------------------
     def try_allocate(self, seq: int, blocks: int, ts_ns: float) -> bool:
@@ -169,15 +186,21 @@ class KvManager:
         self._log(ts_ns, "alloc", seq, blocks)
         return True
 
-    def grow(self, seq: int, tokens: int, ts_ns: float) -> bool:
-        """Grow ``seq`` to cover ``tokens`` entries; logs ``grow``."""
-        delta = self.growth_delta(seq, tokens)
-        if delta == 0:
-            return True
-        if not self.resource.try_acquire(seq, delta, ts_ns):
-            return False
-        self._log(ts_ns, "grow", seq, delta)
-        return True
+    def apply_growth(self, seqs: Sequence[int], deltas: Sequence[int],
+                     ts_ns: float) -> None:
+        """Acquire each nonzero ``deltas[i]`` for ``seqs[i]``; logs ``grow``.
+
+        ``deltas`` comes from :meth:`growth_deltas` after the caller made
+        room for their sum, so a refused acquire is a simulator bug.
+        """
+        for seq, delta in zip(seqs, deltas):
+            if not delta:
+                continue
+            if not self.resource.try_acquire(seq, delta, ts_ns):
+                raise SimulationError(
+                    f"kv growth failed for seq {seq} after eviction made "
+                    f"room")
+            self._log(ts_ns, "grow", seq, delta)
 
     def free(self, seq: int, ts_ns: float) -> int:
         """Sequence completed: return all its private blocks.
@@ -257,7 +280,7 @@ class KvManager:
 
     def shared_blocks_of(self, seq: int) -> int:
         """Shared blocks ``seq`` covers through its bound prefix group."""
-        return self._seq_prefix.get(seq, (0, 0))[1]
+        return self._seq_prefix.get(seq, _UNBOUND)[1]
 
     def acquire_prefix(self, seq: int, key: int, prefix_len: int,
                        ts_ns: float) -> int | None:
@@ -327,9 +350,16 @@ class KvManager:
 
     # -- observation -----------------------------------------------------
     def note_decode(self, seqs: Sequence[int], ts_ns: float) -> None:
-        """Log which sequences took part in a decode step (for K003)."""
-        for seq in seqs:
-            self._log(ts_ns, "decode", seq, 0)
+        """Log which sequences took part in a decode step (for K003).
+
+        One ``decode`` event per sequence, built in one pass and appended
+        to :attr:`events` (and the recorder's mirror) in one extend.
+        """
+        events = KvCacheEvent.decodes(ts_ns, seqs, self.pool.allocated,
+                                      self.replica)
+        self.events.extend(events)
+        if self.recorder is not None:
+            self.recorder.kv_events.extend(events)
 
     def _log(self, ts_ns: float, kind: str, seq: int, blocks: int,
              refs: int = 0) -> None:

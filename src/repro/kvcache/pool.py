@@ -16,7 +16,7 @@ equality (check-code rule C002 stays honest by construction).
 
 from __future__ import annotations
 
-from typing import Hashable
+from typing import Hashable, Mapping
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.hardware.gpu import GpuSpec
@@ -121,6 +121,11 @@ class BlockPool:
     def held(self, owner: Hashable) -> int:
         """Blocks ``owner`` currently holds (0 if none)."""
         return self._held.get(owner, 0)
+
+    @property
+    def holdings(self) -> Mapping[Hashable, int]:
+        """Every owner's held blocks (absent = 0); callers must not mutate."""
+        return self._held
 
     def owners(self) -> list[Hashable]:
         """Owners currently holding blocks, in insertion order."""

@@ -272,12 +272,16 @@ def kv_continuous_batching_process(
         readmit_preempted()
         claim_new()
 
-    def evict_until_growth_fits() -> None:
-        """Make room for every active sequence to grow by one token."""
+    def evict_until_growth_fits(ids: list[int], deltas: list[int]) -> None:
+        """Make room for every active sequence to grow by one token.
+
+        ``ids`` and ``deltas`` run parallel to ``active`` and shrink with
+        it. Evicting a victim frees only the victim's blocks, so the other
+        sequences' deltas stay valid and are never recomputed.
+        """
         nonlocal clock
         while True:
-            needed = sum(kv.growth_delta(seq.request.request_id,
-                                         seq.context + 1) for seq in active)
+            needed = sum(deltas)
             if kv.pool.can_allocate(needed):
                 return
             # Warm (idle) prefix groups are the cheapest victims: evicting
@@ -295,6 +299,8 @@ def kv_continuous_batching_process(
                     "kv pool cannot cover a single sequence's decode growth "
                     "(admission capacity guard should have prevented this)")
             victim = active.pop()  # newest admission loses its residency
+            ids.pop()
+            deltas.pop()
             if kv.policy is KvPolicy.RECOMPUTE:
                 kv.preempt(victim.request.request_id, clock)
                 preempted.append(victim.request)
@@ -326,13 +332,11 @@ def kv_continuous_batching_process(
             admit()
             continue
         # One decode step for the whole active set, growth paid up front.
-        evict_until_growth_fits()
-        for seq in active:
-            if not kv.grow(seq.request.request_id, seq.context + 1, clock):
-                raise SimulationError(
-                    f"kv growth failed for seq {seq.request.request_id} "
-                    f"after eviction made room")
-        kv.note_decode([seq.request.request_id for seq in active], clock)
+        ids = [seq.request.request_id for seq in active]
+        deltas = kv.growth_deltas(ids, [seq.context + 1 for seq in active])
+        evict_until_growth_fits(ids, deltas)
+        kv.apply_growth(ids, deltas, clock)
+        kv.note_decode(ids, clock)
         context = max(seq.context for seq in active)
         bucketed = -(-context // policy.context_bucket) * policy.context_bucket
         step_ns = latency.decode_step_ns(model, len(active), bucketed)
@@ -345,13 +349,13 @@ def kv_continuous_batching_process(
             cpu_ns=latency.decode_step_cpu_ns(model, len(active), bucketed)
             if host is not None else 0.0)
         step_batch = len(active)
+        if recorder is not None:
+            recorder.on_tokens(ids, clock)
         finished: list[ChunkedSequenceState] = []
         for seq in active:
             seq.context += 1
             seq.remaining -= 1
             seq.last_token_ns = clock - seq.request.arrival_ns
-            if recorder is not None:
-                recorder.on_token(seq.request.request_id, clock)
             if seq.remaining <= 0:
                 finished.append(seq)
         for seq in finished:

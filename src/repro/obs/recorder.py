@@ -17,7 +17,7 @@ The recorded run can then be:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from repro.errors import AnalysisError
 from repro.obs.events import EngineShape, RequestSpan, StepEvent, StepKind
@@ -35,6 +35,10 @@ H_BATCH_SIZE = "batch_size"
 H_QUEUE_DEPTH = "queue_depth"
 H_LAUNCH_QUEUE = "launch_queue_depth"
 H_LAUNCH_DELAY = "kernel_launch_delay_ns"
+
+#: Per-kind step histogram and counter names, built once.
+_STEP_NAMES = {kind: (f"step_{kind.value}_ns", f"steps_{kind.value}")
+               for kind in StepKind}
 
 
 @dataclass(frozen=True)
@@ -172,6 +176,31 @@ class RunRecorder:
         self.aggregates.tokens_generated += 1
         self.counters.add("tokens_generated")
 
+    def on_tokens(self, request_ids: Sequence[int], ts_ns: float) -> None:
+        """Every request in ``request_ids`` produced one decode token at
+        ``ts_ns``: :meth:`on_token` for each, in order, in one call."""
+        if not request_ids:
+            return
+        last_token = self._last_token_ns
+        aggregates = self.aggregates
+        sample_every = self.sample_every
+        tbt_sum = aggregates.tbt_sum_ns
+        gaps = []
+        for request_id in request_ids:
+            last = last_token.get(request_id)
+            if last is not None:
+                gap = ts_ns - last
+                tbt_sum += gap
+                aggregates.tbt_count += 1
+                if sample_every == 1 or request_id % sample_every == 0:
+                    gaps.append(gap)
+            last_token[request_id] = ts_ns
+        aggregates.tbt_sum_ns = tbt_sum
+        if gaps:
+            self.histogram(H_TBT).observe_each(gaps)
+        aggregates.tokens_generated += len(request_ids)
+        self.counters.add("tokens_generated", float(len(request_ids)))
+
     def on_completed(self, request_id: int, ts_ns: float) -> None:
         """A request finished generating."""
         if self._sampled(request_id):
@@ -203,8 +232,9 @@ class RunRecorder:
         self.steps.append(step)
         self.histogram(H_BATCH_SIZE).observe(float(batch_size))
         self.histogram(H_QUEUE_DEPTH).observe(float(queue_depth))
-        self.histogram(f"step_{kind.value}_ns").observe(dur_ns)
-        self.counters.add(f"steps_{kind.value}")
+        histogram_name, counter_name = _STEP_NAMES[kind]
+        self.histogram(histogram_name).observe(dur_ns)
+        self.counters.add(counter_name)
         return step
 
     # ------------------------------------------------------------------

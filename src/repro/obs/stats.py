@@ -10,6 +10,7 @@ engine run, which keeps the recorder's overhead negligible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from repro.errors import AnalysisError
 
@@ -48,6 +49,15 @@ class Histogram:
         self._values.append(float(value))
         self._weights.append(float(count))
 
+    def observe_each(self, values: Iterable[float]) -> None:
+        """Record one occurrence of each value, in order.
+
+        Equivalent to ``observe(value)`` per value, in one call.
+        """
+        start = len(self._values)
+        self._values.extend(map(float, values))
+        self._weights.extend([1.0] * (len(self._values) - start))
+
     @property
     def count(self) -> float:
         return sum(self._weights)
@@ -57,37 +67,51 @@ class Histogram:
         return not self._values
 
     def mean(self) -> float:
+        return self._mean(self.count)
+
+    def _mean(self, count: float) -> float:
         if self.empty:
             raise AnalysisError(f"histogram {self.name} is empty")
         total = sum(v * w for v, w in zip(self._values, self._weights))
-        return total / self.count
+        return total / count
 
     def percentile(self, p: float) -> float:
         """Weighted nearest-rank percentile; ``p`` in [0, 100]."""
-        if not (0.0 <= p <= 100.0):
+        return self._percentiles((p,))[0]
+
+    def _percentiles(self, ps: tuple[float, ...]) -> list[float]:
+        """:meth:`percentile` for each of ``ps`` over one sort."""
+        if not all(0.0 <= p <= 100.0 for p in ps):
             raise AnalysisError("percentile must be in [0, 100]")
         if self.empty:
             raise AnalysisError(f"histogram {self.name} is empty")
         pairs = sorted(zip(self._values, self._weights))
         total = sum(w for _, w in pairs)
-        rank = p / 100.0 * total
-        cumulative = 0.0
-        for value, weight in pairs:
-            cumulative += weight
-            if cumulative >= rank:
-                return value
-        return pairs[-1][0]
+        results = []
+        for p in ps:
+            rank = p / 100.0 * total
+            cumulative = 0.0
+            for value, weight in pairs:
+                cumulative += weight
+                if cumulative >= rank:
+                    results.append(value)
+                    break
+            else:
+                results.append(pairs[-1][0])
+        return results
 
     def summary(self) -> HistogramSummary:
+        count = self.count
+        p50, p90, p99 = self._percentiles((50, 90, 99))
         return HistogramSummary(
             name=self.name,
-            count=int(self.count),
-            mean=self.mean(),
+            count=int(count),
+            mean=self._mean(count),
             minimum=min(self._values),
             maximum=max(self._values),
-            p50=self.percentile(50),
-            p90=self.percentile(90),
-            p99=self.percentile(99),
+            p50=p50,
+            p90=p90,
+            p99=p99,
         )
 
 

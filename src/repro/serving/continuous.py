@@ -220,13 +220,14 @@ def continuous_batching_process(runtime: ServingRuntime,
                 if host is not None else 0.0)
             newly_joined.clear()
             step_batch = len(active)
+            if recorder is not None:
+                recorder.on_tokens([seq.request.request_id for seq in active],
+                                   clock)
             finished: list[ChunkedSequenceState] = []
             for seq in active:
                 seq.context += 1
                 seq.remaining -= 1
                 seq.last_token_ns = clock - seq.request.arrival_ns
-                if recorder is not None:
-                    recorder.on_token(seq.request.request_id, clock)
                 if seq.remaining <= 0:
                     finished.append(seq)
             for seq in finished:

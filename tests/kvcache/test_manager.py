@@ -47,8 +47,9 @@ def test_for_gpu_derives_capacity_from_pool_arithmetic():
 def test_allocation_lifecycle_logs_events():
     manager = make_manager()
     assert manager.try_allocate(1, 4, ts_ns=0.0)
-    assert manager.grow(1, tokens=5 * manager.block_tokens, ts_ns=10.0)
-    assert manager.grow(1, tokens=5 * manager.block_tokens, ts_ns=11.0)
+    for ts_ns in (10.0, 11.0):
+        deltas = manager.growth_deltas([1], [5 * manager.block_tokens])
+        manager.apply_growth([1], deltas, ts_ns=ts_ns)
     assert manager.free(1, ts_ns=20.0) == 5
     kinds = [e.kind for e in manager.events]
     assert kinds == ["alloc", "grow", "free"]  # the no-op grow logs nothing

@@ -1,5 +1,7 @@
 """Counters and weighted histograms."""
 
+import random
+
 import pytest
 
 from repro.errors import AnalysisError
@@ -25,6 +27,36 @@ def test_histogram_weights_shift_percentiles():
     assert h.percentile(50) == 10.0
     assert h.percentile(1) == 1.0
     assert h.mean() == pytest.approx((1.0 + 10.0 * 99.0) / 100.0)
+
+
+def test_summary_percentiles_equal_percentile_exactly():
+    rng = random.Random(11)
+    h = Histogram("mixed")
+    for _ in range(2000):
+        # Few distinct values, so ties with different weights sort by weight.
+        h.observe(rng.choice((0.1, 0.3, 2.5, 7.0)) * rng.randint(1, 40),
+                  count=rng.choice((1.0, 0.3, 2.0, 0.7)))
+    summary = h.summary()
+    assert (summary.p50, summary.p90, summary.p99) == (
+        h.percentile(50), h.percentile(90), h.percentile(99))
+    values, weights = h._values, h._weights
+    assert summary.mean == sum(v * w for v, w in zip(values, weights)) / sum(
+        weights)
+    assert summary.count == int(sum(weights))
+    assert (summary.minimum, summary.maximum) == (min(values), max(values))
+
+
+def test_observe_each_equals_observe_per_value():
+    each, one_by_one = Histogram("a"), Histogram("a")
+    each.observe(4.0, count=3.0)
+    one_by_one.observe(4.0, count=3.0)
+    values = [2, 0.5, 9.25, 0.5]
+    each.observe_each(values)
+    each.observe_each([])
+    for value in values:
+        one_by_one.observe(value)
+    assert each == one_by_one
+    assert all(type(v) is float for v in each._values)
 
 
 def test_histogram_empty_rejected():

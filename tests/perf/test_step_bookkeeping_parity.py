@@ -23,6 +23,7 @@ from dataclasses import astuple
 import pytest
 
 from repro.analysis.pareto import mixed_prompt_requests
+from repro.errors import SimulationError
 from repro.hardware import get_platform
 from repro.host import HostConfig, HostModel
 from repro.kvcache import KvCacheConfig, KvManager, KvPolicy
@@ -153,3 +154,106 @@ FROZEN = {
 def test_recorder_state_matches_the_per_sequence_bookkeeping(serve):
     recorder, run = serve()
     assert fingerprint(recorder, run) == FROZEN[serve]
+
+
+# ----------------------------------------------------------------------
+# Unit locks: the batched hooks equal their per-sequence forms
+# ----------------------------------------------------------------------
+def _token_state(recorder: RunRecorder) -> tuple:
+    return (astuple(recorder.aggregates),
+            list(recorder.counters.as_dict().items()),
+            [(name, list(h._values), list(h._weights))
+             for name, h in recorder._histograms.items()],
+            list(recorder._last_token_ns.items()))
+
+
+def _primed(sample_every: int) -> RunRecorder:
+    recorder = RunRecorder(sample_every=sample_every)
+    for rid in range(6):
+        recorder.on_admitted(rid, 0.0, 10.0)
+        recorder.on_first_token(rid, 100.0 + rid * 3.7)
+    return recorder
+
+
+@pytest.mark.parametrize("sample_every", [1, 3])
+def test_on_tokens_equals_a_loop_of_on_token(sample_every):
+    batched, looped = _primed(sample_every), _primed(sample_every)
+    # Id 7 never had a first token: it counts a token but no gap.
+    steps = [([0, 1, 2, 3, 4, 5], 130.1), ([1, 3, 7], 161.3),
+             ([], 170.0), ([5, 0, 7, 2, 4], 190.7)]
+    for ids, ts_ns in steps:
+        batched.on_tokens(ids, ts_ns)
+        for rid in ids:
+            looped.on_token(rid, ts_ns)
+        assert _token_state(batched) == _token_state(looped)
+    tbt = batched.histogram("tbt_ns")
+    assert len(tbt._values) == (13 if sample_every == 1 else 4)
+
+
+def test_on_tokens_of_an_empty_batch_records_nothing():
+    recorder = RunRecorder()
+    recorder.on_tokens([], 5.0)
+    assert _token_state(recorder) == _token_state(RunRecorder())
+
+
+def _pressured_manager() -> KvManager:
+    """Sequences 1-3 in the three states growth must account for."""
+    manager = KvManager(GPT2, get_platform("AMD+A100"), KvPolicy.OFFLOAD,
+                        capacity_blocks=64, prefix_caching=True)
+    bt = manager.block_tokens
+    # 1: bound to a two-block shared prefix, one private suffix block.
+    assert manager.acquire_prefix(1, 99, 2 * bt + 5, ts_ns=0.0) == 0
+    assert manager.try_allocate(1, manager.growth_delta(1, 3 * bt), 0.0)
+    # 2: swapped out and back in with its three blocks.
+    assert manager.try_allocate(2, 3, 0.0)
+    manager.swap_out(2, 1.0)
+    assert manager.swap_in(2, 2.0) is not None
+    # 3: exactly at a block boundary (two full blocks).
+    assert manager.try_allocate(3, 2, 0.0)
+    return manager
+
+
+def test_growth_deltas_equal_growth_delta_per_sequence():
+    manager = _pressured_manager()
+    bt = manager.block_tokens
+    seqs = [1, 2, 3, 4]    # 4 holds nothing at all
+    cases = {
+        (3 * bt, 3 * bt, 2 * bt, 1): [0, 0, 0, 1],
+        (3 * bt + 1, 3 * bt + 1, 2 * bt + 1, bt + 1): [1, 1, 1, 2],
+        (5 * bt, 2 * bt, bt, 0): [2, 0, 0, 0],
+    }
+    for tokens, expected in cases.items():
+        batched = manager.growth_deltas(seqs, tokens)
+        assert batched == [manager.growth_delta(seq, count)
+                           for seq, count in zip(seqs, tokens)]
+        assert batched == expected
+
+
+def test_apply_growth_acquires_only_nonzero_deltas():
+    manager = _pressured_manager()
+    bt = manager.block_tokens
+    seqs = [1, 2, 3]
+    before = len(manager.events)
+    deltas = manager.growth_deltas(seqs, [3 * bt + 1, 3 * bt, 2 * bt + 1])
+    manager.apply_growth(seqs, deltas, ts_ns=5.0)
+    grown = manager.events[before:]
+    assert [(e.kind, e.seq, e.blocks) for e in grown] == [
+        ("grow", 1, 1), ("grow", 3, 1)]
+    assert [manager.pool.held(seq) for seq in seqs] == [2, 3, 3]
+    with pytest.raises(SimulationError):
+        manager.apply_growth([3], [manager.pool.free_blocks + 1], ts_ns=6.0)
+
+
+def test_note_decode_logs_one_event_per_sequence_in_both_logs():
+    recorder = RunRecorder()
+    manager = KvManager(GPT2, get_platform("AMD+A100"), KvPolicy.OFFLOAD,
+                        capacity_blocks=64, recorder=recorder, replica=2)
+    manager.try_allocate(5, 3, 0.0)
+    manager.note_decode([5, 9], ts_ns=4.0)
+    manager.note_decode([], ts_ns=5.0)
+    decodes = [(e.ts_ns, e.kind, e.seq, e.blocks, e.allocated, e.replica,
+                e.refs) for e in manager.events[1:]]
+    assert decodes == [(4.0, "decode", 5, 0, 3, 2, 0),
+                       (4.0, "decode", 9, 0, 3, 2, 0)]
+    assert recorder.kv_events == manager.events
+    assert recorder.counters.as_dict() == {}
