@@ -46,8 +46,8 @@ class KvCacheEvent(_KvCacheEventFields):
     """One KV-pool event on one replica (an immutable, validated record).
 
     A named tuple rather than a frozen dataclass: a decode step logs one
-    of these per resident sequence, and a validated tuple costs about a
-    third of a frozen dataclass to build.
+    of these per resident sequence, and a validated tuple costs less than
+    half of a frozen dataclass to build.
 
     Attributes:
         ts_ns: Serving-clock time of the event.

@@ -41,10 +41,6 @@ if TYPE_CHECKING:
     from repro.obs.recorder import RunRecorder
 
 
-#: ``_seq_prefix`` entry of a sequence bound to no prefix group.
-_UNBOUND = (0, 0)
-
-
 class KvPolicy(enum.Enum):
     """What to do when the KV pool runs out of blocks."""
 
@@ -162,7 +158,7 @@ class KvManager:
         prefix's full blocks through the group, so only the copy-on-write
         suffix counts against its private holdings.
         """
-        shared = self._seq_prefix.get(seq, _UNBOUND)[1]
+        shared = self._seq_prefix.get(seq, (0, 0))[1]
         return max(0, self.blocks_for(tokens) - shared - self.pool.held(seq))
 
     def growth_deltas(self, seqs: Sequence[int],
@@ -174,7 +170,7 @@ class KvManager:
         bound = self._seq_prefix
         held = self.pool.holdings
         return [delta if (delta := -(-count // block_tokens)
-                          - bound.get(seq, _UNBOUND)[1]
+                          - bound.get(seq, (0, 0))[1]
                           - held.get(seq, 0)) > 0 else 0
                 for seq, count in zip(seqs, tokens)]
 
@@ -280,7 +276,7 @@ class KvManager:
 
     def shared_blocks_of(self, seq: int) -> int:
         """Shared blocks ``seq`` covers through its bound prefix group."""
-        return self._seq_prefix.get(seq, _UNBOUND)[1]
+        return self._seq_prefix.get(seq, (0, 0))[1]
 
     def acquire_prefix(self, seq: int, key: int, prefix_len: int,
                        ts_ns: float) -> int | None:

@@ -71,8 +71,8 @@ class StepEvent(_StepEventFields):
     """One engine invocation on the serving timeline (immutable, validated).
 
     A named tuple rather than a frozen dataclass: the recorder builds one
-    per engine step, and a validated tuple costs about a third of a frozen
-    dataclass to build.
+    per engine step, and a validated tuple costs less than half of a
+    frozen dataclass to build.
 
     Attributes:
         index: Monotonic step number within the run.

@@ -166,19 +166,12 @@ class RunRecorder:
 
     def on_token(self, request_id: int, ts_ns: float) -> None:
         """A request produced one decode token; feeds the TBT histogram."""
-        last = self._last_token_ns.get(request_id)
-        if last is not None:
-            self.aggregates.tbt_sum_ns += ts_ns - last
-            self.aggregates.tbt_count += 1
-            if self._sampled(request_id):
-                self.histogram(H_TBT).observe(ts_ns - last)
-        self._last_token_ns[request_id] = ts_ns
-        self.aggregates.tokens_generated += 1
-        self.counters.add("tokens_generated")
+        self.on_tokens((request_id,), ts_ns)
 
     def on_tokens(self, request_ids: Sequence[int], ts_ns: float) -> None:
         """Every request in ``request_ids`` produced one decode token at
-        ``ts_ns``: :meth:`on_token` for each, in order, in one call."""
+        ``ts_ns``; feeds the TBT histogram. The continuous loops call this
+        once per decode step instead of :meth:`on_token` per sequence."""
         if not request_ids:
             return
         last_token = self._last_token_ns
