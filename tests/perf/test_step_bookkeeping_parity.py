@@ -33,6 +33,7 @@ from repro.serving.cluster import simulate_cluster
 from repro.serving.requests import poisson_requests
 from repro.traffic import (ArrivalFamily, ArrivalSpec, PrefixSpec,
                            TrafficConfig, generate_traffic)
+from repro.engine.tp import TPConfig
 from repro.workloads import GPT2
 
 
@@ -154,6 +155,81 @@ FROZEN = {
 def test_recorder_state_matches_the_per_sequence_bookkeeping(serve):
     recorder, run = serve()
     assert fingerprint(recorder, run) == FROZEN[serve]
+
+
+# ----------------------------------------------------------------------
+# Session state: what a serve leaves on its simulated hardware
+# ----------------------------------------------------------------------
+def schedule_fingerprint(run) -> str:
+    """Hash of every session's schedule and resource accounting.
+
+    :func:`fingerprint` sees the recorder only; this one sees what the
+    steps did to the hardware: the checkable schedule items (kernels and
+    the per-step TP ``join`` items, in issue order), each compute
+    stream's ``busy_ns``, ``free_at``, ``start_times`` and
+    ``kernel_count``, the dispatch thread's ``busy_ns`` and the step
+    count.
+    """
+    state = [
+        (session.replica,
+         sorted(session.schedule_items.items()),
+         [(device.index, stream.busy_ns, stream.free_at,
+           list(stream.start_times), stream.kernel_count)
+          for device in session.devices
+          for stream in device.streams],
+         session.thread.busy_ns,
+         session.steps)
+        for session in run.sessions
+    ]
+    return hashlib.sha256(repr(state).encode()).hexdigest()[:16]
+
+
+def tp2_continuous_serve():
+    """Plain continuous batching on a two-shard (TP=2) replica."""
+    requests = poisson_requests(rate_per_s=60, duration_s=0.3, prompt_len=96,
+                                output_tokens=24, seed=5)
+    recorder = RunRecorder()
+    run = simulate_serving(
+        requests, GPT2,
+        LatencyModel(platform=get_platform("Intel+H100"),
+                     tp=TPConfig(degree=2)),
+        policy=ContinuousBatchPolicy(max_active=8), recorder=recorder)
+    assert run.devices_per_replica == 2
+    return recorder, run
+
+
+def chunked_continuous_serve():
+    """Chunked prefill interleaved with decodes, no KV pool."""
+    requests = mixed_prompt_requests(seed=3, duration_s=0.5, rate_per_s=20.0,
+                                     long_rate_per_s=4.0, output_tokens=40,
+                                     long_prompt_len=900,
+                                     long_output_tokens=16)
+    recorder = RunRecorder()
+    run = simulate_serving(
+        requests, GPT2, LatencyModel(platform=get_platform("GH200")),
+        policy=ContinuousBatchPolicy(max_active=8, chunk_tokens=256),
+        recorder=recorder)
+    assert recorder.counters.get("steps_prefill_chunk") > 0
+    return recorder, run
+
+
+#: Session fingerprints of the one-step-per-wake-up loops, taken before
+#: decode steps ran in windows.
+FROZEN_SCHEDULES = {
+    offload_chunked_serve: "1a2b03734e6f7ed0",
+    recompute_prefix_serve: "a9832f3abc4a410d",
+    prefix_cluster_serve: "7d1ef8dac28d000b",
+    sampled_continuous_serve: "7b0a4afe044ef316",
+    tp2_continuous_serve: "62300773a7012442",
+    chunked_continuous_serve: "fb826dbbbc63107c",
+}
+
+
+@pytest.mark.parametrize("serve", list(FROZEN_SCHEDULES),
+                         ids=lambda f: f.__name__)
+def test_session_state_matches_the_one_step_loops(serve):
+    _, run = serve()
+    assert schedule_fingerprint(run) == FROZEN_SCHEDULES[serve]
 
 
 # ----------------------------------------------------------------------
