@@ -187,7 +187,9 @@ class KvManager:
         """Acquire each nonzero ``deltas[i]`` for ``seqs[i]``; logs ``grow``.
 
         ``deltas`` comes from :meth:`growth_deltas` after the caller made
-        room for their sum, so a refused acquire is a simulator bug.
+        room for their sum, so a refused acquire is a simulator bug. With
+        :meth:`note_decode`, the one-step reference form of
+        :meth:`apply_decode_window`.
         """
         for seq, delta in zip(seqs, deltas):
             if not delta:
@@ -197,6 +199,85 @@ class KvManager:
                     f"kv growth failed for seq {seq} after eviction made "
                     f"room")
             self._log(ts_ns, "grow", seq, delta)
+
+    def decode_steps_covered(self, seqs: Sequence[int],
+                             contexts: Sequence[int],
+                             first_deltas: Sequence[int], limit: int) -> int:
+        """How many of the next ``limit`` decode steps the pool covers.
+
+        ``seqs[i]`` holds ``contexts[i]`` tokens and needs
+        ``first_deltas[i]`` blocks (from :meth:`growth_deltas`) for the
+        first step, which the caller has already made room for. Its held
+        plus shared blocks then equal ``ceil((contexts[i] + 1) /
+        block_tokens)``, so step ``j`` needs a new block exactly when
+        ``contexts[i] + j`` is a multiple of ``block_tokens``. Counting
+        stops before the first step whose growth the free blocks left by
+        the earlier steps cannot cover: eviction has to run there.
+        """
+        block_tokens = self.block_tokens
+        bound = self._seq_prefix
+        held = self.pool.holdings
+        # due[r]: sequences that need a block at every step j with
+        # j % block_tokens == r.
+        due: dict[int, int] = {}
+        for seq, context, delta in zip(seqs, contexts, first_deltas):
+            if (held.get(seq, 0) + bound.get(seq, (0, 0))[1] + delta
+                    != -(-(context + 1) // block_tokens)):
+                raise SimulationError(
+                    f"seq {seq} holds blocks for other than its "
+                    f"{context + 1} tokens after growth")
+            slot = -context % block_tokens
+            due[slot] = due.get(slot, 0) + 1
+        free = self.pool.free_blocks - sum(first_deltas)
+        steps = 1
+        while steps < limit:
+            need = due.get(steps % block_tokens, 0)
+            if need > free:
+                break
+            free -= need
+            steps += 1
+        return steps
+
+    def apply_decode_window(self, seqs: Sequence[int],
+                            contexts: Sequence[int],
+                            first_deltas: Sequence[int],
+                            starts: Sequence[float]) -> None:
+        """Window form of :meth:`apply_growth` plus :meth:`note_decode`.
+
+        Runs the growth and decode logging of one decode step per entry
+        of ``starts`` (the step's start time): the first step acquires
+        ``first_deltas``, every later step one block for each sequence at
+        a block boundary (see :meth:`decode_steps_covered`). Each step
+        logs its ``grow`` events, then its ``decode`` events stamped with
+        that step's ``allocated`` count, as one call of each per step
+        would.
+        """
+        block_tokens = self.block_tokens
+        due: dict[int, list[tuple[int, int]]] = {}
+        if len(starts) > 1:
+            for seq, context in zip(seqs, contexts):
+                due.setdefault(-context % block_tokens, []).append((seq, 1))
+        pool = self.pool
+        try_acquire = self.resource.try_acquire
+        replica = self.replica
+        events: list[KvCacheEvent] = []
+        for step, ts_ns in enumerate(starts):
+            grown = (zip(seqs, first_deltas) if step == 0
+                     else due.get(step % block_tokens, ()))
+            for seq, delta in grown:
+                if not delta:
+                    continue
+                if not try_acquire(seq, delta, ts_ns):
+                    raise SimulationError(
+                        f"kv growth failed for seq {seq} inside a decode "
+                        f"window the pool was planned to cover")
+                events.append(KvCacheEvent(ts_ns, "grow", seq, delta,
+                                           pool.allocated, replica))
+            events.extend(KvCacheEvent.decodes(ts_ns, seqs, pool.allocated,
+                                               replica))
+        self.events.extend(events)
+        if self.recorder is not None:
+            self.recorder.kv_events.extend(events)
 
     def free(self, seq: int, ts_ns: float) -> int:
         """Sequence completed: return all its private blocks.
@@ -256,6 +337,10 @@ class KvManager:
         self.swap_ns_total += transfer
         self._log(ts_ns, "swap_in", seq, blocks)
         return transfer
+
+    def host_blocks_of(self, seq: int) -> int:
+        """Blocks ``seq`` has parked in host memory (0 when resident)."""
+        return self._host_blocks.get(seq, 0)
 
     def is_swapped_out(self, seq: int) -> bool:
         return seq in self._host_blocks

@@ -31,7 +31,7 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.kvcache.manager import KvManager, KvPolicy
 from repro.obs.events import EngineShape, StepKind
 from repro.serving.planner import (ChunkedSequenceState, PlannerConfig,
-                                   StepPlanner)
+                                   StepPlanner, decode_horizon)
 from repro.serving.requests import Request
 
 if TYPE_CHECKING:
@@ -49,6 +49,7 @@ def kv_continuous_batching_process(
         runtime: ServingRuntime, session: EngineSession,
         policy: ContinuousBatchPolicy) -> Process:
     """One replica's iteration-level scheduler with a finite KV pool."""
+    core = runtime.core
     queue = runtime.queue
     latency = runtime.latency
     model = runtime.model
@@ -229,8 +230,9 @@ def kv_continuous_batching_process(
         if batch:
             run_prefills(batch)
 
-    def claim_new() -> None:
-        """Claim fresh arrivals, FIFO, while blocks and slots last."""
+    def claim_new() -> bool:
+        """Claim fresh arrivals, FIFO, while blocks and slots last;
+        returns whether any was claimed."""
         batch: list[tuple[Request, int]] = []
         while admitted_count() + len(batch) < policy.max_active:
             entry = queue.first_unclaimed()
@@ -266,29 +268,66 @@ def kv_continuous_batching_process(
             batch.append((request, cached_tokens))
         if batch:
             run_prefills(batch)
+        return bool(batch)
+
+    def admission_open(free: int) -> bool:
+        """Whether :func:`admit` could act after a decode step that
+        leaves ``free`` pool blocks.
+
+        Mirrors the first probe of each admission path: a swap-in, a
+        recompute readmission, and a claim of the due head-of-line
+        request (a prefix-tagged head touches the prefix cache even when
+        refused, and one that can never fit raises). A decode step only
+        shrinks the free pool and never claims, so a probe that fails
+        after one step of a window fails after every later one: those
+        steps need no admission at all. Heads still to arrive bound the
+        window through :func:`decode_horizon`.
+        """
+        if swapped and kv.host_blocks_of(swapped[0].request.request_id) <= free:
+            return True
+        if preempted and len(active) + len(swapped) < policy.max_active:
+            request = preempted[0]
+            if kv.growth_delta(request.request_id,
+                               request.prompt_len + 1) <= free:
+                return True
+        if admitted_count() >= policy.max_active:
+            return False
+        entry = queue.first_unclaimed()
+        if entry is None or entry.arrival_ns > clock:
+            return False
+        request = entry.request
+        return (lifetime_blocks(kv, request) > kv.capacity_blocks
+                or (kv.prefix_caching
+                    and getattr(request, "prefix_hash", None) is not None)
+                or kv.growth_delta(request.request_id,
+                                   request.prompt_len + 1) <= free)
 
     def admit() -> None:
         swap_in_ready()
         readmit_preempted()
         claim_new()
 
-    def evict_until_growth_fits(ids: list[int], deltas: list[int]) -> None:
+    def evict_until_growth_fits(ids: list[int], deltas: list[int]) -> bool:
         """Make room for every active sequence to grow by one token.
 
         ``ids`` and ``deltas`` run parallel to ``active`` and shrink with
         it. Evicting a victim frees only the victim's blocks, so the other
-        sequences' deltas stay valid and are never recomputed.
+        sequences' deltas stay valid and are never recomputed. Returns
+        whether anything was evicted (a decode-window boundary: the freed
+        blocks may readmit parked work after the step).
         """
         nonlocal clock
+        evicted = False
         while True:
             needed = sum(deltas)
             if kv.pool.can_allocate(needed):
-                return
+                return evicted
+            evicted = True
             # Warm (idle) prefix groups are the cheapest victims: evicting
             # them costs future hits, not live work.
             if (kv.prefix_caching
                     and kv.evict_idle_prefixes(needed, clock)):
-                return
+                return evicted
             if kv.policy is KvPolicy.NONE:
                 raise SimulationError(
                     "kv pool exhausted with policy none: prefix caching "
@@ -329,32 +368,53 @@ def kv_continuous_batching_process(
             if nxt > clock:
                 clock = nxt
                 continue
-            admit()
+            if not claim_new():
+                head = queue.first_unclaimed()
+                if head is not None and head.arrival_ns <= clock:
+                    # Nothing is resident, so the refusal would repeat at
+                    # this instant forever: only idle prefix groups can
+                    # hold the blocks the head request needs.
+                    if kv.prefix_caching:
+                        kv.evict_idle_prefixes(
+                            kv.blocks_for(head.request.prompt_len + 1), clock)
+                    if not claim_new():
+                        raise SimulationError(
+                            f"kv serving stalled: request "
+                            f"{head.request.request_id} is due but an idle "
+                            f"engine with nothing resident cannot admit it")
             continue
-        # One decode step for the whole active set, growth paid up front.
+        # A decode window: the first step pays its growth up front (and
+        # evicts for it); later steps run while the pool covers theirs.
         ids = [seq.request.request_id for seq in active]
-        deltas = kv.growth_deltas(ids, [seq.context + 1 for seq in active])
-        evict_until_growth_fits(ids, deltas)
-        kv.apply_growth(ids, deltas, clock)
-        kv.note_decode(ids, clock)
-        context = max(seq.context for seq in active)
-        bucketed = -(-context // policy.context_bucket) * policy.context_bucket
-        step_ns = latency.decode_step_ns(model, len(active), bucketed)
-        clock += session.execute(
-            StepKind.DECODE, clock, step_ns, len(active),
-            queue_depth=depth(),
-            shape=EngineShape(model.name, len(active), 1,
-                              phase="decode", context_len=bucketed)
-            if recorder is not None else None,
-            cpu_ns=latency.decode_step_cpu_ns(model, len(active), bucketed)
-            if host is not None else 0.0)
+        contexts = [seq.context for seq in active]
+        deltas = kv.growth_deltas(ids, [context + 1 for context in contexts])
+        evicted = evict_until_growth_fits(ids, deltas)
+        del contexts[len(active):]  # evicted victims leave from the end
+
+        def limit() -> int:
+            if evicted or admission_open(kv.pool.free_blocks - sum(deltas)):
+                return 1
+            return kv.decode_steps_covered(
+                ids, contexts, deltas, min(seq.remaining for seq in active))
+
         step_batch = len(active)
+        horizon = decode_horizon(core, queue, clock)
+        clocks = session.execute_steps(
+            StepKind.DECODE, clock,
+            planner.decode_window(latency, model, step_batch, max(contexts),
+                                  policy.context_bucket, clock, horizon,
+                                  limit, priced_cpu=host is not None,
+                                  shaped=recorder is not None),
+            step_batch, queue_depth=depth(), horizon_ns=horizon)
+        kv.apply_decode_window(ids, contexts, deltas, clocks[:-1])
+        steps = len(clocks) - 1
+        clock = clocks[-1]
         if recorder is not None:
-            recorder.on_tokens(ids, clock)
+            recorder.on_token_steps(ids, clocks[1:])
         finished: list[ChunkedSequenceState] = []
         for seq in active:
-            seq.context += 1
-            seq.remaining -= 1
+            seq.context += steps
+            seq.remaining -= steps
             seq.last_token_ns = clock - seq.request.arrival_ns
             if seq.remaining <= 0:
                 finished.append(seq)

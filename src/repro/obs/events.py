@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from repro.errors import AnalysisError
 
@@ -101,6 +101,36 @@ class StepEvent(_StepEventFields):
             raise AnalysisError(f"step {index} has negative replica")
         return tuple.__new__(cls, (index, kind, ts_ns, dur_ns, batch_size,
                                    queue_depth, shape, replica))
+
+    @classmethod
+    def series(cls, index: int, kind: StepKind, starts: Sequence[float],
+               durations: Sequence[float], batch_size: int,
+               queue_depth: int,
+               shapes: Sequence[EngineShape | None] | None,
+               replica: int) -> list[StepEvent]:
+        """Steps ``index``, ``index + 1``, ... of one kind and batch.
+
+        Step ``j`` began at ``starts[j]``, lasted ``durations[j]`` and ran
+        shape ``shapes[j]`` (None when ``shapes`` is None). The fields the
+        steps share are checked once; each duration is checked, with the
+        constructor's messages.
+        """
+        if starts and batch_size <= 0:
+            raise AnalysisError(f"step {index} has no sequences")
+        if starts and queue_depth < 0:
+            raise AnalysisError(f"step {index} has negative queue depth")
+        if starts and replica < 0:
+            raise AnalysisError(f"step {index} has negative replica")
+        new = tuple.__new__
+        events = []
+        for j, (ts_ns, dur_ns) in enumerate(zip(starts, durations)):
+            if dur_ns < 0:
+                raise AnalysisError(f"step {index + j} has negative duration")
+            events.append(new(cls, (index + j, kind, ts_ns, dur_ns,
+                                    batch_size, queue_depth,
+                                    None if shapes is None else shapes[j],
+                                    replica)))
+        return events
 
     @property
     def ts_end_ns(self) -> float:

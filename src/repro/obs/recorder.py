@@ -166,33 +166,64 @@ class RunRecorder:
 
     def on_token(self, request_id: int, ts_ns: float) -> None:
         """A request produced one decode token; feeds the TBT histogram."""
-        self.on_tokens((request_id,), ts_ns)
+        self.on_token_steps((request_id,), (ts_ns,))
 
     def on_tokens(self, request_ids: Sequence[int], ts_ns: float) -> None:
         """Every request in ``request_ids`` produced one decode token at
-        ``ts_ns``; feeds the TBT histogram. The continuous loops call this
-        once per decode step instead of :meth:`on_token` per sequence."""
-        if not request_ids:
+        ``ts_ns``; feeds the TBT histogram."""
+        self.on_token_steps(request_ids, (ts_ns,))
+
+    def on_token_steps(self, request_ids: Sequence[int],
+                       stamps: Sequence[float]) -> None:
+        """Every request in ``request_ids`` (distinct ids) produced one
+        decode token at each of ``stamps``: the window form of
+        :meth:`on_tokens`.
+
+        Gaps accumulate step-major, sequence-minor, so ``tbt_sum_ns``
+        and the TBT histogram's value order are those of one
+        :meth:`on_tokens` call per stamp. After the first stamp every
+        request's gap is the distance between consecutive stamps.
+        """
+        if not request_ids or not stamps:
             return
         last_token = self._last_token_ns
         aggregates = self.aggregates
         sample_every = self.sample_every
         tbt_sum = aggregates.tbt_sum_ns
+        tbt_count = aggregates.tbt_count
         gaps = []
+        first = stamps[0]
         for request_id in request_ids:
             last = last_token.get(request_id)
             if last is not None:
-                gap = ts_ns - last
+                gap = first - last
                 tbt_sum += gap
-                aggregates.tbt_count += 1
+                tbt_count += 1
                 if sample_every == 1 or request_id % sample_every == 0:
                     gaps.append(gap)
-            last_token[request_id] = ts_ns
+            last_token[request_id] = first
+        tokens = len(request_ids)
+        if len(stamps) > 1:
+            sampled = (tokens if sample_every == 1 else
+                       sum(1 for request_id in request_ids
+                           if request_id % sample_every == 0))
+            previous = first
+            for ts_ns in stamps[1:]:
+                gap = ts_ns - previous
+                for _ in request_ids:
+                    tbt_sum += gap
+                tbt_count += tokens
+                gaps.extend([gap] * sampled)
+                previous = ts_ns
+            for request_id in request_ids:
+                last_token[request_id] = previous
         aggregates.tbt_sum_ns = tbt_sum
+        aggregates.tbt_count = tbt_count
         if gaps:
             self.histogram(H_TBT).observe_each(gaps)
-        aggregates.tokens_generated += len(request_ids)
-        self.counters.add("tokens_generated", float(len(request_ids)))
+        for _ in stamps:
+            aggregates.tokens_generated += tokens
+            self.counters.add("tokens_generated", float(tokens))
 
     def on_completed(self, request_id: int, ts_ns: float) -> None:
         """A request finished generating."""
@@ -229,6 +260,40 @@ class RunRecorder:
         self.histogram(histogram_name).observe(dur_ns)
         self.counters.add(counter_name)
         return step
+
+    def record_steps(
+        self,
+        kind: StepKind,
+        starts: Sequence[float],
+        durations: Sequence[float],
+        batch_size: int,
+        queue_depth: int = 0,
+        shapes: Sequence[EngineShape | None] | None = None,
+        replica: int = 0,
+    ) -> list[StepEvent]:
+        """Record consecutive engine invocations of one kind and batch.
+
+        Step ``j`` began at ``starts[j]`` and lasted ``durations[j]``
+        (shape ``shapes[j]``). Every list and histogram gets its values
+        in the order one :meth:`record_step` per step would append them.
+        """
+        events = StepEvent.series(len(self.steps), kind, starts, durations,
+                                  batch_size, queue_depth, shapes, replica)
+        if not events:
+            return events
+        self.steps.extend(events)
+        count = len(events)
+        self.histogram(H_BATCH_SIZE).observe_each([batch_size] * count)
+        self.histogram(H_QUEUE_DEPTH).observe_each([queue_depth] * count)
+        histogram_name, counter_name = _STEP_NAMES[kind]
+        self.histogram(histogram_name).observe_each(durations)
+        for _ in events:
+            self.counters.add(counter_name)
+        return events
+
+    def steps_of(self, kind: StepKind) -> int:
+        """Steps of ``kind`` recorded so far."""
+        return int(self.counters.get(_STEP_NAMES[kind][1]))
 
     # ------------------------------------------------------------------
     # KV-cache pressure (repro.kvcache hooks)

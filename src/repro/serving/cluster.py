@@ -164,10 +164,10 @@ class RoutedQueue(AdmissionQueue):
 class ReplicaHandle:
     """One replica's view of the cluster, duck-typing ``ServingRuntime``.
 
-    The continuous-batching policy processes only touch ``queue``,
-    ``latency``, ``model``, ``recorder``, and ``complete`` on their
-    runtime, so a handle exposing those over the cluster lets them run on
-    a routed queue unchanged.
+    The continuous-batching policy processes only touch ``core``,
+    ``queue``, ``latency``, ``model``, ``recorder``, and ``complete`` on
+    their runtime, so a handle exposing those over the cluster lets them
+    run on a routed queue unchanged.
     """
 
     def __init__(self, cluster: ClusterRuntime, session: EngineSession) -> None:
@@ -178,6 +178,10 @@ class ReplicaHandle:
     @property
     def replica(self) -> int:
         return self.session.replica
+
+    @property
+    def core(self) -> SimCore:
+        return self._cluster.core
 
     @property
     def model(self) -> ModelConfig:

@@ -37,7 +37,7 @@ from repro.obs.recorder import RunRecorder
 from repro.serving.batcher import ServingReport
 from repro.serving.latency import LatencyModel
 from repro.serving.planner import (ChunkedSequenceState, PlannerConfig,
-                                   PromptChunk, StepPlanner,
+                                   PromptChunk, StepPlanner, decode_horizon,
                                    decode_schedule_label)
 from repro.serving.requests import Request, queue_delay_ns
 from repro.workloads.config import ModelConfig
@@ -83,12 +83,16 @@ def continuous_batching_process(runtime: ServingRuntime,
                                 policy: ContinuousBatchPolicy) -> Process:
     """One replica's iteration-level scheduler, as a sim process.
 
-    Each wake-up is one planner-composed engine step: every active sequence
-    decodes one token, then the leftover token budget (if chunking is on)
-    runs prompt chunks for claimed-but-unprefilled requests; finished
-    sequences retire and new arrivals are admitted at the step boundary.
-    With chunking off, admission prefills the whole batch immediately and
-    steps are pure decodes — the legacy schedule, bit for bit.
+    Each wake-up runs one decode window (see
+    :meth:`StepPlanner.decode_window`): every active sequence decodes one
+    token per step, for as many steps as nothing else could happen in
+    between. A window's first step is planner-composed: the leftover token
+    budget (if chunking is on) runs prompt chunks for
+    claimed-but-unprefilled requests, and such a step is a window of one.
+    Finished sequences retire and new arrivals are admitted at the window
+    boundary. With chunking off, admission prefills the whole batch
+    immediately and steps are pure decodes — the legacy schedule, bit for
+    bit.
     """
     queue = runtime.queue
     latency = runtime.latency
@@ -203,30 +207,42 @@ def continuous_batching_process(runtime: ServingRuntime,
         # then whatever budget remains as prompt chunks.
         plan = planner.plan_step(len(active))
         if active:
-            # One decode step for the whole active set.
-            context = max(seq.context for seq in active)
-            bucketed = (-(-context // policy.context_bucket)
-                        * policy.context_bucket)
-            step_ns = latency.decode_step_ns(model, len(active), bucketed)
-            clock += session.execute(
-                StepKind.DECODE, clock, step_ns, len(active),
-                queue_depth=queue.depth(clock) if recorder is not None else 0,
-                shape=EngineShape(model.name, len(active), 1,
-                                  phase="decode", context_len=bucketed)
-                if recorder is not None else None,
-                schedule_label=decode_schedule_label(newly_joined),
-                cpu_ns=latency.decode_step_cpu_ns(model, len(active),
-                                                  bucketed)
-                if host is not None else 0.0)
-            newly_joined.clear()
+            # A decode window for the whole active set. Prompt chunks
+            # after the first step, a newly joined sequence's labelled
+            # first decode, or a due request with a free slot to claim it
+            # make it a window of one.
             step_batch = len(active)
+
+            def limit() -> int:
+                if plan.chunks or newly_joined:
+                    return 1
+                if step_batch + planner.pending_count < policy.max_active:
+                    due = queue.next_unclaimed_arrival()
+                    if due is not None and due <= clock:
+                        return 1
+                return min(seq.remaining for seq in active)
+
+            horizon = decode_horizon(runtime.core, queue, clock)
+            steps = planner.decode_window(
+                latency, model, step_batch,
+                max(seq.context for seq in active), policy.context_bucket,
+                clock, horizon, limit, priced_cpu=host is not None,
+                shaped=recorder is not None)
+            clocks = session.execute_steps(
+                StepKind.DECODE, clock, steps, step_batch,
+                queue_depth=queue.depth(clock) if recorder is not None else 0,
+                horizon_ns=horizon,
+                schedule_label=decode_schedule_label(newly_joined))
+            newly_joined.clear()
+            count = len(clocks) - 1
+            clock = clocks[-1]
             if recorder is not None:
-                recorder.on_tokens([seq.request.request_id for seq in active],
-                                   clock)
+                recorder.on_token_steps(
+                    [seq.request.request_id for seq in active], clocks[1:])
             finished: list[ChunkedSequenceState] = []
             for seq in active:
-                seq.context += 1
-                seq.remaining -= 1
+                seq.context += count
+                seq.remaining -= count
                 seq.last_token_ns = clock - seq.request.arrival_ns
                 if seq.remaining <= 0:
                     finished.append(seq)

@@ -37,15 +37,17 @@ lock possible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Hashable, Sequence
+from typing import (TYPE_CHECKING, Callable, Hashable, Iterator, NamedTuple,
+                    Sequence)
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.obs.events import StepKind
+from repro.obs.events import EngineShape, StepKind
 from repro.serving.requests import Request
 
 if TYPE_CHECKING:
     from repro.serving.latency import LatencyModel
     from repro.serving.runtime import AdmissionQueue
+    from repro.sim.core import SimCore
     from repro.workloads.config import ModelConfig
 
 
@@ -170,6 +172,44 @@ class BatchDecision:
     seed_arrival: float = 0.0
     wake_at: float | None = None
     done: bool = False
+
+
+class DecodeStep(NamedTuple):
+    """One priced decode step of a window (see
+    :meth:`StepPlanner.decode_window`)."""
+
+    step_ns: float
+    cpu_ns: float
+    shape: EngineShape | None
+
+
+def _price_decode(latency: LatencyModel, model: ModelConfig,
+                  batch_size: int, bucketed: int, priced_cpu: bool,
+                  shaped: bool) -> DecodeStep:
+    """One decode step at bucketed context ``bucketed``, priced."""
+    return DecodeStep(
+        latency.decode_step_ns(model, batch_size, bucketed),
+        latency.decode_step_cpu_ns(model, batch_size, bucketed)
+        if priced_cpu else 0.0,
+        EngineShape(model.name, batch_size, 1, phase="decode",
+                    context_len=bucketed) if shaped else None)
+
+
+def decode_horizon(core: SimCore, queue: AdmissionQueue,
+                   clock: float) -> float:
+    """The instant a decode window starting at ``clock`` must yield by.
+
+    The earlier of the core's next queued event and the queue's first
+    unclaimed arrival after ``clock``. At the event another replica, the
+    router, the arrival process or a wake-up acts, and a tie must go
+    through the queue's own tie-break order. At the arrival the queue
+    depth the steps record changes, and admission could claim. Requests
+    already due when the window starts are the caller's concern: if
+    admission could take one, the window is a single step.
+    """
+    horizon = core.next_event_ns()
+    arrival = queue.next_unclaimed_arrival(clock)
+    return horizon if arrival is None or arrival > horizon else arrival
 
 
 def chunk_plan(request_id: int, prompt_len: int,
@@ -337,6 +377,53 @@ class StepPlanner:
         return max(latency.platform.launch_call_cpu_ns,
                    end - latency.ttft_cpu_ns(model, batch_size, chunk.start))
 
+    # -- decode windows -------------------------------------------------
+    @staticmethod
+    def decode_window(latency: LatencyModel, model: ModelConfig,
+                      batch_size: int, context: int, context_bucket: int,
+                      clock: float, horizon_ns: float,
+                      limit: Callable[[], int], priced_cpu: bool,
+                      shaped: bool) -> Iterator[DecodeStep]:
+        """The decode steps a fixed batch runs before its next boundary.
+
+        Step ``j`` decodes at the batch's longest context ``context + j``,
+        rounded up to ``context_bucket`` and priced by one
+        ``decode_step_ns`` lookup per bucket (plus ``decode_step_cpu_ns``
+        when ``priced_cpu``; 0.0 otherwise), and carries its recorded
+        shape when ``shaped`` (None otherwise). The window always yields one
+        step. It goes on while the clock, advanced by repeated addition of
+        the step durations, stays strictly below ``horizon_ns`` (see
+        :func:`decode_horizon`) and the step count stays below
+        ``limit()``: the caller's bound from finishing sequences, pool
+        growth and pending prompt chunks. ``limit`` is called only once
+        the first step ends before the horizon, so a one-step window
+        costs one lookup.
+
+        Steps are priced as they are drawn, so a consumer that stops
+        early (:meth:`EngineSession.execute_steps` under host stalls)
+        looks up no bucket it does not run. Nothing yields, admits or
+        rescans the queue between the steps: the boundaries guarantee
+        none of that could change the outcome.
+        """
+        bucketed = -(-context // context_bucket) * context_bucket
+        step = _price_decode(latency, model, batch_size, bucketed,
+                             priced_cpu, shaped)
+        yield step
+        clock += step.step_ns
+        if clock >= horizon_ns:
+            return
+        for _ in range(1, limit()):
+            context += 1
+            nxt = -(-context // context_bucket) * context_bucket
+            if nxt != bucketed:
+                bucketed = nxt
+                step = _price_decode(latency, model, batch_size, bucketed,
+                                     priced_cpu, shaped)
+            yield step
+            clock += step.step_ns
+            if clock >= horizon_ns:
+                return
+
     # -- shared FIFO claim decision ------------------------------------
     @staticmethod
     def next_fifo_batch(queue: AdmissionQueue, now: float, limit: int,
@@ -378,11 +465,13 @@ class ChunkedSequenceState:
 __all__ = [
     "BatchDecision",
     "ChunkedSequenceState",
+    "DecodeStep",
     "PlannerConfig",
     "PromptChunk",
     "PromptProgress",
     "StepPlan",
     "StepPlanner",
     "chunk_plan",
+    "decode_horizon",
     "decode_schedule_label",
 ]

@@ -34,6 +34,7 @@ reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Sequence
 
@@ -52,6 +53,7 @@ if TYPE_CHECKING:
     from repro.host.model import HostModel, HostStats
     from repro.kvcache.manager import KvCacheConfig, KvManager
     from repro.serving.batcher import ServingReport
+    from repro.serving.planner import DecodeStep
 
 
 # ----------------------------------------------------------------------
@@ -261,7 +263,72 @@ class EngineSession:
         checkable schedule (the chunked-prefill planner encodes chunk
         coordinates there for rule S007); the recorder stream is unaffected.
         """
+        start_ns, span_ns = self._step_hardware(
+            ts_ns, dur_ns, cpu_ns,
+            schedule_label or f"serving::{kind.value}")
+        if self.recorder is not None:
+            self.recorder.record_step(kind, start_ns, span_ns, batch_size,
+                                      queue_depth=queue_depth, shape=shape,
+                                      replica=self.replica)
+        return (start_ns - ts_ns) + span_ns
+
+    def execute_steps(self, kind: StepKind, ts_ns: float,
+                      steps: Iterable[DecodeStep], batch_size: int,
+                      queue_depth: int = 0,
+                      horizon_ns: float = math.inf,
+                      schedule_label: str | None = None) -> list[float]:
+        """Run consecutive same-batch steps back to back: the window form
+        of :meth:`execute`.
+
+        Each of ``steps`` gives a step's duration, dispatch CPU share and
+        recorded shape. Step ``j`` is requested at ``clocks[j]``; it books
+        its own host grant (with a host model), occupies the thread,
+        submits to every shard's stream and appends its schedule items,
+        in step order, exactly as one :meth:`execute` per step would. The
+        steps are then recorded with one :meth:`RunRecorder.record_steps`.
+
+        Returns the clock readings ``[ts_ns, c_1, ..., c_k]``: step ``j``
+        runs from ``clocks[j]`` to ``clocks[j + 1]``, each reading the
+        previous one plus that step's effective duration (the repeated
+        ``clock += execute(...)`` of a one-step loop). No step starts once
+        the clock has reached ``horizon_ns``: host stalls can end a window
+        before the steps its planner priced on raw durations run out.
+        """
+        clocks = [ts_ns]
+        starts: list[float] = []
+        spans: list[float] = []
+        shapes: list[EngineShape | None] = []
+        clock = ts_ns
         name = schedule_label or f"serving::{kind.value}"
+        # The run's first step of a kind inserts the recorder's counters
+        # for it. With a host model, a later step of the same window
+        # could book the run's first remote grant, whose counter a
+        # one-step loop inserts after them, so that step runs alone.
+        alone = (self.host is not None and self.recorder is not None
+                 and not self.recorder.steps_of(kind))
+        for dur_ns, cpu_ns, shape in steps:
+            start_ns, span_ns = self._step_hardware(clock, dur_ns, cpu_ns,
+                                                    name)
+            starts.append(start_ns)
+            spans.append(span_ns)
+            shapes.append(shape)
+            clock += (start_ns - clock) + span_ns
+            clocks.append(clock)
+            if clock >= horizon_ns or alone:
+                break
+        if self.recorder is not None:
+            self.recorder.record_steps(kind, starts, spans, batch_size,
+                                       queue_depth=queue_depth,
+                                       shapes=shapes, replica=self.replica)
+        return clocks
+
+    def _step_hardware(self, ts_ns: float, dur_ns: float, cpu_ns: float,
+               name: str) -> tuple[float, float]:
+        """One step on the hardware: host grant, thread, streams, schedule.
+
+        Returns the step's ``(start_ns, span_ns)``; without a host model
+        that is exactly ``(ts_ns, dur_ns)``.
+        """
         start_ns = ts_ns
         span_ns = dur_ns
         if self.host is None:
@@ -280,12 +347,8 @@ class EngineSession:
                 items.append(("join",
                               f"replica{self.replica}.step{self.steps}",
                               self.world))
-        if self.recorder is not None:
-            self.recorder.record_step(kind, start_ns, span_ns, batch_size,
-                                      queue_depth=queue_depth, shape=shape,
-                                      replica=self.replica)
         self.steps += 1
-        return (start_ns - ts_ns) + span_ns
+        return start_ns, span_ns
 
     @property
     def busy_ns(self) -> float:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import heapq
 import inspect
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Generator, Hashable, Iterable
 
@@ -189,6 +190,18 @@ class SimCore:
     def spawn_all(self, processes: Iterable[Process], at_ns: float = 0.0) -> None:
         for process in processes:
             self.spawn(process, at_ns)
+
+    def next_event_ns(self) -> float:
+        """Time of the earliest queued event; ``inf`` when none is queued.
+
+        A running process is not in the queue, so this is the earliest
+        instant any *other* process can act. A process that would yield
+        ``("at", t)`` with ``t`` strictly below it is popped straight back
+        at ``t``; a process that reaches it must yield, so same-time ties
+        still resolve in the queue's own tie-break order.
+        """
+        queue = self._queue
+        return queue.peek_time() if queue else math.inf
 
     def run(self) -> None:
         """Drive every process to completion."""

@@ -100,3 +100,33 @@ def test_decodes_equals_one_constructor_call_per_sequence():
     assert KvCacheEvent.decodes(3.0, [], allocated=0) == []
     with pytest.raises(AnalysisError, match="negative allocated"):
         KvCacheEvent.decodes(3.0, [1], allocated=-1)
+
+
+def _series(**overrides):
+    args = dict(index=4, kind=StepKind.DECODE, starts=[10.0, 12.5],
+                durations=[2.5, 2.75], batch_size=3, queue_depth=1,
+                shapes=[STEP_FIELDS["shape"]] * 2, replica=2)
+    args.update(overrides)
+    return StepEvent.series(**args)
+
+
+def test_series_equals_one_constructor_call_per_step():
+    events = _series()
+    assert events == [
+        StepEvent(**STEP_FIELDS),
+        StepEvent(**{**STEP_FIELDS, "index": 5, "ts_ns": 12.5,
+                     "dur_ns": 2.75})]
+    assert all(type(event) is StepEvent for event in events)
+    assert _series(shapes=None)[1].shape is None
+    assert _series(starts=[], durations=[], batch_size=0) == []
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("durations", [2.5, -1.0], "step 5 has negative duration"),
+    ("batch_size", 0, "step 4 has no sequences"),
+    ("queue_depth", -1, "step 4 has negative queue depth"),
+    ("replica", -1, "step 4 has negative replica"),
+])
+def test_series_rejects_each_invalid_field(field, value, message):
+    with pytest.raises(AnalysisError, match=message):
+        _series(**{field: value})

@@ -68,7 +68,7 @@ def test_unrecorded_policies_build_no_engine_shapes(monkeypatch):
     for module in ("repro.serving.continuous", "repro.serving.batcher",
                    "repro.serving.scheduler", "repro.serving.speculative",
                    "repro.serving.pipeline", "repro.serving.rag",
-                   "repro.kvcache.serving"):
+                   "repro.kvcache.serving", "repro.serving.planner"):
         monkeypatch.setattr(f"{module}.EngineShape", counting_shape)
 
     from repro.kvcache import KvCacheConfig

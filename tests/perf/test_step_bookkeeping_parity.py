@@ -1,11 +1,13 @@
 """Parity locks for the per-step bookkeeping fast path.
 
-A decode step does its KV bookkeeping and its recorder bookkeeping in a
-fixed number of calls: one :meth:`KvManager.growth_deltas` pass, one
-:meth:`KvManager.apply_growth`, one :meth:`KvManager.note_decode` and one
-:meth:`RunRecorder.on_tokens`, whatever the batch size. The records those
-calls build (:class:`KvCacheEvent`, :class:`StepEvent`) are validated named
-tuples, and :meth:`Histogram.summary` sorts once for all three percentiles.
+Decode steps run in windows (:meth:`StepPlanner.decode_window`): every
+decode-only stretch between two boundaries runs without yields, and its
+bookkeeping takes a fixed number of calls per window, whatever its length
+and batch size: one :meth:`EngineSession.execute_steps` (one
+:meth:`RunRecorder.record_steps`), one :meth:`KvManager.apply_decode_window`
+and one :meth:`RunRecorder.on_token_steps`. The records those calls build
+(:class:`KvCacheEvent`, :class:`StepEvent`) are validated named tuples, and
+:meth:`Histogram.summary` sorts once for all three percentiles.
 
 None of that may show in the results. The fingerprints below were taken
 from the per-sequence implementation (one ``growth_delta``, ``grow`` and
@@ -14,7 +16,8 @@ records, one sort per percentile) and hash the whole recorder state of
 four small serves: every step, every KV event (the recorder's mirror and
 every manager's own log), raw histogram values and weights in insertion
 order, counters in insertion order, aggregates, spans, the summary and
-the request outcomes.
+the request outcomes. A second table, taken from the one-step-per-wake-up
+loops, hashes what the serves leave on their sessions' hardware.
 """
 
 import hashlib
@@ -23,17 +26,18 @@ from dataclasses import astuple
 import pytest
 
 from repro.analysis.pareto import mixed_prompt_requests
+from repro.engine.tp import TPConfig
 from repro.errors import SimulationError
 from repro.hardware import get_platform
 from repro.host import HostConfig, HostModel
 from repro.kvcache import KvCacheConfig, KvManager, KvPolicy
 from repro.obs import RunRecorder
+from repro.obs.events import EngineShape, StepKind
 from repro.serving import ContinuousBatchPolicy, LatencyModel, simulate_serving
 from repro.serving.cluster import simulate_cluster
 from repro.serving.requests import poisson_requests
 from repro.traffic import (ArrivalFamily, ArrivalSpec, PrefixSpec,
                            TrafficConfig, generate_traffic)
-from repro.engine.tp import TPConfig
 from repro.workloads import GPT2
 
 
@@ -165,7 +169,7 @@ def schedule_fingerprint(run) -> str:
 
     :func:`fingerprint` sees the recorder only; this one sees what the
     steps did to the hardware: the checkable schedule items (kernels and
-    the per-step TP ``join`` items, in issue order), each compute
+    the per-step TP ``join`` items, in order), each compute
     stream's ``busy_ns``, ``free_at``, ``start_times`` and
     ``kernel_count``, the dispatch thread's ``busy_ns`` and the step
     count.
@@ -333,3 +337,118 @@ def test_note_decode_logs_one_event_per_sequence_in_both_logs():
                        (4.0, "decode", 9, 0, 3, 2, 0)]
     assert recorder.kv_events == manager.events
     assert recorder.counters.as_dict() == {}
+
+
+@pytest.mark.parametrize("sample_every", [1, 3])
+def test_on_token_steps_equals_a_loop_of_on_tokens(sample_every):
+    windowed, looped = _primed(sample_every), _primed(sample_every)
+    windows = [([0, 1, 2, 3, 4, 5], [130.1, 161.3, 190.7]),
+               ([1, 3, 7], [201.0]), ([5, 0, 7, 8, 2, 4], [215.5, 230.25]),
+               ([], [240.0]), ([2, 4], [])]
+    for ids, stamps in windows:
+        windowed.on_token_steps(ids, stamps)
+        for ts_ns in stamps:
+            looped.on_tokens(ids, ts_ns)
+        assert _token_state(windowed) == _token_state(looped)
+
+
+def _step_state(recorder: RunRecorder) -> tuple:
+    return ([_step_row(step) for step in recorder.steps],
+            [(name, list(h._values), list(h._weights))
+             for name, h in recorder._histograms.items()],
+            list(recorder.counters.as_dict().items()))
+
+
+@pytest.mark.parametrize("sample_every", [1, 3])
+def test_record_steps_equals_a_loop_of_record_step(sample_every):
+    windowed = RunRecorder(sample_every=sample_every)
+    looped = RunRecorder(sample_every=sample_every)
+    shape = EngineShape("gpt2", 3, 1, phase="decode", context_len=64)
+    wider = EngineShape("gpt2", 3, 1, phase="decode", context_len=128)
+    windows = [
+        (StepKind.PREFILL, [0.0], [50.5], 2, 1, None),
+        (StepKind.DECODE, [50.5, 61.25, 72.0], [10.75, 10.75, 11.5], 3, 4,
+         [shape, shape, wider]),
+        (StepKind.DECODE, [90.0], [12.0], 1, 0, [wider]),
+        (StepKind.DECODE, [], [], 3, 0, []),
+    ]
+    for kind, starts, durations, batch, depth, shapes in windows:
+        windowed.record_steps(kind, starts, durations, batch,
+                              queue_depth=depth, shapes=shapes, replica=1)
+        for j, (ts_ns, dur_ns) in enumerate(zip(starts, durations)):
+            looped.record_step(kind, ts_ns, dur_ns, batch, queue_depth=depth,
+                               shape=None if shapes is None else shapes[j],
+                               replica=1)
+        assert _step_state(windowed) == _step_state(looped)
+    assert len(windowed.steps) == 5
+
+
+def _window_contexts(manager: KvManager) -> list[int]:
+    """Token counts matching the blocks sequences 1-3 hold: 1 and 3 sit
+    at a block boundary, 2 is five tokens short of one."""
+    bt = manager.block_tokens
+    return [3 * bt, 3 * bt - 5, 2 * bt]
+
+
+def _step_by_step(manager: KvManager, seqs, contexts, starts) -> None:
+    for step, ts_ns in enumerate(starts):
+        deltas = manager.growth_deltas(seqs, [c + step + 1 for c in contexts])
+        manager.apply_growth(seqs, deltas, ts_ns)
+        manager.note_decode(seqs, ts_ns)
+
+
+def test_apply_decode_window_equals_steps_done_one_by_one():
+    recorder = RunRecorder()
+    windowed, looped = _pressured_manager(), _pressured_manager()
+    windowed.recorder = looped.recorder = recorder
+    seqs = [1, 2, 3]
+    contexts = _window_contexts(windowed)
+    starts = [10.0 + 3.5 * step for step in range(2 * windowed.block_tokens
+                                                  + 7)]
+    first = windowed.growth_deltas(seqs, [c + 1 for c in contexts])
+    assert windowed.decode_steps_covered(seqs, contexts, first,
+                                         len(starts)) == len(starts)
+    before = len(windowed.events)
+    windowed.apply_decode_window(seqs, contexts, first, starts)
+    mirrored = list(recorder.kv_events)
+    _step_by_step(looped, seqs, contexts, starts)
+    assert windowed.events == looped.events
+    assert mirrored == windowed.events[before:]
+    assert windowed.pool.holdings == looped.pool.holdings
+    kinds = [event.kind for event in windowed.events[before:]]
+    # Each sequence crosses three block boundaries in 39 steps.
+    assert kinds.count("grow") == 9
+    assert kinds.count("decode") == 3 * len(starts)
+
+
+@pytest.mark.parametrize("spare", [0, 1, 2, 3, 5])
+def test_decode_steps_covered_stops_where_eviction_would_run(spare):
+    seqs = [1, 2, 3]
+    windowed, looped = _pressured_manager(), _pressured_manager()
+    contexts = _window_contexts(windowed)
+    for manager in (windowed, looped):
+        # Leave ``spare`` blocks beyond the first step's growth.
+        assert manager.try_allocate(9, manager.pool.free_blocks - 2 - spare,
+                                    0.0)
+    first = windowed.growth_deltas(seqs, [c + 1 for c in contexts])
+    limit = 4 * windowed.block_tokens
+    covered = windowed.decode_steps_covered(seqs, contexts, first, limit)
+    steps = 0
+    while steps < limit:
+        deltas = looped.growth_deltas(seqs,
+                                      [c + steps + 1 for c in contexts])
+        if not looped.pool.can_allocate(sum(deltas)):
+            break
+        looped.apply_growth(seqs, deltas, 0.0)
+        steps += 1
+    assert covered == steps
+    assert windowed.decode_steps_covered(seqs, contexts, first, 1) == 1
+
+
+def test_decode_steps_covered_rejects_blocks_off_the_token_count():
+    manager = _pressured_manager()
+    bt = manager.block_tokens
+    contexts = [3 * bt, 3 * bt - 5, bt - 3]  # 3 holds two blocks, not one
+    first = manager.growth_deltas([1, 2, 3], [c + 1 for c in contexts])
+    with pytest.raises(SimulationError):
+        manager.decode_steps_covered([1, 2, 3], contexts, first, 8)

@@ -1,9 +1,12 @@
 """SimCore process scheduling: timers, rendezvous, topology."""
 
+import math
+
 import pytest
 
 from repro.errors import SimulationError
 from repro.sim import LinkResource, SimCore
+from repro.sim.queue import EventQueue, PerturbedEventQueue, ReferenceEventQueue
 from repro.hardware.interconnect import NVLINK4_P2P
 
 
@@ -132,3 +135,35 @@ def test_core_rendezvous_carries_its_pool_key():
     core = SimCore()
     rdv = core.rendezvous(("allreduce", 7), parties=2)
     assert rdv.key == ("allreduce", 7)
+
+
+def _peeks(queue) -> list:
+    """What each process sees of the others' next event as it runs."""
+    core = SimCore(queue=queue)
+    seen = []
+
+    def process(name, times):
+        for at in times:
+            resumed = yield ("at", at)
+            seen.append((name, resumed, core.next_event_ns()))
+
+    assert core.next_event_ns() == math.inf
+    core.spawn(process("a", [10.0, 35.0, 70.0]))
+    core.spawn(process("b", [20.0, 50.0]), at_ns=5.0)
+    core.spawn(process("c", [65.0]), at_ns=40.0)
+    assert core.next_event_ns() == 0.0
+    core.run()
+    assert core.next_event_ns() == math.inf
+    return seen
+
+
+@pytest.mark.parametrize("queue", [ReferenceEventQueue, PerturbedEventQueue],
+                         ids=lambda q: q.__name__)
+def test_next_event_ns_agrees_across_event_queues(queue):
+    expected = _peeks(EventQueue())
+    assert expected[:3] == [("a", 10.0, 20.0), ("b", 20.0, 35.0),
+                            ("a", 35.0, 40.0)]
+    # The running process is never in the queue: at the last wake-up
+    # nothing else is left.
+    assert expected[-1] == ("a", 70.0, math.inf)
+    assert _peeks(queue()) == expected
