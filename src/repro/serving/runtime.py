@@ -11,11 +11,12 @@ hoists the machinery all six policies share onto :class:`repro.sim.SimCore`:
 * :func:`arrival_process` — injects each request into the queue at its
   ``arrival_ns``; pure bookkeeping, the open-loop load generator.
 * :class:`EngineSession` — one engine replica's resources: a CPU dispatch
-  thread plus one GPU device per tensor-parallel shard. ``execute`` is the
-  single point where a policy's step touches simulated hardware: it occupies
-  the thread, submits one kernel per device stream, appends to the replica's
-  device schedules (checkable by ``repro check schedule``), and records the
-  step with the run recorder.
+  thread plus one GPU device per tensor-parallel shard. ``execute`` (one
+  step) and ``execute_steps`` (a decode window's steps) are where a
+  policy's steps touch simulated hardware: each step occupies the thread,
+  submits one kernel per device stream and appends to the replica's device
+  schedules (checkable by ``repro check schedule``), and the steps are
+  recorded with the run recorder.
 * :class:`ServingRuntime` — owns the core, the queue, the sessions, and the
   outcome list. ``run(policy_factory)`` spawns the arrival process plus one
   policy process per replica and drives the simulation to completion.
