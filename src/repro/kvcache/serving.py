@@ -31,7 +31,7 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.kvcache.manager import KvManager, KvPolicy
 from repro.obs.events import EngineShape, StepKind
 from repro.serving.planner import (ChunkedSequenceState, PlannerConfig,
-                                   StepPlanner, decode_horizon)
+                                   StepPlanner)
 from repro.serving.requests import Request
 
 if TYPE_CHECKING:
@@ -280,8 +280,8 @@ def kv_continuous_batching_process(
         refused, and one that can never fit raises). A decode step only
         shrinks the free pool and never claims, so a probe that fails
         after one step of a window fails after every later one: those
-        steps need no admission at all. Heads still to arrive bound the
-        window through :func:`decode_horizon`.
+        steps need no admission at all. Requests still to arrive bound
+        the window as core events (see :meth:`StepPlanner.decode_window`).
         """
         if swapped and kv.host_blocks_of(swapped[0].request.request_id) <= free:
             return True
@@ -398,7 +398,7 @@ def kv_continuous_batching_process(
                 ids, contexts, deltas, min(seq.remaining for seq in active))
 
         step_batch = len(active)
-        horizon = decode_horizon(core, queue, clock)
+        horizon = core.next_event_ns()
         clocks = session.execute_steps(
             StepKind.DECODE, clock,
             planner.decode_window(latency, model, step_batch, max(contexts),

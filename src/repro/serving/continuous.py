@@ -37,7 +37,7 @@ from repro.obs.recorder import RunRecorder
 from repro.serving.batcher import ServingReport
 from repro.serving.latency import LatencyModel
 from repro.serving.planner import (ChunkedSequenceState, PlannerConfig,
-                                   PromptChunk, StepPlanner, decode_horizon,
+                                   PromptChunk, StepPlanner,
                                    decode_schedule_label)
 from repro.serving.requests import Request, queue_delay_ns
 from repro.workloads.config import ModelConfig
@@ -222,7 +222,7 @@ def continuous_batching_process(runtime: ServingRuntime,
                         return 1
                 return min(seq.remaining for seq in active)
 
-            horizon = decode_horizon(runtime.core, queue, clock)
+            horizon = runtime.core.next_event_ns()
             steps = planner.decode_window(
                 latency, model, step_batch,
                 max(seq.context for seq in active), policy.context_bucket,

@@ -23,7 +23,9 @@ This module is the planning layer every serving policy consumes:
 * :class:`StepPlanner` — the planner itself: prompt-progress state for
   chunked admissions, decode-priority hybrid step composition, the shared
   FIFO batch-claim decision (previously hand-rolled in the speculative,
-  pipeline, and RAG policies), and the marginal-prefill chunk cost model.
+  pipeline, and RAG policies), the marginal-prefill chunk cost model, and
+  the decode window the continuous loops run between boundaries
+  (:meth:`StepPlanner.decode_window`).
 
 Chunk cost model: chunk ``i`` covering ``[start, start+length)`` costs
 ``ttft_ns(bs, start+length) - ttft_ns(bs, start)`` — the *marginal* prefill
@@ -47,7 +49,6 @@ from repro.serving.requests import Request
 if TYPE_CHECKING:
     from repro.serving.latency import LatencyModel
     from repro.serving.runtime import AdmissionQueue
-    from repro.sim.core import SimCore
     from repro.workloads.config import ModelConfig
 
 
@@ -187,29 +188,12 @@ def _price_decode(latency: LatencyModel, model: ModelConfig,
                   batch_size: int, bucketed: int, priced_cpu: bool,
                   shaped: bool) -> DecodeStep:
     """One decode step at bucketed context ``bucketed``, priced."""
-    return DecodeStep(
+    return tuple.__new__(DecodeStep, (
         latency.decode_step_ns(model, batch_size, bucketed),
         latency.decode_step_cpu_ns(model, batch_size, bucketed)
         if priced_cpu else 0.0,
         EngineShape(model.name, batch_size, 1, phase="decode",
-                    context_len=bucketed) if shaped else None)
-
-
-def decode_horizon(core: SimCore, queue: AdmissionQueue,
-                   clock: float) -> float:
-    """The instant a decode window starting at ``clock`` must yield by.
-
-    The earlier of the core's next queued event and the queue's first
-    unclaimed arrival after ``clock``. At the event another replica, the
-    router, the arrival process or a wake-up acts, and a tie must go
-    through the queue's own tie-break order. At the arrival the queue
-    depth the steps record changes, and admission could claim. Requests
-    already due when the window starts are the caller's concern: if
-    admission could take one, the window is a single step.
-    """
-    horizon = core.next_event_ns()
-    arrival = queue.next_unclaimed_arrival(clock)
-    return horizon if arrival is None or arrival > horizon else arrival
+                    context_len=bucketed) if shaped else None))
 
 
 def chunk_plan(request_id: int, prompt_len: int,
@@ -392,10 +376,18 @@ class StepPlanner:
         when ``priced_cpu``; 0.0 otherwise), and carries its recorded
         shape when ``shaped`` (None otherwise). The window always yields one
         step. It goes on while the clock, advanced by repeated addition of
-        the step durations, stays strictly below ``horizon_ns`` (see
-        :func:`decode_horizon`) and the step count stays below
-        ``limit()``: the caller's bound from finishing sequences, pool
-        growth and pending prompt chunks. ``limit`` is called only once
+        the step durations, stays strictly below ``horizon_ns`` and the
+        step count stays below ``limit()``: the caller's bound from
+        finishing sequences, pool growth, pending prompt chunks and
+        admissions that could act.
+
+        ``horizon_ns`` is :meth:`SimCore.next_event_ns`: another replica,
+        the router or a wake-up acts there, and a step ending exactly on it
+        must yield so the tie goes through the queue's own order. It bounds
+        arrivals too, because every arrival is a core event (the
+        runtime's arrival process, or the cluster router): a new arrival
+        could be claimed or would change the queue depth the steps
+        record. ``limit`` is called only once
         the first step ends before the horizon, so a one-step window
         costs one lookup.
 
@@ -472,6 +464,5 @@ __all__ = [
     "StepPlan",
     "StepPlanner",
     "chunk_plan",
-    "decode_horizon",
     "decode_schedule_label",
 ]

@@ -301,12 +301,6 @@ class EngineSession:
         shapes: list[EngineShape | None] = []
         clock = ts_ns
         name = schedule_label or f"serving::{kind.value}"
-        # The run's first step of a kind inserts the recorder's counters
-        # for it. With a host model, a later step of the same window
-        # could book the run's first remote grant, whose counter a
-        # one-step loop inserts after them, so that step runs alone.
-        alone = (self.host is not None and self.recorder is not None
-                 and not self.recorder.steps_of(kind))
         for dur_ns, cpu_ns, shape in steps:
             start_ns, span_ns = self._step_hardware(clock, dur_ns, cpu_ns,
                                                     name)
@@ -315,7 +309,16 @@ class EngineSession:
             shapes.append(shape)
             clock += (start_ns - clock) + span_ns
             clocks.append(clock)
-            if clock >= horizon_ns or alone:
+            if clock >= horizon_ns:
+                break
+            # The run's first step of a kind inserts the recorder's
+            # counters for it. With a host model, a later step of the same
+            # window could book the run's first remote grant, whose
+            # counter a one-step loop inserts after them, so that step
+            # runs alone.
+            if (len(starts) == 1 and self.host is not None
+                    and self.recorder is not None
+                    and not self.recorder.steps_of(kind)):
                 break
         if self.recorder is not None:
             self.recorder.record_steps(kind, starts, spans, batch_size,

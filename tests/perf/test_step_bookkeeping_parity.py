@@ -169,10 +169,9 @@ def schedule_fingerprint(run) -> str:
 
     :func:`fingerprint` sees the recorder only; this one sees what the
     steps did to the hardware: the checkable schedule items (kernels and
-    the per-step TP ``join`` items, in order), each compute
-    stream's ``busy_ns``, ``free_at``, ``start_times`` and
-    ``kernel_count``, the dispatch thread's ``busy_ns`` and the step
-    count.
+    the per-step TP ``join`` items, in order), each compute stream's
+    ``busy_ns``, ``free_at``, ``start_times`` and ``kernel_count``, the
+    dispatch thread's ``busy_ns`` and the step count.
     """
     state = [
         (session.replica,
