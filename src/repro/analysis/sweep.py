@@ -90,9 +90,9 @@ def _sweep_point(payload: tuple) -> SweepPoint:
     """Compute one sweep cell. Top-level so process pools can pickle it."""
     model, platform, batch_size, seq_len, mode, phase, engine_config, tp = payload
     profiler = SkipProfiler(platform, engine_config)
-    metrics = profiler.profile_metrics(model, batch_size=batch_size,
-                                       seq_len=seq_len, mode=mode,
-                                       phase=phase, tp=tp)
+    metrics = profiler.profile(model, batch_size=batch_size,
+                               seq_len=seq_len, mode=mode,
+                               phase=phase, tp=tp).metrics
     return SweepPoint(platform=platform.name, model=model.name,
                       batch_size=batch_size, metrics=metrics)
 

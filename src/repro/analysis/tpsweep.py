@@ -111,9 +111,9 @@ def run_tp_sweep(
                            batch_size=batch_size, degrees=tuple(degrees))
     for degree in degrees:
         tp = TPConfig(degree=degree, dispatch=dispatch)
-        metrics = profiler.profile_metrics(model, batch_size=batch_size,
-                                           seq_len=seq_len, mode=mode,
-                                           phase=phase, tp=tp)
+        metrics = profiler.profile(model, batch_size=batch_size,
+                                   seq_len=seq_len, mode=mode,
+                                   phase=phase, tp=tp).metrics
         result.points.append(TPSweepPoint(degree=degree, metrics=metrics))
     return result
 

@@ -22,8 +22,9 @@ from repro.engine.fusion_apply import FusionPlan
 from repro.errors import AnalysisError
 from repro.skip.proximity import (
     ChainStats,
+    distinct_segments,
     kernel_segments,
-    mine_chains,
+    mine_distinct,
     select_nonoverlapping,
 )
 from repro.trace.trace import Trace
@@ -100,18 +101,21 @@ def analyze_segments(segments: Sequence[Sequence[str]],
     """
     if not segments:
         raise AnalysisError("no segments to analyze")
-    k_eager = sum(len(s) for s in segments) / len(segments)
+    # Each distinct segment is mined and selected once, weighted by how
+    # often it repeats; all totals are integers, so the ratios are exact.
+    distinct = distinct_segments(segments)
+    k_eager = sum(len(s) * w for s, w in distinct.items()) / len(segments)
     results: list[FusionAnalysis] = []
     for length in sorted(set(lengths)):
-        mining = mine_chains(segments, length)
+        mining = mine_distinct(distinct, length)
         deterministic = mining.deterministic(threshold)
 
         instance_total = 0
         distinct_total = 0
-        for segment in segments:
+        for segment, weight in distinct.items():
             selected = select_nonoverlapping(segment, deterministic)
-            instance_total += len(selected)
-            distinct_total += len({chain for _, chain in selected})
+            instance_total += weight * len(selected)
+            distinct_total += weight * len({chain for _, chain in selected})
         c_fused = distinct_total / len(segments)
         instances = instance_total / len(segments)
         k_fused = k_eager - c_fused * (length - 1)

@@ -9,8 +9,8 @@ trace (e.g. imported from a real PyTorch Profiler Chrome trace).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property, partial
+from typing import Callable, Sequence
 
 from repro.engine.executor import DEFAULT_CONFIG, EngineConfig, RunResult, run
 from repro.engine.pp import PPConfig
@@ -21,21 +21,58 @@ from repro.hardware.platform import Platform
 from repro.sim.causality import CausalityLog
 from repro.skip.classify import Boundedness, classify_metrics
 from repro.skip.depgraph import DependencyGraph
-from repro.skip.fusion import DEFAULT_CHAIN_LENGTHS, FusionAnalysis, analyze_trace
+from repro.skip.fusion import (
+    DEFAULT_CHAIN_LENGTHS, FusionAnalysis, analyze_segments,
+)
 from repro.skip.metrics import SkipMetrics, compute_metrics, metrics_from_tape
+from repro.skip.proximity import kernel_segments, tape_segments
+from repro.trace.tape import TraceTape
 from repro.trace.trace import Trace
 from repro.workloads.config import ModelConfig
 from repro.workloads.graph import Phase
 
 
-@dataclass
 class ProfileResult:
-    """Everything SKIP derives from one profiled run."""
+    """Everything SKIP derives from one profiled run.
 
-    trace: Trace
-    depgraph: DependencyGraph
-    metrics: SkipMetrics
-    run_result: RunResult | None = None
+    ``metrics`` and ``metadata`` are always at hand. A result of
+    :meth:`SkipProfiler.profile` is tape-first: its metrics, metadata and
+    kernel segments come from the engine's tape, and ``trace``,
+    ``depgraph`` and ``run_result`` are built on first read by re-running
+    the same call with a full trace (without the causality log). Callers
+    that read only metrics or fusions never build a :class:`Trace`. A
+    result of :meth:`SkipProfiler.analyze` holds its trace from the start.
+    """
+
+    def __init__(self, metrics: SkipMetrics, metadata: dict,
+                 tape: TraceTape | None = None,
+                 rerun: Callable[[], RunResult] | None = None) -> None:
+        self.metrics = metrics
+        self.metadata = metadata
+        self._tape = tape
+        self._rerun = rerun
+
+    @cached_property
+    def run_result(self) -> RunResult | None:
+        """The profiled run, carrying its full trace."""
+        assert self._rerun is not None
+        return self._rerun()
+
+    @cached_property
+    def trace(self) -> Trace:
+        assert self.run_result is not None and self.run_result.trace is not None
+        return self.run_result.trace
+
+    @cached_property
+    def depgraph(self) -> DependencyGraph:
+        return DependencyGraph.from_trace(self.trace)
+
+    @cached_property
+    def segments(self) -> list[list[str]]:
+        """Kernel-name sequences per iteration, in launch order."""
+        if self._tape is not None:
+            return tape_segments(self._tape)
+        return kernel_segments(self.trace)
 
     @property
     def boundedness(self) -> Boundedness:
@@ -47,8 +84,8 @@ class ProfileResult:
         lengths: Sequence[int] = DEFAULT_CHAIN_LENGTHS,
         threshold: float = 1.0,
     ) -> list[FusionAnalysis]:
-        """Proximity-score fusion recommendations for this trace."""
-        return analyze_trace(self.trace, lengths, threshold)
+        """Proximity-score fusion recommendations for this run."""
+        return analyze_segments(self.segments, lengths, threshold)
 
     def fusion_plan(
         self,
@@ -91,59 +128,19 @@ class SkipProfiler:
         pp: PPConfig | None = None,
         causality: CausalityLog | None = None,
     ) -> ProfileResult:
-        """Simulate a run on this profiler's platform and analyze its trace."""
-        run_result = run(
-            model,
-            self.platform,
-            batch_size=batch_size,
-            seq_len=seq_len,
-            mode=mode,
-            phase=phase,
-            context_len=context_len,
-            config=self.engine_config,
-            fusion_plan=fusion_plan,
-            tp=tp,
-            pp=pp,
-            causality=causality,
-        )
-        return self.analyze(run_result.trace, run_result)
+        """Simulate a run on this profiler's platform and analyze its tape.
 
-    def profile_metrics(
-        self,
-        model: ModelConfig,
-        batch_size: int = 1,
-        seq_len: int = 512,
-        mode: ExecutionMode = ExecutionMode.EAGER,
-        phase: Phase = Phase.PREFILL,
-        context_len: int | None = None,
-        fusion_plan: FusionPlan | None = None,
-        tp: TPConfig | None = None,
-        pp: PPConfig | None = None,
-    ) -> SkipMetrics:
-        """Metrics-only fast path: no trace, no dependency graph.
-
-        Runs the engine in tape mode and computes SKIP metrics directly
-        from the tape — **bit-identical** to ``profile(...).metrics`` (the
-        parity suite locks this), at a fraction of the cost. Sweeps and
-        serving latency lookups, which discard everything but the metrics,
-        go through here.
+        The engine runs once, in tape mode, with ``causality`` recording
+        that run. The result's trace is built only if it is read.
         """
-        run_result = run(
-            model,
-            self.platform,
-            batch_size=batch_size,
-            seq_len=seq_len,
-            mode=mode,
-            phase=phase,
-            context_len=context_len,
-            config=self.engine_config,
-            fusion_plan=fusion_plan,
-            tp=tp,
-            pp=pp,
-            tape=True,
-        )
-        assert run_result.tape is not None
-        return metrics_from_tape(run_result.tape)
+        call = partial(run, model, self.platform, batch_size=batch_size,
+                       seq_len=seq_len, mode=mode, phase=phase,
+                       context_len=context_len, config=self.engine_config,
+                       fusion_plan=fusion_plan, tp=tp, pp=pp)
+        tape = call(tape=True, causality=causality).tape
+        assert tape is not None
+        return ProfileResult(metrics_from_tape(tape), tape.metadata,
+                             tape=tape, rerun=call)
 
     def profile_graph(
         self,
@@ -164,6 +161,7 @@ class SkipProfiler:
     def analyze(trace: Trace, run_result: RunResult | None = None) -> ProfileResult:
         """Analyze an existing trace (simulated or imported)."""
         depgraph = DependencyGraph.from_trace(trace)
-        metrics = compute_metrics(trace, depgraph)
-        return ProfileResult(trace=trace, depgraph=depgraph, metrics=metrics,
-                             run_result=run_result)
+        result = ProfileResult(compute_metrics(trace, depgraph), trace.metadata)
+        result.trace, result.depgraph = trace, depgraph
+        result.run_result = run_result
+        return result

@@ -8,16 +8,21 @@ ideal fusion candidate.
 Mining operates on *segments*: kernel-name sequences in launch order,
 delimited by CPU/GPU synchronization (one segment per profiled iteration for
 the engine's traces), matching the paper's "sequences separated by
-intervening CPU operator dependency".
+intervening CPU operator dependency". An engine run repeats one kernel
+sequence every iteration, so mining counts each distinct segment once and
+weights it by how often it repeats; every count and ratio stays exact.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from repro.errors import AnalysisError
+from repro.trace.tape import (
+    G_ID, G_NAME, G_TS, L_CALL_ID, L_CALL_TS, L_NAME, TraceTape,
+)
 from repro.trace.trace import Trace
 
 
@@ -36,6 +41,31 @@ def kernel_segments(trace: Trace) -> list[list[str]]:
                           key=lambda k: (k.ts, k.event_id))
         segments.append([k.name for k in [*launched, *replayed]])
     return segments
+
+
+def tape_segments(tape: TraceTape) -> list[list[str]]:
+    """:func:`kernel_segments` of the equivalent full trace, from a tape.
+
+    Launched kernels come in call-id order (the tape's counterpart of the
+    correlation id), then replayed kernels by ``(ts, id)``; a launch belongs
+    to the iteration holding its call's ``ts``, a replayed kernel to the
+    one holding its own, as in ``Trace.kernels_in_iteration``.
+    """
+    if not tape.iterations:
+        raise AnalysisError("trace has no iteration marks")
+    launched = sorted(tape.launches, key=lambda r: r[L_CALL_ID])
+    replayed = sorted(tape.graph_kernels, key=lambda k: (k[G_TS], k[G_ID]))
+    return [
+        [r[L_NAME] for r in launched if mark.ts <= r[L_CALL_TS] < mark.ts_end]
+        + [k[G_NAME] for k in replayed if mark.ts <= k[G_TS] < mark.ts_end]
+        for mark in tape.iterations
+    ]
+
+
+def distinct_segments(segments: Sequence[Sequence[str]]
+                      ) -> Counter[tuple[str, ...]]:
+    """Each distinct segment with its repeat count, in first-seen order."""
+    return Counter(map(tuple, segments))
 
 
 @dataclass(frozen=True)
@@ -82,17 +112,32 @@ def mine_chains(segments: Sequence[Sequence[str]], length: int) -> MiningResult:
         segments: Kernel-name sequences (one per sync-delimited region).
         length: Chain length L (>= 2).
     """
+    return mine_distinct(distinct_segments(segments), length)
+
+
+def mine_distinct(distinct: Mapping[tuple[str, ...], int],
+                  length: int) -> MiningResult:
+    """:func:`mine_chains` over distinct segments weighted by repeat count.
+
+    Args:
+        distinct: Distinct segment -> how many times it occurs (see
+            :func:`distinct_segments`).
+        length: Chain length L (>= 2).
+    """
     if length < 2:
         raise AnalysisError("chain length must be >= 2")
-    if not segments:
+    if not distinct:
         raise AnalysisError("no segments to mine")
 
     window_counts: Counter[tuple[str, ...]] = Counter()
     anchor_counts: Counter[str] = Counter()
-    for segment in segments:
-        anchor_counts.update(segment)
-        for i in range(len(segment) - length + 1):
-            window_counts[tuple(segment[i:i + length])] += 1
+    for segment, weight in distinct.items():
+        for name, count in Counter(segment).items():
+            anchor_counts[name] += count * weight
+        windows = Counter(segment[i:i + length]
+                          for i in range(len(segment) - length + 1))
+        for chain, count in windows.items():
+            window_counts[chain] += count * weight
 
     chains = [
         ChainStats(chain=chain, frequency=freq,

@@ -56,7 +56,7 @@ def top_kernels_report(metrics: SkipMetrics, k: int = 10) -> str:
 
 def profile_report(result: ProfileResult, title: str | None = None) -> str:
     """Full report for one profiled run."""
-    meta = result.trace.metadata
+    meta = result.metadata
     heading = title or (
         f"{meta.get('model', '?')} on {meta.get('platform', '?')} "
         f"(BS={meta.get('batch_size', '?')}, {meta.get('mode', '?')})"

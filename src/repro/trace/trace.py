@@ -133,13 +133,15 @@ class Trace:
         Attribution is by the launch call's timestamp, not the kernel's own
         start, because queued kernels may begin executing after the iteration's
         CPU work has finished. Graph-replayed kernels (negative correlation
-        ids) have no launch call and are attributed by their own start time.
+        ids) have no launch call and are attributed by their own start time;
+        a ``cudaGraphLaunch`` marker's default id of -1 pairs with none.
         """
         mark = self._iteration(index)
         launches = {
             r.correlation_id
             for r in self.runtime_calls
-            if r.is_launch and mark.ts <= r.ts < mark.ts_end
+            if r.is_launch and r.correlation_id >= 0
+            and mark.ts <= r.ts < mark.ts_end
         }
         return [
             k for k in self.kernels

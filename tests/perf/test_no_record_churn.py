@@ -9,8 +9,9 @@ The churn audit found two classes of waste on runs nobody observes:
   were wanted — the tape fast path records plain tuples instead.
 
 These tests pin both behaviors: a no-record serving run must construct
-zero ``EngineShape`` objects, and a tape-mode engine run must draw zero
-global trace event ids. The global id counter in ``repro.trace.events`` is
+zero ``EngineShape`` objects, and a tape-mode engine run, or a SKIP
+profile read only for its metrics and fusion plan, must draw zero global
+trace event ids. The global id counter in ``repro.trace.events`` is
 the allocation probe: every trace event constructed anywhere in the
 process advances it exactly once.
 """
@@ -24,6 +25,7 @@ from repro.serving import (
     poisson_requests,
     simulate_serving,
 )
+from repro.skip import SkipProfiler
 from repro.trace import events as trace_events
 from repro.workloads import get_model
 
@@ -52,6 +54,16 @@ def test_tape_mode_engine_run_allocates_no_trace_events():
     drawn = _event_ids_drawn(lambda: run(
         GPT2, INTEL_H100, batch_size=2, seq_len=128, tape=True))
     assert drawn == 0
+
+
+def test_skip_profile_metrics_and_fusions_allocate_no_trace_events():
+    # The tape-first profile builds its trace only when ``.trace`` is read.
+    def profile_and_plan():
+        result = SkipProfiler(INTEL_H100).profile(GPT2, seq_len=128)
+        result.metrics
+        assert result.fusion_plan() is not None
+
+    assert _event_ids_drawn(profile_and_plan) == 0
 
 
 def test_unrecorded_policies_build_no_engine_shapes(monkeypatch):

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import TraceError
 from repro.trace import (
+    GRAPH_LAUNCH,
     KernelEvent,
     LAUNCH_KERNEL,
     OperatorEvent,
@@ -95,6 +96,20 @@ def test_kernels_in_iteration_includes_graph_kernels_by_start():
     trace.mark_iteration(0.0, 50.0)
     trace.sort()
     assert [k.name for k in trace.kernels_in_iteration(0)] == ["g"]
+
+
+def test_graph_launch_marker_claims_no_replayed_kernel():
+    # A cudaGraphLaunch marker keeps the default correlation id -1, which
+    # the first replayed kernel also carries; the kernel belongs only to
+    # the iteration holding its own start.
+    trace = Trace()
+    trace.add(KernelEvent(name="g", ts=10.0, dur=1.0, correlation_id=-1))
+    trace.add(RuntimeEvent(name=GRAPH_LAUNCH, ts=60.0, dur=1.0))
+    trace.mark_iteration(0.0, 50.0)
+    trace.mark_iteration(50.0, 100.0)
+    trace.sort()
+    assert [k.name for k in trace.kernels_in_iteration(0)] == ["g"]
+    assert trace.kernels_in_iteration(1) == []
 
 
 def test_missing_iteration_raises():
