@@ -12,7 +12,8 @@ their ``kv`` metadata. This pass replays the log against four invariants:
   exceeds the registered capacity.
 * **K003** — residency precedes decode: a sequence that was swapped out
   (or never allocated) must not take part in a decode step until its
-  blocks are back on the device.
+  blocks are back on the device. Each id of a step's ``decode`` event is
+  replayed, and a finding names the offending id.
 * **K004** — recompute implies prior free: a fresh ``alloc`` for a
   sequence that still holds blocks (or is parked in host memory) means the
   preemption path dropped an eviction.
@@ -55,10 +56,12 @@ def check_kv_events(events: Sequence[KvCacheEvent],
     shared: dict[int, list[int]] = {}  # prefix key -> [blocks, refcount]
     running = 0
 
-    def err(rule: str, index: int, event: KvCacheEvent, message: str) -> None:
+    def err(rule: str, index: int, event: KvCacheEvent, message: str,
+            seq: int | None = None) -> None:
+        seq = event.seq if seq is None else seq
         findings.append(Finding(
             rule, Severity.ERROR,
-            f"{where} event {index} ({event.kind} seq {event.seq})", message))
+            f"{where} event {index} ({event.kind} seq {seq})", message))
 
     for index, event in enumerate(events):
         seq = event.seq
@@ -163,13 +166,15 @@ def check_kv_events(events: Sequence[KvCacheEvent],
                         f"{seq} held {group[0]}")
                 running -= group[0]
         elif event.kind == "decode":
-            if seq in host:
-                err(K003, index, event,
-                    f"seq {seq} decoded while {host[seq]} of its blocks are "
-                    f"swapped out; swap-in must precede the decode step")
-            elif resident == 0:
-                err(K003, index, event,
-                    f"seq {seq} decoded while holding no KV blocks")
+            for seq in event.seqs:
+                if seq in host:
+                    err(K003, index, event,
+                        f"seq {seq} decoded while {host[seq]} of its blocks "
+                        f"are swapped out; swap-in must precede the decode "
+                        f"step", seq)
+                elif held.get(seq, 0) == 0:
+                    err(K003, index, event,
+                        f"seq {seq} decoded while holding no KV blocks", seq)
         if running != event.allocated:
             err(K002, index, event,
                 f"recorded allocated={event.allocated} but replay "

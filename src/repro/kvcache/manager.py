@@ -248,9 +248,10 @@ class KvManager:
         of ``starts`` (the step's start time): the first step acquires
         ``first_deltas``, every later step one block for each sequence at
         a block boundary (see :meth:`decode_steps_covered`). Each step
-        logs its ``grow`` events, then its ``decode`` events stamped with
+        logs its ``grow`` events, then its ``decode`` event stamped with
         that step's ``allocated`` count, as one call of each per step
-        would.
+        would. The resident set cannot change inside a window, so every
+        step's ``decode`` event carries the same id tuple.
         """
         block_tokens = self.block_tokens
         due: dict[int, list[tuple[int, int]]] = {}
@@ -260,6 +261,8 @@ class KvManager:
         pool = self.pool
         try_acquire = self.resource.try_acquire
         replica = self.replica
+        decode_step = KvCacheEvent.decode_step
+        ids = tuple(seqs)
         events: list[KvCacheEvent] = []
         for step, ts_ns in enumerate(starts):
             grown = (zip(seqs, first_deltas) if step == 0
@@ -273,8 +276,7 @@ class KvManager:
                         f"window the pool was planned to cover")
                 events.append(KvCacheEvent(ts_ns, "grow", seq, delta,
                                            pool.allocated, replica))
-            events.extend(KvCacheEvent.decodes(ts_ns, seqs, pool.allocated,
-                                               replica))
+            events.append(decode_step(ts_ns, ids, pool.allocated, replica))
         self.events.extend(events)
         if self.recorder is not None:
             self.recorder.kv_events.extend(events)
@@ -433,14 +435,17 @@ class KvManager:
     def note_decode(self, seqs: Sequence[int], ts_ns: float) -> None:
         """Log which sequences took part in a decode step (for K003).
 
-        One ``decode`` event per sequence, built in one pass and appended
-        to :attr:`events` (and the recorder's mirror) in one extend.
+        One ``decode`` event carrying ``seqs`` in batch order, appended to
+        :attr:`events` and the recorder's mirror; a step with no sequences
+        logs nothing.
         """
-        events = KvCacheEvent.decodes(ts_ns, seqs, self.pool.allocated,
-                                      self.replica)
-        self.events.extend(events)
+        if not seqs:
+            return
+        event = KvCacheEvent.decode_step(ts_ns, tuple(seqs),
+                                         self.pool.allocated, self.replica)
+        self.events.append(event)
         if self.recorder is not None:
-            self.recorder.kv_events.extend(events)
+            self.recorder.kv_events.append(event)
 
     def _log(self, ts_ns: float, kind: str, seq: int, blocks: int,
              refs: int = 0) -> None:

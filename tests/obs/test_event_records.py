@@ -1,9 +1,11 @@
 """KvCacheEvent and StepEvent: immutable, validated named-tuple records."""
 
+import json
 import pickle
 
 import pytest
 
+from repro.cli import main
 from repro.errors import AnalysisError
 from repro.kvcache import KvCacheEvent
 from repro.kvcache.events import KV_EVENT_KINDS
@@ -20,14 +22,22 @@ STEP_FIELDS = dict(index=4, kind=StepKind.DECODE, ts_ns=10.0, dur_ns=2.5,
 
 def test_kv_event_keeps_its_fields_and_defaults():
     event = KvCacheEvent(**KV_FIELDS)
-    assert KvCacheEvent._fields == tuple(KV_FIELDS)
+    assert KvCacheEvent._fields == (*KV_FIELDS, "seqs")
     assert [getattr(event, name) for name in KV_FIELDS] == \
         list(KV_FIELDS.values())
-    # The keyword construction tests/check uses: replica and refs default.
+    assert event.seqs == ()
+    # The keyword construction tests/check uses: replica, refs and seqs
+    # default.
     short = KvCacheEvent(ts_ns=0.0, kind="alloc", seq=1, blocks=4,
                          allocated=4)
-    assert (short.replica, short.refs) == (0, 0)
+    assert (short.replica, short.refs, short.seqs) == (0, 0, ())
     assert KvCacheEvent(0.0, "alloc", 1, 4, 4) == short
+    # A decode built without seqs is a v1 per-sequence record.
+    assert KvCacheEvent(0.0, "decode", 5, 0, 4).seqs == (5,)
+    step = KvCacheEvent(0.0, "decode", -1, 0, 4, seqs=(5, 2))
+    assert (step.seq, step.seqs) == (-1, (5, 2))
+    with pytest.raises(AnalysisError, match="grow event carries seqs"):
+        KvCacheEvent(**{**KV_FIELDS, "seqs": (3,)})
 
 
 @pytest.mark.parametrize("field, value, message", [
@@ -57,6 +67,61 @@ def test_kv_event_round_trips_through_a_dict():
         1.0, "free", 2, 3, 0, 0, 0)
     with pytest.raises(AnalysisError, match="malformed kv event"):
         KvCacheEvent.from_dict({"kind": "free"})
+
+
+def test_decode_step_round_trips_through_a_dict():
+    step = KvCacheEvent.decode_step(3.0, (4, 1, 7), allocated=9, replica=2)
+    payload = step.to_dict()
+    assert payload == {"ts_ns": 3.0, "kind": "decode", "seq": -1,
+                       "blocks": 0, "allocated": 9, "replica": 2,
+                       "refs": 0, "seqs": [4, 1, 7]}
+    assert KvCacheEvent.from_dict(json.loads(json.dumps(payload))) == step
+    # Only decode events write seqs.
+    assert "seqs" not in KvCacheEvent(**KV_FIELDS).to_dict()
+    # A v1 per-sequence decode reads as a one-id step.
+    v1 = {"ts_ns": 3.0, "kind": "decode", "seq": 4, "blocks": 0,
+          "allocated": 9, "replica": 2, "refs": 0}
+    assert KvCacheEvent.from_dict(v1).seqs == (4,)
+
+
+V2_DECODE = {"ts_ns": 3.0, "kind": "decode", "seq": -1, "blocks": 0,
+             "allocated": 9, "replica": 0, "refs": 0, "seqs": [4, 1]}
+BAD_SEQS = [
+    pytest.param({**V2_DECODE, "kind": "grow", "seq": 4, "blocks": 1},
+                 "non-decode event", id="on-grow"),
+    pytest.param({**V2_DECODE, "kind": "free", "seqs": [4]},
+                 "non-decode event", id="on-free"),
+    pytest.param({**V2_DECODE, "seqs": []}, "non-empty list", id="empty"),
+    pytest.param({**V2_DECODE, "seqs": None}, "non-empty list", id="null"),
+    pytest.param({**V2_DECODE, "seqs": 4}, "non-empty list", id="scalar"),
+    pytest.param({**V2_DECODE, "seqs": "41"}, "non-empty list", id="text"),
+    pytest.param({**V2_DECODE, "seqs": [4, "1"]}, "non-empty list",
+                 id="string-id"),
+    pytest.param({**V2_DECODE, "seqs": [4, 1.0]}, "non-empty list",
+                 id="float-id"),
+    pytest.param({**V2_DECODE, "seqs": [True]}, "non-empty list",
+                 id="bool-id"),
+]
+
+
+@pytest.mark.parametrize("payload, message", BAD_SEQS)
+def test_from_dict_rejects_bad_seqs(payload, message):
+    with pytest.raises(AnalysisError, match=message):
+        KvCacheEvent.from_dict(payload)
+
+
+@pytest.mark.parametrize("payload, message", BAD_SEQS)
+def test_check_trace_exits_2_on_bad_seqs(tmp_path, capsys, payload,
+                                         message):
+    trace = {"traceEvents": [], "metadata": {"kv": {
+        "pools": {"0": {"capacity_blocks": 16, "policy": "offload",
+                        "block_tokens": 16}},
+        "events": [{"ts_ns": 0.0, "kind": "alloc", "seq": 4, "blocks": 2,
+                    "allocated": 2, "replica": 0, "refs": 0}, payload]}}}
+    path = tmp_path / "bad-seqs.json"
+    path.write_text(json.dumps(trace))
+    assert main(["check", "trace", str(path)]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_step_event_keeps_its_fields_and_defaults():
@@ -92,14 +157,14 @@ def test_records_are_immutable(record):
     assert pickle.loads(pickle.dumps(record)) == record
 
 
-def test_decodes_equals_one_constructor_call_per_sequence():
-    events = KvCacheEvent.decodes(3.0, [4, 1, 4], allocated=9, replica=2)
-    assert events == [KvCacheEvent(3.0, "decode", seq, 0, 9, 2)
-                      for seq in (4, 1, 4)]
-    assert all(type(event) is KvCacheEvent for event in events)
-    assert KvCacheEvent.decodes(3.0, [], allocated=0) == []
+def test_decode_step_equals_one_constructor_call():
+    ids = (4, 1, 7)
+    step = KvCacheEvent.decode_step(3.0, ids, allocated=9, replica=2)
+    assert step == KvCacheEvent(3.0, "decode", -1, 0, 9, 2, 0, ids)
+    assert type(step) is KvCacheEvent
+    assert step.seqs is ids  # a window shares one tuple between its steps
     with pytest.raises(AnalysisError, match="negative allocated"):
-        KvCacheEvent.decodes(3.0, [1], allocated=-1)
+        KvCacheEvent.decode_step(3.0, (1,), allocated=-1)
 
 
 def _series(**overrides):

@@ -14,7 +14,8 @@ from the per-sequence implementation (one ``growth_delta``, ``grow`` and
 ``_log`` per sequence, one ``on_token`` per sequence, frozen-dataclass
 records, one sort per percentile) and hash the whole recorder state of
 four small serves: every step, every KV event (the recorder's mirror and
-every manager's own log), raw histogram values and weights in insertion
+every manager's own log, each per-step ``decode`` event hashed as the
+per-sequence rows it replaced), raw histogram values and weights in insertion
 order, counters in insertion order, aggregates, spans, the summary and
 the request outcomes. A second table, taken from the one-step-per-wake-up
 loops, hashes what the serves leave on their sessions' hardware.
@@ -30,7 +31,7 @@ from repro.engine.tp import TPConfig
 from repro.errors import SimulationError
 from repro.hardware import get_platform
 from repro.host import HostConfig, HostModel
-from repro.kvcache import KvCacheConfig, KvManager, KvPolicy
+from repro.kvcache import KvCacheConfig, KvCacheEvent, KvManager, KvPolicy
 from repro.obs import RunRecorder
 from repro.obs.events import EngineShape, StepKind
 from repro.serving import ContinuousBatchPolicy, LatencyModel, simulate_serving
@@ -54,13 +55,26 @@ def _kv_row(event) -> tuple:
             event.allocated, event.replica, event.refs)
 
 
+def _kv_rows(events) -> list[tuple]:
+    """The v1 rows of a KV log: one per-step ``decode`` event becomes one
+    row per sequence, in batch order, as the frozen fingerprints hash."""
+    rows = []
+    for event in events:
+        if event.kind == "decode":
+            rows.extend((event.ts_ns, "decode", seq, 0, event.allocated,
+                         event.replica, 0) for seq in event.seqs)
+        else:
+            rows.append(_kv_row(event))
+    return rows
+
+
 def fingerprint(recorder: RunRecorder, run) -> str:
     """Hash of everything a serve leaves in its recorder and outcomes."""
     summary = recorder.summary()
     state = (
         [_step_row(step) for step in recorder.steps],
-        [_kv_row(event) for event in recorder.kv_events],
-        [[_kv_row(event) for event in session.kv.events]
+        _kv_rows(recorder.kv_events),
+        [_kv_rows(session.kv.events)
          for session in run.sessions if session.kv is not None],
         [(name, list(h._values), list(h._weights))
          for name, h in recorder._histograms.items()],
@@ -323,17 +337,21 @@ def test_apply_growth_acquires_only_nonzero_deltas():
         manager.apply_growth([3], [manager.pool.free_blocks + 1], ts_ns=6.0)
 
 
-def test_note_decode_logs_one_event_per_sequence_in_both_logs():
+def test_note_decode_logs_one_event_per_step_in_both_logs():
     recorder = RunRecorder()
     manager = KvManager(GPT2, get_platform("AMD+A100"), KvPolicy.OFFLOAD,
                         capacity_blocks=64, recorder=recorder, replica=2)
     manager.try_allocate(5, 3, 0.0)
-    manager.note_decode([5, 9], ts_ns=4.0)
+    manager.try_allocate(9, 1, 0.0)
+    manager.note_decode([9, 5], ts_ns=4.0)
     manager.note_decode([], ts_ns=5.0)
-    decodes = [(e.ts_ns, e.kind, e.seq, e.blocks, e.allocated, e.replica,
-                e.refs) for e in manager.events[1:]]
-    assert decodes == [(4.0, "decode", 5, 0, 3, 2, 0),
-                       (4.0, "decode", 9, 0, 3, 2, 0)]
+    manager.note_decode([5], ts_ns=6.0)
+    assert manager.events[2:] == [
+        KvCacheEvent(4.0, "decode", -1, 0, 4, 2, 0, (9, 5)),
+        KvCacheEvent(6.0, "decode", -1, 0, 4, 2, 0, (5,))]
+    assert _kv_rows(manager.events[2:]) == [
+        (4.0, "decode", 9, 0, 4, 2, 0), (4.0, "decode", 5, 0, 4, 2, 0),
+        (6.0, "decode", 5, 0, 4, 2, 0)]
     assert recorder.kv_events == manager.events
     assert recorder.counters.as_dict() == {}
 
@@ -414,10 +432,20 @@ def test_apply_decode_window_equals_steps_done_one_by_one():
     assert windowed.events == looped.events
     assert mirrored == windowed.events[before:]
     assert windowed.pool.holdings == looped.pool.holdings
-    kinds = [event.kind for event in windowed.events[before:]]
-    # Each sequence crosses three block boundaries in 39 steps.
-    assert kinds.count("grow") == 9
-    assert kinds.count("decode") == 3 * len(starts)
+    logged = windowed.events[before:]
+    # Each sequence crosses three block boundaries in 39 steps; each step
+    # logs one decode event, after its growth, and every step of the
+    # window shares one id tuple.
+    assert [event.kind for event in logged].count("grow") == 9
+    decodes = [event for event in logged if event.kind == "decode"]
+    assert [event.ts_ns for event in decodes] == starts
+    assert all(event.seqs == (1, 2, 3) for event in decodes)
+    assert len({id(event.seqs) for event in decodes}) == 1
+    allocated = windowed.pool.allocated - sum(
+        event.blocks for event in logged if event.kind == "grow")
+    for event in logged:
+        allocated += event.blocks
+        assert event.allocated == allocated
 
 
 @pytest.mark.parametrize("spare", [0, 1, 2, 3, 5])
