@@ -19,6 +19,11 @@ per-sequence rows it replaced), raw histogram values and weights in insertion
 order, counters in insertion order, aggregates, spans, the summary and
 the request outcomes. A second table, taken from the one-step-per-wake-up
 loops, hashes what the serves leave on their sessions' hardware.
+
+Both tables also hold rows for the batched policies (static, priority,
+speculative, pipeline and RAG), taken from their hand-written processes:
+whole-prompt serves on one and on two replicas, and a chunked speculative
+serve.
 """
 
 import hashlib
@@ -40,6 +45,7 @@ from repro.serving.requests import poisson_requests
 from repro.traffic import (ArrivalFamily, ArrivalSpec, PrefixSpec,
                            TrafficConfig, generate_traffic)
 from repro.workloads import GPT2
+from tests.scenarios import batched_run
 
 
 def _step_row(step) -> tuple:
@@ -160,12 +166,83 @@ def sampled_continuous_serve():
     return recorder, run
 
 
+def static_serve():
+    """Static batching, one replica."""
+    recorder = RunRecorder()
+    _, run = batched_run("static", get_platform("GH200"), recorder=recorder)
+    return recorder, run
+
+
+def priority_serve():
+    """Two-class priority scheduling, one replica."""
+    recorder = RunRecorder()
+    _, run = batched_run("priority", get_platform("AMD+A100"),
+                         recorder=recorder)
+    return recorder, run
+
+
+def speculative_serve():
+    """Draft-and-verify serving, one replica."""
+    recorder = RunRecorder()
+    _, run = batched_run("speculative", get_platform("Intel+H100"),
+                         recorder=recorder)
+    return recorder, run
+
+
+def pipeline_serve():
+    """Two-stage agentic chains, one replica."""
+    recorder = RunRecorder()
+    _, run = batched_run("pipeline", get_platform("GH200"),
+                         recorder=recorder)
+    return recorder, run
+
+
+def rag_serve():
+    """Retrieval plus generation, one replica."""
+    recorder = RunRecorder()
+    _, run = batched_run("rag", get_platform("AMD+A100"), recorder=recorder)
+    return recorder, run
+
+
+def static_two_replica_serve():
+    """Static batching, two replicas racing for the queue."""
+    recorder = RunRecorder()
+    _, run = batched_run("static", get_platform("Intel+H100"), replicas=2,
+                         recorder=recorder)
+    return recorder, run
+
+
+def priority_two_replica_serve():
+    """Priority scheduling, two replicas racing for the queue."""
+    recorder = RunRecorder()
+    _, run = batched_run("priority", get_platform("GH200"), replicas=2,
+                         recorder=recorder)
+    return recorder, run
+
+
+def speculative_chunked_serve():
+    """Draft-and-verify serving with a chunked target prefill."""
+    recorder = RunRecorder()
+    _, run = batched_run("speculative", get_platform("GH200"),
+                         chunk_tokens=128, recorder=recorder)
+    assert recorder.counters.get("steps_prefill_chunk") > 0
+    return recorder, run
+
+
 #: Fingerprints of the per-sequence implementation (see module docstring).
 FROZEN = {
     offload_chunked_serve: "1d3fc9430f25e6ad",
     recompute_prefix_serve: "259292d8b2cc9a19",
     prefix_cluster_serve: "4d46ea1230c334f8",
     sampled_continuous_serve: "7d151bd19b059b91",
+    static_serve: "9485450fedbad03d",
+    priority_serve: "05d3f937c361bb82",
+    speculative_serve: "897ffecb47390f3f",
+    pipeline_serve: "e3f47333a68cfdb9",
+    rag_serve: "7111af582c670c3e",
+    static_two_replica_serve: "29e18711837e110d",
+    priority_two_replica_serve: "53af62b91bc45a31",
+    speculative_chunked_serve: "efa903d62e16b595",
 }
 
 
@@ -239,6 +316,14 @@ FROZEN_SCHEDULES = {
     sampled_continuous_serve: "7b0a4afe044ef316",
     tp2_continuous_serve: "62300773a7012442",
     chunked_continuous_serve: "fb826dbbbc63107c",
+    static_serve: "b7ad7b1deb5ef4c9",
+    priority_serve: "692bebb424a7b44e",
+    speculative_serve: "2f31d2b849bafa87",
+    pipeline_serve: "7591f2daf0dc848d",
+    rag_serve: "f9cd194cc2fac341",
+    static_two_replica_serve: "97967ec4c785fa67",
+    priority_two_replica_serve: "343d05324e08537d",
+    speculative_chunked_serve: "48b8346ed5bf8de0",
 }
 
 

@@ -166,3 +166,72 @@ def pressured_run(platform, policy,
         policy=ContinuousBatchPolicy(max_active=MAX_ACTIVE),
         recorder=recorder,
         kv=KvCacheConfig(policy=policy, pool_gib=POOL_GIB))
+
+
+#: The batched-policy stream: jittered prompts long enough to chunk at 64
+#: and 256 tokens, at a rate that keeps every replica busy back to back.
+BATCHED = dict(rate_per_s=80.0, duration_s=0.5, prompt_len=384,
+               prompt_jitter=128, output_tokens=12, output_jitter=6, seed=5)
+#: The five policies the batched serving loop runs.
+BATCHED_POLICIES = ("static", "priority", "speculative", "pipeline", "rag")
+
+
+def batched_policy(name, chunk_tokens=0):
+    """The batched policy ``name`` at ``chunk_tokens`` (static has no
+    chunked mode, so it only takes 0)."""
+    from repro.serving import (PipelineServingPolicy, PipelineStage,
+                               PriorityPolicy, RagServingPolicy,
+                               SpeculativeConfig, SpeculativeServingPolicy,
+                               StaticBatchPolicy)
+    from repro.workloads import QWEN2_0_5B
+
+    if name == "static":
+        if chunk_tokens:
+            raise ValueError("static batching prefills whole batches")
+        return StaticBatchPolicy(max_batch_size=4, max_wait_ns=10e6)
+    if name == "priority":
+        return PriorityPolicy(interactive_batch=2, bulk_batch=6,
+                              bulk_max_wait_ns=40e6,
+                              chunk_tokens=chunk_tokens)
+    if name == "speculative":
+        return SpeculativeServingPolicy(
+            draft=QWEN2_0_5B,
+            config=SpeculativeConfig(draft_tokens=3, acceptance_rate=0.6),
+            max_batch_size=4, chunk_tokens=chunk_tokens)
+    if name == "pipeline":
+        return PipelineServingPolicy(
+            stages=(PipelineStage("planner", GPT2, prompt_len=32,
+                                  output_tokens=6),
+                    PipelineStage("worker", GPT2, prompt_len=16,
+                                  output_tokens=4)),
+            max_batch_size=4, chunk_tokens=chunk_tokens)
+    if name == "rag":
+        return RagServingPolicy(retrieval_ns=1.5e6, tokens_per_chunk=64,
+                                top_k=2, max_batch_size=4,
+                                chunk_tokens=chunk_tokens)
+    raise ValueError(f"unknown batched policy {name!r}")
+
+
+def batched_run(name, platform, chunk_tokens=0, replicas=1, recorder=None,
+                queue=None, latency=None):
+    """Serve the BATCHED stream with batched policy ``name`` on ``platform``.
+
+    Returns ``(requests, run)``. The priority policy sees every fourth
+    request as interactive and the rest as bulk. ``latency`` lets a suite
+    share one warm :class:`LatencyModel` across runs.
+    """
+    from repro.serving import ClassifiedRequest, RequestClass
+
+    requests = poisson_requests(**BATCHED)
+    workload = list(requests)
+    if name == "priority":
+        workload = [ClassifiedRequest(
+            request=request,
+            request_class=(RequestClass.INTERACTIVE if index % 4 == 0
+                           else RequestClass.BULK))
+            for index, request in enumerate(requests)]
+    if latency is None:
+        latency = LatencyModel(platform=platform)
+    return requests, simulate_serving(
+        workload, GPT2, latency, policy=batched_policy(name, chunk_tokens),
+        replicas=replicas, recorder=recorder, queue=queue)
