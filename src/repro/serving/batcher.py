@@ -1,4 +1,4 @@
-"""Static batching: policy, report, and the sim-backed serving process.
+"""Static batching: policy and report.
 
 Section II-A of the paper frames the central serving trade-off: large batches
 maximize throughput but inflate per-user latency (TTFT); BS=1 minimizes
@@ -6,11 +6,13 @@ latency but wastes hardware. Static batching is the classic form: collect
 requests until the batch is full or the oldest has waited too long, then run
 prefill + decode for the whole batch padded to its longest member.
 
-The serving loop itself is :func:`static_batching_process`, a process on
-:class:`repro.serving.runtime.ServingRuntime`; :func:`simulate_static_batching`
-wraps it for the single-call API. The original standalone loop survives as
+:class:`StaticBatchPolicy` serves through the batched loop
+(:func:`repro.serving.batched.batched_serving_process`): its ``claim`` hook
+gathers the batching window and its ``plan`` hook prices the padded batch;
+:func:`simulate_static_batching` wraps it for the single-call API. The
+original standalone loop survives as
 :func:`repro.serving.legacy.legacy_static_batching`, and with one replica the
-process reproduces it bit-for-bit.
+batched loop reproduces it bit-for-bit.
 """
 
 from __future__ import annotations
@@ -19,15 +21,15 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from repro.errors import ConfigurationError
-from repro.obs.events import EngineShape, StepKind
 from repro.obs.recorder import RunRecorder
+from repro.serving.batched import BatchPlan, padded_plan
 from repro.serving.latency import LatencyModel
-from repro.serving.requests import Request, RequestOutcome, queue_delay_ns
+from repro.serving.planner import BatchDecision
+from repro.serving.requests import Request, RequestOutcome
 from repro.workloads.config import ModelConfig
 
 if TYPE_CHECKING:
-    from repro.serving.runtime import EngineSession, ServingRuntime
-    from repro.sim.core import Process
+    from repro.serving.runtime import AdmissionQueue, ServingRuntime
 
 
 @dataclass(frozen=True)
@@ -46,6 +48,31 @@ class StaticBatchPolicy:
             raise ConfigurationError("max_batch_size must be positive")
         if self.max_wait_ns < 0:
             raise ConfigurationError("max_wait_ns must be non-negative")
+
+    def claim(self, queue: AdmissionQueue, now: float) -> BatchDecision:
+        """The oldest waiting request plus everything that arrived within
+        its batching window, launched once the last of them is in."""
+        seed = queue.first_unclaimed()
+        if seed is None:
+            return BatchDecision(done=True)
+        if seed.arrival_ns > now:
+            # Nothing waiting yet: sleep until the next arrival. Another
+            # replica may claim it first; re-check on wake.
+            return BatchDecision(wake_at=seed.arrival_ns)
+        batch_start = max(seed.arrival_ns, now)
+        deadline = seed.arrival_ns + self.max_wait_ns
+        batch = queue.claim_batch(seed, self.max_batch_size,
+                                  max(deadline, batch_start))
+        return BatchDecision(batch=tuple(batch),
+                             launch_ns=max(batch_start, batch[-1].arrival_ns))
+
+    def plan(self, runtime: ServingRuntime,
+             batch: tuple[Request, ...]) -> BatchPlan:
+        """One prefill padded to the longest prompt, then a closed-form
+        generation to the longest output; every request is charged the
+        padded batch."""
+        return padded_plan(runtime.latency, runtime.model, batch,
+                           max(r.prompt_len for r in batch))
 
 
 @dataclass
@@ -81,68 +108,6 @@ class ServingReport:
 
     def mean_batch_size(self) -> float:
         return sum(o.batch_size for o in self.outcomes) / len(self.outcomes)
-
-
-def static_batching_process(runtime: ServingRuntime, session: EngineSession,
-                            policy: StaticBatchPolicy) -> Process:
-    """One replica's static-batching scheduler, as a sim process.
-
-    The replica sleeps until it is free, claims the oldest waiting request
-    plus everything that arrived within the batching window, runs the padded
-    batch as one prefill step plus a closed-form generation step, and goes
-    back to sleep until the batch drains.
-    """
-    queue = runtime.queue
-    latency = runtime.latency
-    model = runtime.model
-    recorder = runtime.recorder
-    free = 0.0
-    while True:
-        now = yield ("at", free)
-        seed = queue.first_unclaimed()
-        if seed is None:
-            break
-        if seed.arrival_ns > now:
-            # Nothing waiting yet: sleep until the next arrival. Another
-            # replica may claim it first; re-check on wake.
-            free = seed.arrival_ns
-            continue
-        batch_start = max(seed.arrival_ns, free)
-        deadline = seed.arrival_ns + policy.max_wait_ns
-        batch = queue.claim_batch(seed, policy.max_batch_size,
-                                  max(deadline, batch_start))
-        launch_ns = max(batch_start, batch[-1].arrival_ns)
-
-        batch_size = len(batch)
-        prompt_len = max(r.prompt_len for r in batch)
-        output_tokens = max(r.output_tokens for r in batch)
-        ttft = latency.ttft_ns(model, batch_size, prompt_len)
-        total = latency.generation_ns(model, batch_size, prompt_len,
-                                      output_tokens)
-        waiting = queue.depth(launch_ns) if recorder is not None else 0
-        if recorder is not None:
-            for request in batch:
-                recorder.on_admitted(request.request_id, request.arrival_ns,
-                                     launch_ns)
-        session.execute(
-            StepKind.PREFILL, launch_ns, ttft, batch_size,
-            queue_depth=waiting,
-            shape=EngineShape(model.name, batch_size, prompt_len)
-            if recorder is not None else None)
-        if total > ttft:
-            session.execute(StepKind.GENERATION, launch_ns + ttft,
-                            total - ttft, batch_size, queue_depth=waiting)
-        if recorder is not None:
-            for request in batch:
-                recorder.on_first_token(request.request_id, launch_ns + ttft)
-                recorder.on_completed(request.request_id, launch_ns + total)
-        for request in batch:
-            queued = queue_delay_ns(request, launch_ns)
-            runtime.complete(request, ttft_ns=queued + ttft,
-                             completion_ns=queued + total,
-                             batch_size=batch_size,
-                             service_start_ns=launch_ns, session=session)
-        free = launch_ns + total
 
 
 def simulate_static_batching(

@@ -48,6 +48,7 @@ from repro.serving.runtime import (
     KvReplicaStats,
     ReplicaStats,
     ServingRunResult,
+    policy_process,
 )
 from repro.sim.causality import CausalityLog
 from repro.sim.core import Process, SimCore
@@ -618,10 +619,7 @@ def simulate_cluster(
             prior behavior.
     """
     from repro.serving.batcher import ServingReport
-    from repro.serving.continuous import (
-        ContinuousBatchPolicy,
-        continuous_batching_process,
-    )
+    from repro.serving.continuous import ContinuousBatchPolicy
 
     if isinstance(router, str):
         try:
@@ -635,14 +633,9 @@ def simulate_cluster(
         raise ConfigurationError(
             f"cluster replicas run continuous batching; "
             f"got {type(policy).__name__}")
-    if kv is not None and kv.enabled:
-        from repro.kvcache.serving import kv_continuous_batching_process
-
-        process: Callable[..., Process] = kv_continuous_batching_process
-    else:
-        process = continuous_batching_process
     runtime = ClusterRuntime(
-        requests, model, latency, process=process, policy=policy,
+        requests, model, latency, process=policy_process(policy, kv),
+        policy=policy,
         router=router, replicas=replicas, recorder=recorder, kv=kv,
         autoscale=autoscale, disagg_prompt_ratio=disagg_prompt_ratio,
         queue=queue, causality=causality, host=host)

@@ -39,7 +39,7 @@ from repro.serving.latency import LatencyModel
 from repro.serving.planner import (ChunkedSequenceState, PlannerConfig,
                                    PromptChunk, StepPlanner,
                                    decode_schedule_label)
-from repro.serving.requests import Request, queue_delay_ns
+from repro.serving.requests import Request
 from repro.workloads.config import ModelConfig
 
 if TYPE_CHECKING:

@@ -21,11 +21,10 @@ This module is the planning layer every serving policy consumes:
   that a chunked prefill never interleaves out of order with its own
   decodes.
 * :class:`StepPlanner` — the planner itself: prompt-progress state for
-  chunked admissions, decode-priority hybrid step composition, the shared
-  FIFO batch-claim decision (previously hand-rolled in the speculative,
-  pipeline, and RAG policies), the marginal-prefill chunk cost model, and
-  the decode window the continuous loops run between boundaries
-  (:meth:`StepPlanner.decode_window`).
+  chunked admissions, decode-priority hybrid step composition, the FIFO
+  batch-claim decision of the batched policies, the marginal-prefill chunk
+  cost model, and the decode window the continuous loops run between
+  boundaries (:meth:`StepPlanner.decode_window`).
 
 Chunk cost model: chunk ``i`` covering ``[start, start+length)`` costs
 ``ttft_ns(bs, start+length) - ttft_ns(bs, start)`` — the *marginal* prefill
@@ -38,7 +37,7 @@ lock possible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Callable, Hashable, Iterator, NamedTuple,
                     Sequence)
 
@@ -161,16 +160,16 @@ class StepPlan:
 
 @dataclass(frozen=True)
 class BatchDecision:
-    """The FIFO batch-claim decision shared by the batched policies.
+    """A batched policy's claim decision (its ``claim`` hook's answer).
 
     Exactly one of three shapes: ``done`` (no unclaimed work remains),
-    an empty ``batch`` with ``wake_at`` set (the oldest unclaimed request
-    has not arrived yet — sleep until it does), or a non-empty ``batch``
-    with ``seed_arrival`` set (serve it now).
+    an empty ``batch`` with ``wake_at`` set (nothing to serve yet — sleep
+    until then and ask again), or a non-empty ``batch`` with ``launch_ns``
+    set (the claimed batch starts service then).
     """
 
     batch: tuple[Request, ...] = ()
-    seed_arrival: float = 0.0
+    launch_ns: float = 0.0
     wake_at: float | None = None
     done: bool = False
 
@@ -420,13 +419,12 @@ class StepPlanner:
     @staticmethod
     def next_fifo_batch(queue: AdmissionQueue, now: float, limit: int,
                         tag: Hashable = None) -> BatchDecision:
-        """The oldest-first batch claim the batched policies all share.
+        """The oldest-first batch claim of the FIFO batched policies
+        (speculative, pipeline, RAG).
 
-        Replicates the seed-scan the speculative/pipeline/RAG processes
-        each hand-rolled: peek the oldest unclaimed entry, sleep until it
-        arrives if it is in the future, otherwise claim it plus everything
-        else waiting (up to ``limit``). Performs the same queue calls in
-        the same order, so refactored policies stay bit-identical.
+        Peeks the oldest unclaimed entry, sleeps until it arrives if it is
+        in the future, otherwise claims it plus everything else waiting (up
+        to ``limit``) and launches the batch at ``now``.
         """
         seed = queue.first_unclaimed(tag)
         if seed is None:
@@ -434,7 +432,8 @@ class StepPlanner:
         if seed.arrival_ns > now:
             return BatchDecision(wake_at=seed.arrival_ns)
         batch = queue.claim(now, limit, tag)
-        return BatchDecision(batch=tuple(batch), seed_arrival=seed.arrival_ns)
+        return BatchDecision(batch=tuple(batch),
+                             launch_ns=max(seed.arrival_ns, now))
 
 
 @dataclass

@@ -18,16 +18,16 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.obs.events import EngineShape, StepKind
+from repro.obs.events import StepKind
 from repro.retrieval.index import BruteForceIndex, IVFIndex
+from repro.serving.batched import BatchPlan, Step, padded_plan
 from repro.serving.latency import LatencyModel
-from repro.serving.planner import PlannerConfig, StepPlanner
-from repro.serving.requests import queue_delay_ns
+from repro.serving.planner import BatchDecision, StepPlanner
+from repro.serving.requests import Request
 from repro.workloads.config import ModelConfig
 
 if TYPE_CHECKING:
-    from repro.serving.runtime import EngineSession, ServingRuntime
-    from repro.sim.core import Process
+    from repro.serving.runtime import AdmissionQueue, ServingRuntime
 
 
 @dataclass(frozen=True)
@@ -163,81 +163,25 @@ class RagServingPolicy:
             raise ConfigurationError(
                 "chunk_tokens must be non-negative (0 disables chunking)")
 
+    def claim(self, queue: AdmissionQueue, now: float) -> BatchDecision:
+        """The oldest waiting queries, up to ``max_batch_size``."""
+        return StepPlanner.next_fifo_batch(queue, now, self.max_batch_size)
 
-def rag_serving_process(runtime: ServingRuntime, session: EngineSession,
-                        policy: RagServingPolicy) -> Process:
-    """One replica's RAG server, as a sim process.
+    def plan(self, runtime: ServingRuntime,
+             batch: tuple[Request, ...]) -> BatchPlan:
+        """One retrieval step, then a prefill over the context-augmented
+        prompt and the closed-form decode tail, padded to the batch. The
+        user-perceived TTFT includes the retrieval — the paper's
+        batching-versus-TTFT trade-off with the retrieval floor added.
 
-    FIFO batching: each claimed batch pays one retrieval step, then a
-    prefill over the context-augmented prompt and the closed-form decode
-    tail. The user-perceived TTFT includes the retrieval — the paper's
-    batching-versus-TTFT trade-off with the retrieval floor added.
-
-    Modeling note: the retrieval step is recorded as device work like every
-    other step (one covering kernel on the replica's streams). That keeps
-    the exported trace's device timeline gap-free; see ``docs/serving.md``.
-    """
-    queue = runtime.queue
-    latency = runtime.latency
-    model = runtime.model
-    recorder = runtime.recorder
-    context_tokens = policy.top_k * policy.tokens_per_chunk
-    planner = StepPlanner(PlannerConfig(chunk_tokens=policy.chunk_tokens))
-    free = 0.0
-    while True:
-        now = yield ("at", free)
-        decision = StepPlanner.next_fifo_batch(queue, now,
-                                               policy.max_batch_size)
-        if decision.done:
-            break
-        if decision.wake_at is not None:
-            free = decision.wake_at
-            continue
-        launch = max(decision.seed_arrival, free)
-        batch = list(decision.batch)
-
-        batch_size = len(batch)
-        prompt_len = max(r.prompt_len for r in batch) + context_tokens
-        output_tokens = max(r.output_tokens for r in batch)
-        ttft = latency.ttft_ns(model, batch_size, prompt_len)
-        total = latency.generation_ns(model, batch_size, prompt_len,
-                                      output_tokens)
-        waiting = queue.depth(launch) if recorder is not None else 0
-        if recorder is not None:
-            for request in batch:
-                recorder.on_admitted(request.request_id, request.arrival_ns,
-                                     launch)
-        clock = launch
-        if policy.retrieval_ns > 0:
-            session.execute(StepKind.RETRIEVAL, clock, policy.retrieval_ns,
-                            batch_size, queue_depth=waiting)
-            clock += policy.retrieval_ns
-        # Planner-decomposed prefill over the context-augmented prompt:
-        # one whole chunk when chunking is off, budget-sized chunks else.
-        offset = 0.0
-        for chunk in planner.prefill_plan(batch[0].request_id, prompt_len):
-            chunk_ns = (ttft if chunk.is_whole
-                        else StepPlanner.chunk_cost_ns(latency, model,
-                                                       batch_size, chunk))
-            session.execute(chunk.kind, clock + offset, chunk_ns, batch_size,
-                            queue_depth=waiting,
-                            shape=EngineShape(model.name, batch_size,
-                                              prompt_len)
-                            if recorder is not None and chunk.is_whole
-                            else None,
-                            schedule_label=chunk.schedule_label)
-            offset += chunk_ns
-        if total > ttft:
-            session.execute(StepKind.GENERATION, clock + offset, total - ttft,
-                            batch_size, queue_depth=waiting)
-        for request in batch:
-            queued = queue_delay_ns(request, launch)
-            if recorder is not None:
-                recorder.on_first_token(request.request_id, clock + ttft)
-                recorder.on_completed(request.request_id, clock + total)
-            runtime.complete(request,
-                             ttft_ns=queued + policy.retrieval_ns + ttft,
-                             completion_ns=queued + policy.retrieval_ns + total,
-                             batch_size=batch_size,
-                             service_start_ns=launch, session=session)
-        free = clock + total
+        Modeling note: the retrieval step is recorded as device work like
+        every other step (one covering kernel on the replica's streams).
+        That keeps the exported trace's device timeline gap-free; see
+        ``docs/serving.md``.
+        """
+        context_tokens = self.top_k * self.tokens_per_chunk
+        return padded_plan(
+            runtime.latency, runtime.model, batch,
+            max(r.prompt_len for r in batch) + context_tokens,
+            lead=((Step(StepKind.RETRIEVAL, self.retrieval_ns),)
+                  if self.retrieval_ns > 0 else ()))

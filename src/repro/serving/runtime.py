@@ -2,7 +2,8 @@
 
 Every serving policy used to be its own standalone simulator, each carrying
 a private float clock, admission scan, and outcome bookkeeping. This module
-hoists the machinery all six policies share onto :class:`repro.sim.SimCore`:
+hoists the machinery all serving policies share onto
+:class:`repro.sim.SimCore`:
 
 * :class:`AdmissionQueue` — the shared arrival stream. Entries are sorted by
   arrival; policy processes *claim* them (atomically, between yields) and a
@@ -20,9 +21,11 @@ hoists the machinery all six policies share onto :class:`repro.sim.SimCore`:
 * :class:`ServingRuntime` — owns the core, the queue, the sessions, and the
   outcome list. ``run(policy_factory)`` spawns the arrival process plus one
   policy process per replica and drives the simulation to completion.
-* :func:`simulate_serving` — the one entry point: dispatches a policy object
-  to its process implementation and wraps the results (report, per-replica
-  stats, schedules) in a :class:`ServingRunResult`.
+* :func:`simulate_serving` — the one entry point: :func:`policy_process`
+  picks the policy's process (continuous batching, its KV-gated form, or
+  the batched loop of :mod:`repro.serving.batched` that static, priority,
+  speculative, pipeline and RAG policies share), and the results (report,
+  per-replica stats, schedules) come back in a :class:`ServingRunResult`.
 
 With ``replicas=1`` the policy processes perform exactly the same float
 operations in the same order as the legacy loops in
@@ -623,39 +626,38 @@ def _normalize(requests: Sequence) -> tuple[list[Request], dict[int, Hashable]]:
     return plain, tags
 
 
-def _policy_factory(policy: object) -> Callable[..., Process]:
-    """Map a policy object to its process implementation (lazy imports keep
-    the policy modules free to import this one at module level)."""
-    from repro.serving.batcher import StaticBatchPolicy, static_batching_process
+def policy_process(policy: object,
+                   kv: KvCacheConfig | None = None) -> Callable[..., Process]:
+    """The process that serves ``policy``: one of three.
+
+    Continuous batching runs :func:`continuous_batching_process`, or the
+    KV-gated :func:`~repro.kvcache.serving.kv_continuous_batching_process`
+    when ``kv`` sets a pressure policy. Every policy with ``claim`` and
+    ``plan`` hooks (static, priority, speculative, pipeline, RAG) runs
+    :func:`~repro.serving.batched.batched_serving_process`. Lazy imports
+    keep the policy modules free to import this one at module level.
+    """
     from repro.serving.continuous import (
         ContinuousBatchPolicy,
         continuous_batching_process,
     )
-    from repro.serving.pipeline import (
-        PipelineServingPolicy,
-        pipeline_serving_process,
-    )
-    from repro.serving.rag import RagServingPolicy, rag_serving_process
-    from repro.serving.scheduler import (
-        PriorityPolicy,
-        priority_scheduling_process,
-    )
-    from repro.serving.speculative import (
-        SpeculativeServingPolicy,
-        speculative_serving_process,
-    )
 
-    table: list[tuple[type, Callable[..., Process]]] = [
-        (StaticBatchPolicy, static_batching_process),
-        (ContinuousBatchPolicy, continuous_batching_process),
-        (PriorityPolicy, priority_scheduling_process),
-        (SpeculativeServingPolicy, speculative_serving_process),
-        (PipelineServingPolicy, pipeline_serving_process),
-        (RagServingPolicy, rag_serving_process),
-    ]
-    for policy_type, process in table:
-        if isinstance(policy, policy_type):
-            return process
+    kv_pressure = kv is not None and kv.enabled
+    if isinstance(policy, ContinuousBatchPolicy):
+        if kv_pressure:
+            from repro.kvcache.serving import kv_continuous_batching_process
+
+            return kv_continuous_batching_process
+        return continuous_batching_process
+    if kv_pressure:
+        raise ConfigurationError(
+            f"KV pressure policies require continuous batching; "
+            f"got {type(policy).__name__}")
+    if callable(getattr(policy, "claim", None)) and callable(
+            getattr(policy, "plan", None)):
+        from repro.serving.batched import batched_serving_process
+
+        return batched_serving_process
     raise ConfigurationError(
         f"no serving process for policy {type(policy).__name__}")
 
@@ -708,16 +710,7 @@ def simulate_serving(
             f"host CPU contention requires continuous batching "
             f"(only that policy family prices per-step CPU shares); "
             f"got {type(policy).__name__}")
-    if kv is not None and kv.enabled:
-        if not isinstance(policy, ContinuousBatchPolicy):
-            raise ConfigurationError(
-                f"KV pressure policies require continuous batching; "
-                f"got {type(policy).__name__}")
-        from repro.kvcache.serving import kv_continuous_batching_process
-
-        process: Callable[..., Process] = kv_continuous_batching_process
-    else:
-        process = _policy_factory(policy)
+    process = policy_process(policy, kv)
     plain, tags = _normalize(requests)
     runtime = ServingRuntime(plain, model, latency, recorder=recorder,
                              replicas=replicas, tags=tags or None, kv=kv,

@@ -13,12 +13,14 @@ engine —
 Compared with a single FIFO queue, interactive latency approaches BS=1
 serving while bulk work keeps the GPU in its high-throughput region.
 
-The serving loop is :func:`priority_scheduling_process` on
-:class:`repro.serving.runtime.ServingRuntime`. It fixes the legacy loop's
-batch-accounting bug: :func:`repro.serving.legacy.legacy_priority_scheduling`
-charged every request in a bulk batch the batch maximum ``output_tokens``,
-overstating short requests' completion latency; the sim-backed path charges
-each request its own generation time (the engine still runs for the padded
+:class:`PriorityPolicy` serves through the batched loop
+(:func:`repro.serving.batched.batched_serving_process`): its ``claim`` hook
+is the two-class rule and its ``plan`` hook prices the padded batch. It
+fixes the legacy loop's batch-accounting bug:
+:func:`repro.serving.legacy.legacy_priority_scheduling` charged every
+request in a bulk batch the batch maximum ``output_tokens``, overstating
+short requests' completion latency; the sim-backed path charges each
+request its own generation time (the engine still runs for the padded
 batch maximum, so scheduling decisions and TTFTs are unchanged).
 """
 
@@ -29,17 +31,16 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError
-from repro.obs.events import EngineShape, StepKind
 from repro.obs.recorder import RunRecorder
+from repro.serving.batched import BatchPlan, padded_plan
 from repro.serving.batcher import ServingReport
 from repro.serving.latency import LatencyModel
-from repro.serving.planner import PlannerConfig, StepPlanner
-from repro.serving.requests import Request, RequestOutcome, queue_delay_ns
+from repro.serving.planner import BatchDecision
+from repro.serving.requests import Request, RequestOutcome
 from repro.workloads.config import ModelConfig
 
 if TYPE_CHECKING:
-    from repro.serving.runtime import EngineSession, ServingRuntime
-    from repro.sim.core import Process
+    from repro.serving.runtime import AdmissionQueue, ServingRuntime
 
 
 class RequestClass(enum.Enum):
@@ -82,6 +83,51 @@ class PriorityPolicy:
             raise ConfigurationError(
                 "chunk_tokens must be non-negative (0 disables chunking)")
 
+    def claim(self, queue: AdmissionQueue, now: float) -> BatchDecision:
+        """Waiting interactive requests first, at small batch; bulk
+        requests once the batch fills, the oldest hits the starvation
+        guard, or no further arrivals are coming. Requests carry their
+        class as the admission-queue tag (see ``ClassifiedRequest``)."""
+        if queue.all_claimed():
+            return BatchDecision(done=True)
+        interactive = queue.claim(now, self.interactive_batch,
+                                  tag=RequestClass.INTERACTIVE)
+        if interactive:
+            return BatchDecision(batch=tuple(interactive), launch_ns=now)
+        bulk_depth = queue.depth(now, tag=RequestClass.BULK)
+        if bulk_depth:
+            oldest = queue.first_unclaimed(tag=RequestClass.BULK)
+            assert oldest is not None
+            bulk_due = (
+                bulk_depth >= self.bulk_batch
+                or now - oldest.arrival_ns >= self.bulk_max_wait_ns
+                or queue.next_unclaimed_arrival(after=now) is None)
+            if bulk_due:
+                return BatchDecision(
+                    batch=tuple(queue.claim(now, self.bulk_batch,
+                                            tag=RequestClass.BULK)),
+                    launch_ns=now)
+        nxt = queue.next_unclaimed_arrival(after=now)
+        if nxt is not None:
+            return BatchDecision(wake_at=nxt)
+        if bulk_depth:
+            # Let the starvation guard fire.
+            return BatchDecision(wake_at=now + self.bulk_max_wait_ns)
+        waiting = queue.first_unclaimed()
+        assert waiting is not None
+        raise ConfigurationError(
+            f"request {waiting.request.request_id} has no service class; "
+            f"priority scheduling serves ClassifiedRequest streams")
+
+    def plan(self, runtime: ServingRuntime,
+             batch: tuple[Request, ...]) -> BatchPlan:
+        """The batch prefill padded to its longest prompt and generation to
+        its longest output. Each request is charged its own generation
+        time; the engine still runs for the padded batch maximum, so the
+        clock advance and every scheduling decision are unchanged."""
+        return padded_plan(runtime.latency, runtime.model, batch,
+                           max(r.prompt_len for r in batch), own_output=True)
+
 
 @dataclass
 class PriorityReport:
@@ -93,98 +139,6 @@ class PriorityReport:
     @property
     def all_outcomes(self) -> list[RequestOutcome]:
         return [*self.interactive.outcomes, *self.bulk.outcomes]
-
-
-def priority_scheduling_process(runtime: ServingRuntime,
-                                session: EngineSession,
-                                policy: PriorityPolicy) -> Process:
-    """One replica's two-class scheduler, as a sim process.
-
-    Interactive requests preempt the queue at small batch; bulk requests
-    accumulate until the batch fills, the oldest hits the starvation guard,
-    or no further arrivals are coming. Requests carry their class as the
-    admission-queue tag (see ``ClassifiedRequest``).
-    """
-    queue = runtime.queue
-    latency = runtime.latency
-    model = runtime.model
-    recorder = runtime.recorder
-    planner = StepPlanner(PlannerConfig(chunk_tokens=policy.chunk_tokens))
-    clock = 0.0
-
-    def serve(batch: list[Request]) -> None:
-        nonlocal clock
-        start = clock
-        batch_size = len(batch)
-        prompt = max(r.prompt_len for r in batch)
-        output = max(r.output_tokens for r in batch)
-        ttft = latency.ttft_ns(model, batch_size, prompt)
-        total = latency.generation_ns(model, batch_size, prompt, output)
-        waiting = queue.depth(start) if recorder is not None else 0
-        if recorder is not None:
-            for request in batch:
-                recorder.on_admitted(request.request_id, request.arrival_ns,
-                                     start)
-        # The planner decomposes the batch prefill: one whole-prompt
-        # chunk when chunking is off (the legacy step, bit-identical), or
-        # budget-sized chunks priced at their marginal prefill cost.
-        offset = 0.0
-        for chunk in planner.prefill_plan(batch[0].request_id, prompt):
-            chunk_ns = (ttft if chunk.is_whole
-                        else StepPlanner.chunk_cost_ns(latency, model,
-                                                       batch_size, chunk))
-            session.execute(chunk.kind, start + offset, chunk_ns, batch_size,
-                            queue_depth=waiting,
-                            shape=EngineShape(model.name, batch_size, prompt)
-                            if recorder is not None and chunk.is_whole
-                            else None,
-                            schedule_label=chunk.schedule_label)
-            offset += chunk_ns
-        if total > ttft:
-            session.execute(StepKind.GENERATION, start + offset, total - ttft,
-                            batch_size, queue_depth=waiting)
-        clock = start + total
-        for request in batch:
-            # Each request is charged its own generation time; the engine
-            # still runs for the padded batch maximum (``total`` above), so
-            # the clock advance and every scheduling decision are unchanged.
-            total_r = latency.generation_ns(model, batch_size, prompt,
-                                            request.output_tokens)
-            queued = queue_delay_ns(request, start)
-            if recorder is not None:
-                recorder.on_first_token(request.request_id, start + ttft)
-                recorder.on_completed(request.request_id, start + total_r)
-            runtime.complete(request, ttft_ns=queued + ttft,
-                             completion_ns=queued + total_r,
-                             batch_size=batch_size,
-                             service_start_ns=start, session=session)
-
-    while True:
-        clock = yield ("at", clock)
-        if queue.all_claimed():
-            break
-        interactive = queue.claim(clock, policy.interactive_batch,
-                                  tag=RequestClass.INTERACTIVE)
-        if interactive:
-            serve(interactive)
-            continue
-        bulk_depth = queue.depth(clock, tag=RequestClass.BULK)
-        if bulk_depth:
-            oldest = queue.first_unclaimed(tag=RequestClass.BULK)
-            assert oldest is not None
-            bulk_due = (
-                bulk_depth >= policy.bulk_batch
-                or clock - oldest.arrival_ns >= policy.bulk_max_wait_ns
-                or queue.next_unclaimed_arrival(after=clock) is None)
-            if bulk_due:
-                serve(queue.claim(clock, policy.bulk_batch,
-                                  tag=RequestClass.BULK))
-                continue
-        nxt = queue.next_unclaimed_arrival(after=clock)
-        if nxt is not None:
-            clock = nxt
-        elif bulk_depth:
-            clock += policy.bulk_max_wait_ns  # let the starvation guard fire
 
 
 def simulate_priority_scheduling(

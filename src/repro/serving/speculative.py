@@ -16,6 +16,11 @@ Latency model per round (draft length K, acceptance rate a):
 * one target-model forward over the K proposed tokens (a small prefill);
 * expected accepted tokens per round: classic geometric acceptance,
   ``E = (1 - a^(K+1)) / (1 - a)`` (includes the bonus token).
+
+:func:`speculative_steps` prices one batch's timeline.
+:class:`SpeculativeServingPolicy` serves it through the batched loop
+(:func:`repro.serving.batched.batched_serving_process`), and
+:func:`speculative_generation_ns` prices and records one batch from it.
 """
 
 from __future__ import annotations
@@ -27,14 +32,15 @@ from typing import TYPE_CHECKING
 from repro.errors import ConfigurationError
 from repro.obs.events import EngineShape, StepKind
 from repro.obs.recorder import RunRecorder
+from repro.serving.batched import (BatchPlan, Booked, Prefill, Step,
+                                   record_plan)
 from repro.serving.latency import LatencyModel
-from repro.serving.planner import PlannerConfig, StepPlanner
-from repro.serving.requests import queue_delay_ns
+from repro.serving.planner import BatchDecision, StepPlanner
+from repro.serving.requests import Request
 from repro.workloads.config import ModelConfig
 
 if TYPE_CHECKING:
-    from repro.serving.runtime import EngineSession, ServingRuntime
-    from repro.sim.core import Process
+    from repro.serving.runtime import AdmissionQueue, ServingRuntime
 
 
 @dataclass(frozen=True)
@@ -78,6 +84,53 @@ class SpeculativeLatency:
         return self.baseline_ns / self.speculative_ns
 
 
+def speculative_steps(
+    target: ModelConfig,
+    draft: ModelConfig,
+    latency: LatencyModel,
+    config: SpeculativeConfig,
+    batch_size: int,
+    prompt_len: int,
+    output_tokens: int,
+    shaped: bool,
+) -> tuple[tuple[Prefill | Step, ...], float, float]:
+    """One batch's draft-and-verify timeline, priced.
+
+    Returns the steps (the target prefill, then per round ``draft_tokens``
+    draft decode steps and one verification pass, the fractional last
+    round as one closed-form step of each kind), the prefill's cost and
+    the cost of one round. Context growth is approximated at the
+    mid-generation point (decode latency is near-affine in context). Draft
+    and verify steps carry their engine shapes when ``shaped``.
+    """
+    mid_context = prompt_len + output_tokens // 2
+    prefill = latency.ttft_ns(target, batch_size, prompt_len)
+    draft_step = latency.decode_step_ns(draft, batch_size, mid_context)
+    # Verification: one target forward over K proposed tokens. Modeled as a
+    # K-token prefill continuation (the KV cache covers the context).
+    verify = latency.ttft_ns(target, batch_size, config.draft_tokens)
+    per_round = config.draft_tokens * draft_step + verify
+    rounds = output_tokens / config.expected_tokens_per_round
+    draft_shape = verify_shape = None
+    if shaped:
+        draft_shape = EngineShape(draft.name, batch_size, 1, phase="decode",
+                                  context_len=mid_context)
+        verify_shape = EngineShape(target.name, batch_size,
+                                   config.draft_tokens)
+    one_round = ((Step(StepKind.DRAFT, draft_step, draft_shape),)
+                 * config.draft_tokens
+                 + (Step(StepKind.VERIFY, verify, verify_shape),))
+    steps: list[Prefill | Step] = [Prefill(target, prompt_len, prefill,
+                                           prefill)]
+    steps.extend(one_round * math.floor(rounds))
+    remainder = rounds - math.floor(rounds)
+    if remainder > 1e-9:
+        steps.append(Step(StepKind.DRAFT,
+                          remainder * config.draft_tokens * draft_step))
+        steps.append(Step(StepKind.VERIFY, remainder * verify))
+    return tuple(steps), prefill, per_round
+
+
 def speculative_generation_ns(
     target: ModelConfig,
     draft: ModelConfig,
@@ -91,56 +144,24 @@ def speculative_generation_ns(
     """Compare plain decoding against draft-and-verify decoding.
 
     Both paths pay the target model's prefill; the decode phase differs.
-    Context-length growth is approximated at the mid-generation point (decode
-    latency is near-affine in context). A recorder sees the speculative
-    path's timeline: the target prefill, then per-round draft decode steps
-    and verification passes (the fractional last round is recorded as a
-    closed-form step so recorded time matches the returned latency exactly).
+    The speculative path is the serving policy's timeline
+    (:func:`speculative_steps`); a recorder sees its steps: the target
+    prefill, then per-round draft decode steps and verification passes
+    (the fractional last round is recorded as a closed-form step so
+    recorded time matches the returned latency exactly).
     """
     if output_tokens <= 0:
         raise ConfigurationError("output_tokens must be positive")
+    steps, prefill, per_round = speculative_steps(
+        target, draft, latency, config, batch_size, prompt_len,
+        output_tokens, shaped=recorder is not None)
     mid_context = prompt_len + output_tokens // 2
-
-    prefill = latency.ttft_ns(target, batch_size, prompt_len)
-
     target_step = latency.decode_step_ns(target, batch_size, mid_context)
     baseline = prefill + output_tokens * target_step
-
-    draft_step = latency.decode_step_ns(draft, batch_size, mid_context)
-    # Verification: one target forward over K proposed tokens. Modeled as a
-    # K-token prefill continuation (the KV cache covers the context).
-    verify = latency.ttft_ns(target, batch_size, config.draft_tokens)
-    per_round = config.draft_tokens * draft_step + verify
     rounds = output_tokens / config.expected_tokens_per_round
     speculative = prefill + rounds * per_round
-
     if recorder is not None:
-        clock = 0.0
-        recorder.record_step(
-            StepKind.PREFILL, clock, prefill, batch_size,
-            shape=EngineShape(target.name, batch_size, prompt_len))
-        clock += prefill
-        draft_shape = EngineShape(draft.name, batch_size, 1, phase="decode",
-                                  context_len=mid_context)
-        verify_shape = EngineShape(target.name, batch_size,
-                                   config.draft_tokens)
-        for _ in range(math.floor(rounds)):
-            for _ in range(config.draft_tokens):
-                recorder.record_step(StepKind.DRAFT, clock, draft_step,
-                                     batch_size, shape=draft_shape)
-                clock += draft_step
-            recorder.record_step(StepKind.VERIFY, clock, verify, batch_size,
-                                 shape=verify_shape)
-            clock += verify
-        remainder = rounds - math.floor(rounds)
-        if remainder > 1e-9:
-            recorder.record_step(StepKind.DRAFT, clock,
-                                 remainder * config.draft_tokens * draft_step,
-                                 batch_size)
-            clock += remainder * config.draft_tokens * draft_step
-            recorder.record_step(StepKind.VERIFY, clock, remainder * verify,
-                                 batch_size)
-
+        record_plan(recorder, steps, latency, batch_size)
     return SpeculativeLatency(
         baseline_ns=baseline,
         speculative_ns=speculative,
@@ -175,108 +196,27 @@ class SpeculativeServingPolicy:
             raise ConfigurationError(
                 "chunk_tokens must be non-negative (0 disables chunking)")
 
+    def claim(self, queue: AdmissionQueue, now: float) -> BatchDecision:
+        """The oldest waiting requests, up to ``max_batch_size``."""
+        return StepPlanner.next_fifo_batch(queue, now, self.max_batch_size)
 
-def speculative_serving_process(runtime: ServingRuntime,
-                                session: EngineSession,
-                                policy: SpeculativeServingPolicy) -> Process:
-    """One replica's speculative-decoding server, as a sim process.
+    def plan(self, runtime: ServingRuntime,
+             batch: tuple[Request, ...]) -> BatchPlan:
+        """The target prefill and draft-and-verify rounds until the padded
+        batch maximum output is generated (:func:`speculative_steps`).
+        Each request finishes at its own expected round count after the
+        first token, not the batch maximum's."""
+        steps, _, per_round = speculative_steps(
+            runtime.model, self.draft, runtime.latency, self.config,
+            len(batch), max(r.prompt_len for r in batch),
+            max(r.output_tokens for r in batch),
+            shaped=runtime.recorder is not None)
+        expected = self.config.expected_tokens_per_round
 
-    FIFO batching: the replica claims the oldest waiting requests up to
-    ``max_batch_size``, runs the target prefill, then per-round draft decode
-    steps and verification passes until the padded batch maximum output is
-    generated (mirroring :func:`speculative_generation_ns`'s timeline).
-    Requests finish at their own expected round count, not the batch
-    maximum's.
-    """
-    queue = runtime.queue
-    latency = runtime.latency
-    target = runtime.model
-    recorder = runtime.recorder
-    config = policy.config
-    planner = StepPlanner(PlannerConfig(chunk_tokens=policy.chunk_tokens))
-    free = 0.0
-    while True:
-        now = yield ("at", free)
-        decision = StepPlanner.next_fifo_batch(queue, now,
-                                               policy.max_batch_size)
-        if decision.done:
-            break
-        if decision.wake_at is not None:
-            free = decision.wake_at
-            continue
-        launch = max(decision.seed_arrival, free)
-        batch = list(decision.batch)
+        def charge(request: Request, queued: float,
+                   booked: Booked) -> tuple[float, float]:
+            completion = (queued + booked.prefill_ns
+                          + request.output_tokens / expected * per_round)
+            return completion, request.arrival_ns + completion
 
-        batch_size = len(batch)
-        prompt_len = max(r.prompt_len for r in batch)
-        output_tokens = max(r.output_tokens for r in batch)
-        mid_context = prompt_len + output_tokens // 2
-        prefill = latency.ttft_ns(target, batch_size, prompt_len)
-        draft_step = latency.decode_step_ns(policy.draft, batch_size,
-                                            mid_context)
-        verify = latency.ttft_ns(target, batch_size, config.draft_tokens)
-        per_round = config.draft_tokens * draft_step + verify
-        expected = config.expected_tokens_per_round
-        rounds = output_tokens / expected
-
-        waiting = queue.depth(launch) if recorder is not None else 0
-        if recorder is not None:
-            for request in batch:
-                recorder.on_admitted(request.request_id, request.arrival_ns,
-                                     launch)
-        clock = launch
-        # Planner-decomposed target prefill: one whole-prompt chunk when
-        # chunking is off (the legacy step), budget-sized chunks otherwise.
-        offset = 0.0
-        for chunk in planner.prefill_plan(batch[0].request_id, prompt_len):
-            chunk_ns = (prefill if chunk.is_whole
-                        else StepPlanner.chunk_cost_ns(latency, target,
-                                                       batch_size, chunk))
-            session.execute(chunk.kind, clock, chunk_ns, batch_size,
-                            queue_depth=waiting,
-                            shape=EngineShape(target.name, batch_size,
-                                              prompt_len)
-                            if recorder is not None and chunk.is_whole
-                            else None,
-                            schedule_label=chunk.schedule_label)
-            clock += chunk_ns
-            offset += chunk_ns
-        first_token_ns = clock
-        draft_shape = verify_shape = None
-        if recorder is not None:
-            draft_shape = EngineShape(policy.draft.name, batch_size, 1,
-                                      phase="decode", context_len=mid_context)
-            verify_shape = EngineShape(target.name, batch_size,
-                                       config.draft_tokens)
-        for _ in range(math.floor(rounds)):
-            for _ in range(config.draft_tokens):
-                session.execute(StepKind.DRAFT, clock, draft_step, batch_size,
-                                queue_depth=waiting, shape=draft_shape)
-                clock += draft_step
-            session.execute(StepKind.VERIFY, clock, verify, batch_size,
-                            queue_depth=waiting, shape=verify_shape)
-            clock += verify
-        remainder = rounds - math.floor(rounds)
-        if remainder > 1e-9:
-            tail_draft = remainder * config.draft_tokens * draft_step
-            session.execute(StepKind.DRAFT, clock, tail_draft, batch_size,
-                            queue_depth=waiting)
-            clock += tail_draft
-            session.execute(StepKind.VERIFY, clock, remainder * verify,
-                            batch_size, queue_depth=waiting)
-            clock += remainder * verify
-
-        for request in batch:
-            queued = queue_delay_ns(request, launch)
-            own_rounds = request.output_tokens / expected
-            completion = queued + offset + own_rounds * per_round
-            if recorder is not None:
-                recorder.on_first_token(request.request_id, first_token_ns)
-                recorder.on_completed(request.request_id,
-                                      request.arrival_ns + completion)
-            runtime.complete(request,
-                             ttft_ns=queued + offset,
-                             completion_ns=completion,
-                             batch_size=batch_size,
-                             service_start_ns=launch, session=session)
-        free = clock
+        return BatchPlan(steps, charge)

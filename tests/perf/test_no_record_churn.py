@@ -22,6 +22,7 @@ from repro.kvcache import KvPolicy
 from repro.serving import (
     ContinuousBatchPolicy,
     LatencyModel,
+    SpeculativeServingPolicy,
     poisson_requests,
     simulate_serving,
 )
@@ -77,10 +78,9 @@ def test_unrecorded_policies_build_no_engine_shapes(monkeypatch):
         return real_shape(*args, **kwargs)
 
     # Policies import the symbol into their own namespaces; patch each one.
-    for module in ("repro.serving.continuous", "repro.serving.batcher",
-                   "repro.serving.scheduler", "repro.serving.speculative",
-                   "repro.serving.pipeline", "repro.serving.rag",
-                   "repro.kvcache.serving", "repro.serving.planner"):
+    for module in ("repro.serving.continuous", "repro.serving.batched",
+                   "repro.serving.speculative", "repro.kvcache.serving",
+                   "repro.serving.planner"):
         monkeypatch.setattr(f"{module}.EngineShape", counting_shape)
 
     from repro.kvcache import KvCacheConfig
@@ -93,4 +93,7 @@ def test_unrecorded_policies_build_no_engine_shapes(monkeypatch):
                      LatencyModel(get_platform("GH200")),
                      policy=ContinuousBatchPolicy(max_active=4),
                      kv=KvCacheConfig(policy=KvPolicy.OFFLOAD, pool_gib=0.04))
+    simulate_serving(requests, GPT2, LatencyModel(INTEL_H100),
+                     policy=SpeculativeServingPolicy(draft=GPT2,
+                                                     max_batch_size=4))
     assert built == []

@@ -23,7 +23,9 @@ loops, hashes what the serves leave on their sessions' hardware.
 Both tables also hold rows for the batched policies (static, priority,
 speculative, pipeline and RAG), taken from their hand-written processes:
 whole-prompt serves on one and on two replicas, and a chunked speculative
-serve.
+serve. The chunked priority, pipeline and RAG rows were taken from the one
+batched loop, whose clock follows the chunks it books; the hand-written
+processes moved theirs by the whole-prompt cost instead.
 """
 
 import hashlib
@@ -229,6 +231,30 @@ def speculative_chunked_serve():
     return recorder, run
 
 
+def priority_chunked_serve():
+    """Priority scheduling with 64-token prefill chunks."""
+    recorder = RunRecorder()
+    _, run = batched_run("priority", get_platform("GH200"),
+                         chunk_tokens=64, recorder=recorder)
+    return recorder, run
+
+
+def pipeline_chunked_serve():
+    """Agentic chains with 256-token prefill chunks."""
+    recorder = RunRecorder()
+    _, run = batched_run("pipeline", get_platform("GH200"),
+                         chunk_tokens=256, recorder=recorder)
+    return recorder, run
+
+
+def rag_chunked_serve():
+    """RAG with 64-token prefill chunks."""
+    recorder = RunRecorder()
+    _, run = batched_run("rag", get_platform("GH200"), chunk_tokens=64,
+                         recorder=recorder)
+    return recorder, run
+
+
 #: Fingerprints of the per-sequence implementation (see module docstring).
 FROZEN = {
     offload_chunked_serve: "1d3fc9430f25e6ad",
@@ -243,6 +269,9 @@ FROZEN = {
     static_two_replica_serve: "29e18711837e110d",
     priority_two_replica_serve: "53af62b91bc45a31",
     speculative_chunked_serve: "efa903d62e16b595",
+    priority_chunked_serve: "f999da43e5913d24",
+    pipeline_chunked_serve: "b30ea07cc328aa42",
+    rag_chunked_serve: "b5911c2cc81843e9",
 }
 
 
@@ -324,6 +353,9 @@ FROZEN_SCHEDULES = {
     static_two_replica_serve: "97967ec4c785fa67",
     priority_two_replica_serve: "343d05324e08537d",
     speculative_chunked_serve: "48b8346ed5bf8de0",
+    priority_chunked_serve: "30e2c59dc6cd4cb4",
+    pipeline_chunked_serve: "f78b863c89dac254",
+    rag_chunked_serve: "656542603624ecc6",
 }
 
 

@@ -21,6 +21,10 @@ exercised:
   configuration is the ``cluster`` canonical scenario ``repro check hb``
   certifies (:data:`repro.check.hb.CANONICAL_SCENARIOS`), so determinism
   tests and the certifier replay the identical run.
+* the **batched** stream — jittered 384-token prompts at 80 req/s (seed 5)
+  served by the five batch-at-a-time policies
+  (:data:`BATCHED_POLICIES`, :func:`batched_run`); the parity tables,
+  the booked-clock locks and the tie-break tests replay it.
 
 Keeping the numbers here — instead of re-typed per suite — means a change
 to one scenario shifts every consumer together, and parity suites comparing
