@@ -3,10 +3,20 @@
 Invariants that must hold for *any* arrival stream, policy, and replica
 count: conservation (every request completes exactly once, on exactly one
 replica), causality (service never precedes arrival; first token never
-follows completion), per-replica clock monotonicity, and single-replica
-equivalence with the legacy closed-form loops.
+follows completion), per-replica clock monotonicity, and the law the
+legacy closed-form loops encoded: one replica books its steps back to
+back, idle only while nothing is waiting.
+
+The legacy loops' own outcomes for a fixed seeded corpus of streams drawn
+within these bounds are frozen in
+``tests/golden/data/legacy_corpus_rows.json``; one replica must reproduce
+every row exactly.
 """
 
+import json
+from bisect import bisect_left
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,11 +29,8 @@ from repro.serving import (
     StaticBatchPolicy,
     simulate_serving,
 )
-from repro.serving.legacy import (
-    legacy_continuous_batching,
-    legacy_static_batching,
-)
 from repro.workloads import GPT2
+from tests.golden.conftest import DATA_DIR
 
 # One latency model across all examples: caching makes the property runs
 # cheap after the first few engine calls.
@@ -85,25 +92,68 @@ def test_replica_clocks_monotone(stream, policy, replicas):
         last_start[step.replica] = step.ts_ns
 
 
+def _rows(outcomes):
+    return json.loads(json.dumps(
+        [(o.request.request_id, o.ttft_ns, o.completion_ns, o.batch_size,
+          o.queue_ns) for o in outcomes]))
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    return json.loads((DATA_DIR / "legacy_corpus_rows.json").read_text())
+
+
+def _stream(entry):
+    return [Request(request_id=rid, arrival_ns=arrival, prompt_len=prompt,
+                    output_tokens=output)
+            for rid, arrival, prompt, output in entry["requests"]]
+
+
+def test_one_replica_matches_legacy_continuous(corpus):
+    for entry in corpus:
+        policy = ContinuousBatchPolicy(max_active=entry["max_active"])
+        sim = simulate_serving(_stream(entry), GPT2, _LATENCY, policy=policy,
+                               replicas=1)
+        assert _rows(sim.report.outcomes) == entry["continuous"], entry["seed"]
+
+
+def test_one_replica_matches_legacy_static(corpus):
+    for entry in corpus:
+        policy = StaticBatchPolicy(max_batch_size=entry["max_batch_size"],
+                                   max_wait_ns=entry["max_wait_ns"])
+        sim = simulate_serving(_stream(entry), GPT2, _LATENCY, policy=policy,
+                               replicas=1)
+        assert _rows(sim.report.outcomes) == entry["static"], entry["seed"]
+
+
+def assert_steps_back_to_back(stream, recorder):
+    """Each step starts exactly at ``max(end of the step before, earliest
+    arrival not yet completed)``; no two steps overlap.
+
+    A request counts as completed at the end of the step it completed in
+    (the last one starting before its completion time), so the law reads
+    only recorded step bounds and arrivals.
+    """
+    steps = recorder.steps
+    starts = [step.ts_ns for step in steps]
+    done_at = {}
+    for rid, span in recorder.spans.items():
+        step = steps[bisect_left(starts, span.completed_ns) - 1]
+        done_at[rid] = step.ts_ns + step.dur_ns
+    end = 0.0
+    for step in steps:
+        assert step.ts_ns >= end, ("overlap", step)
+        pending = min(r.arrival_ns for r in stream
+                      if done_at[r.request_id] > end)
+        assert step.ts_ns == max(end, pending), step
+        end = step.ts_ns + step.dur_ns
+
+
 @given(stream=request_streams(), max_active=st.integers(1, 8))
-@settings(max_examples=20, deadline=None)
-def test_one_replica_matches_legacy_continuous(stream, max_active):
-    policy = ContinuousBatchPolicy(max_active=max_active)
-    sim = simulate_serving(stream, GPT2, _LATENCY, policy=policy, replicas=1)
-    legacy = legacy_continuous_batching(stream, GPT2, _LATENCY, policy)
-    assert ([(o.request.request_id, o.ttft_ns, o.completion_ns,
-              o.batch_size, o.queue_ns) for o in sim.report.outcomes]
-            == [(o.request.request_id, o.ttft_ns, o.completion_ns,
-                 o.batch_size, o.queue_ns) for o in legacy.outcomes])
-
-
-@given(stream=request_streams(), batch=st.integers(1, 8))
-@settings(max_examples=20, deadline=None)
-def test_one_replica_matches_legacy_static(stream, batch):
-    policy = StaticBatchPolicy(max_batch_size=batch)
-    sim = simulate_serving(stream, GPT2, _LATENCY, policy=policy, replicas=1)
-    legacy = legacy_static_batching(stream, GPT2, _LATENCY, policy)
-    assert ([(o.request.request_id, o.ttft_ns, o.completion_ns,
-              o.batch_size, o.queue_ns) for o in sim.report.outcomes]
-            == [(o.request.request_id, o.ttft_ns, o.completion_ns,
-                 o.batch_size, o.queue_ns) for o in legacy.outcomes])
+@settings(max_examples=40, deadline=None)
+def test_one_replica_books_steps_back_to_back(stream, max_active):
+    recorder = RunRecorder()
+    simulate_serving(stream, GPT2, _LATENCY,
+                     policy=ContinuousBatchPolicy(max_active=max_active),
+                     replicas=1, recorder=recorder)
+    assert_steps_back_to_back(stream, recorder)

@@ -1,26 +1,44 @@
 """Property tests for the simulation core and tensor parallelism.
 
-The load-bearing property is TP=1 parity: the event-driven core must
-reproduce the legacy single-threaded executor's trace bit-for-bit on any
-shape, which is what keeps every golden (Fig. 6, Fig. 8, Table V) valid
-after the refactor.
+The load-bearing lock is TP=1 parity: the event-driven core must
+reproduce the legacy single-threaded executor's trace bit-for-bit, which
+is what keeps every golden (Fig. 6, Fig. 8, Table V) valid after the
+refactor. The legacy executor's traces for the whole finite case space
+(3 models x 2 platforms x 4 batch sizes x 3 lengths x 3 modes) are frozen
+as digests in ``tests/golden/data/legacy_engine_digests.json``.
 """
 
+import hashlib
+import itertools
+import json
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import EngineConfig, ExecutionMode, TPConfig, run
-from repro.engine.legacy import run_legacy
 from repro.hardware import GH200, INTEL_H100
 from repro.hardware.interconnect import InterconnectSpec
 from repro.sim import LinkResource
 from repro.skip import compute_metrics
 from repro.workloads import BERT_BASE, GPT2, LLAMA_3_2_1B
+from tests.golden.conftest import DATA_DIR
 
 FAST = EngineConfig(iterations=1)
 MODELS = [BERT_BASE, GPT2, LLAMA_3_2_1B]
+MODES = [ExecutionMode.EAGER, ExecutionMode.COMPILE_DEFAULT,
+         ExecutionMode.COMPILE_REDUCE_OVERHEAD]
+
+#: Every TP=1 case of the frozen corpus, one id per digest.
+CASES = [
+    pytest.param(model, platform, batch_size, seq_len, mode,
+                 id=f"{model.name}-{platform.name}-{batch_size}-{seq_len}-"
+                    f"{mode.value}")
+    for model, platform, batch_size, seq_len, mode in itertools.product(
+        MODELS, [INTEL_H100, GH200], [1, 2, 8, 32], [16, 64, 256], MODES)
+]
+FIXTURE = DATA_DIR / "legacy_engine_digests.json"
 
 
 def _events(trace):
@@ -34,23 +52,25 @@ def _events(trace):
     return ops, calls, kernels, marks
 
 
-@given(
-    model=st.sampled_from(MODELS),
-    platform=st.sampled_from([INTEL_H100, GH200]),
-    batch_size=st.sampled_from([1, 2, 8, 32]),
-    seq_len=st.sampled_from([16, 64, 256]),
-    mode=st.sampled_from([ExecutionMode.EAGER, ExecutionMode.COMPILE_DEFAULT,
-                          ExecutionMode.COMPILE_REDUCE_OVERHEAD]),
-)
-@settings(max_examples=25, deadline=None)
+def digest(trace) -> str:
+    """Hash of a trace's events and metadata; ``repr`` of a float
+    round-trips exactly, so equal digests mean equal floats."""
+    state = (_events(trace), trace.metadata)
+    return hashlib.sha256(repr(state).encode()).hexdigest()[:16]
+
+
+@pytest.fixture(scope="module")
+def frozen_digests():
+    return json.loads(FIXTURE.read_text())
+
+
+@pytest.mark.parametrize("model,platform,batch_size,seq_len,mode", CASES)
 def test_tp1_trace_identical_to_legacy_executor(model, platform, batch_size,
-                                                seq_len, mode):
-    new = run(model, platform, batch_size=batch_size, seq_len=seq_len,
-              mode=mode, config=FAST, tp=TPConfig(degree=1)).trace
-    legacy = run_legacy(model, platform, batch_size=batch_size,
-                        seq_len=seq_len, mode=mode, config=FAST)
-    assert _events(new) == _events(legacy)
-    assert new.metadata == legacy.metadata
+                                                seq_len, mode, request,
+                                                frozen_digests):
+    trace = run(model, platform, batch_size=batch_size, seq_len=seq_len,
+                mode=mode, config=FAST, tp=TPConfig(degree=1)).trace
+    assert digest(trace) == frozen_digests[request.node.callspec.id]
 
 
 @given(

@@ -1,13 +1,18 @@
-"""Sim-backed serving reproduces the legacy loops bit-identically.
+"""Sim-backed serving reproduces the legacy loops' outcomes exactly.
 
-``repro.serving.legacy`` keeps the original closed-form loops as parity
-oracles. The sim-backed processes perform the same floating-point
-operations in the same order, so with one replica every outcome field is
-*exactly* equal — not approximately — to the legacy result. The one
-deliberate divergence is the priority scheduler's bulk completion times
-(the legacy loop overcharges mixed-length bulk batches; see
-``test_scheduler.py``), where the sim may only ever be earlier.
+The original closed-form loops were the parity oracles of the sim-backed
+processes. Their outcome rows ``(request_id, ttft_ns, completion_ns,
+batch_size, queue_ns)`` for one jittered stream are frozen in
+``tests/golden/data/legacy_parity_rows.json``, floats stored by ``repr``
+so the JSON round trip is exact. With one replica every outcome field must
+equal its frozen row *exactly* — not approximately. The one deliberate
+divergence is the priority scheduler's completion times (the legacy loop
+charged every member of a mixed-length batch the batch's longest
+generation; see ``test_scheduler.py``), where the sim may only ever be
+earlier.
 """
+
+import json
 
 import pytest
 
@@ -24,65 +29,66 @@ from repro.serving import (
     simulate_static_batching,
     poisson_requests,
 )
-from repro.serving.legacy import (
-    legacy_continuous_batching,
-    legacy_priority_scheduling,
-    legacy_static_batching,
-)
 from repro.workloads import GPT2
+from tests.golden.conftest import DATA_DIR
+
+FIXTURE = DATA_DIR / "legacy_parity_rows.json"
+
+#: Jittered lengths exercise uneven batches; 1.2 s at 60 req/s keeps idle
+#: gaps, saturated stretches, and stragglers all in one stream.
+STREAM = dict(rate_per_s=60, duration_s=1.2, prompt_len=256,
+              prompt_jitter=64, output_tokens=8, output_jitter=6, seed=11)
+STATIC = StaticBatchPolicy(max_batch_size=6, max_wait_ns=40e6)
+CONTINUOUS = ContinuousBatchPolicy(max_active=8)
+PRIORITY = PriorityPolicy(interactive_batch=2, bulk_batch=16)
 
 
-@pytest.fixture(scope="module")
-def latency():
-    return LatencyModel(INTEL_H100)
-
-
-@pytest.fixture(scope="module")
 def stream():
-    # Jittered lengths exercise uneven batches; 1.2 s at 60 req/s keeps
-    # idle gaps, saturated stretches, and stragglers all in one stream.
-    return poisson_requests(rate_per_s=60, duration_s=1.2, prompt_len=256,
-                            prompt_jitter=64, output_tokens=8,
-                            output_jitter=6, seed=11)
+    return poisson_requests(**STREAM)
 
 
-def _key(outcome):
-    return (outcome.request.request_id, outcome.ttft_ns,
-            outcome.completion_ns, outcome.batch_size, outcome.queue_ns)
-
-
-def test_static_batching_matches_legacy_exactly(latency, stream):
-    policy = StaticBatchPolicy(max_batch_size=6, max_wait_ns=40e6)
-    sim = simulate_static_batching(stream, GPT2, latency, policy)
-    legacy = legacy_static_batching(stream, GPT2, latency, policy)
-    assert [_key(o) for o in sim.outcomes] == [_key(o) for o in legacy.outcomes]
-
-
-def test_continuous_batching_matches_legacy_exactly(latency, stream):
-    policy = ContinuousBatchPolicy(max_active=8)
-    sim = simulate_continuous_batching(stream, GPT2, latency, policy)
-    legacy = legacy_continuous_batching(stream, GPT2, latency, policy)
-    assert [_key(o) for o in sim.outcomes] == [_key(o) for o in legacy.outcomes]
-
-
-def test_priority_matches_legacy_except_bulk_overcharge(stream):
-    latency = LatencyModel(GH200)
-    classified = [ClassifiedRequest(
+def classified(requests):
+    """Every fourth request interactive, the rest bulk."""
+    return [ClassifiedRequest(
         request=request,
         request_class=(RequestClass.INTERACTIVE if request.request_id % 4 == 0
                        else RequestClass.BULK))
-        for request in stream]
-    policy = PriorityPolicy(interactive_batch=2, bulk_batch=16)
-    sim = simulate_priority_scheduling(classified, GPT2, latency, policy)
-    legacy = legacy_priority_scheduling(classified, GPT2, latency, policy)
+        for request in requests]
 
-    for sim_report, legacy_report in ((sim.interactive, legacy.interactive),
-                                      (sim.bulk, legacy.bulk)):
-        assert len(sim_report.outcomes) == len(legacy_report.outcomes)
-        for ours, theirs in zip(sim_report.outcomes, legacy_report.outcomes):
-            assert ours.request.request_id == theirs.request.request_id
-            assert ours.ttft_ns == theirs.ttft_ns
-            assert ours.queue_ns == theirs.queue_ns
-            assert ours.batch_size == theirs.batch_size
-            # The fix can only move completions earlier, never later.
-            assert ours.completion_ns <= theirs.completion_ns
+
+def rows(outcomes):
+    """Outcome rows as the fixture stores them (JSON round-tripped)."""
+    return json.loads(json.dumps(
+        [(o.request.request_id, o.ttft_ns, o.completion_ns, o.batch_size,
+          o.queue_ns) for o in outcomes]))
+
+
+@pytest.fixture(scope="module")
+def frozen():
+    return json.loads(FIXTURE.read_text())
+
+
+def test_static_batching_matches_legacy_exactly(frozen):
+    sim = simulate_static_batching(stream(), GPT2, LatencyModel(INTEL_H100),
+                                   STATIC)
+    assert rows(sim.outcomes) == frozen["static"]
+
+
+def test_continuous_batching_matches_legacy_exactly(frozen):
+    sim = simulate_continuous_batching(stream(), GPT2,
+                                       LatencyModel(INTEL_H100), CONTINUOUS)
+    assert rows(sim.outcomes) == frozen["continuous"]
+
+
+def test_priority_matches_legacy_except_bulk_overcharge(frozen):
+    sim = simulate_priority_scheduling(classified(stream()), GPT2,
+                                       LatencyModel(GH200), PRIORITY)
+    for kind, report in (("interactive", sim.interactive),
+                         ("bulk", sim.bulk)):
+        ours = rows(report.outcomes)
+        theirs = frozen[f"priority_{kind}"]
+        assert [row[:2] + row[3:] for row in ours] == (
+            [row[:2] + row[3:] for row in theirs])
+        # The fix can only move completions earlier, never later.
+        assert all(mine[2] <= legacy[2]
+                   for mine, legacy in zip(ours, theirs))
