@@ -23,7 +23,8 @@ Timing rules (all per the platform model):
 Tensor parallelism (``tp.degree > 1``) shards attention/MLP kernels across
 devices and inserts ring all-reduce collectives priced by the interconnect
 model (:mod:`repro.engine.tp`). At ``tp.degree == 1`` the engine reproduces
-the legacy single-device executor (:mod:`repro.engine.legacy`) bit for bit.
+the legacy single-device executor's traces bit for bit; their digests are
+frozen in ``tests/golden/data/legacy_engine_digests.json``.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ shapes exist:
   PyTorch-default topology, where launch overhead compounds with the TP
   degree. At TP=1 this process performs exactly the floating-point
   operations of the legacy single-device executor, in the same order, so
-  its traces are bit-identical to the legacy ones.
+  its traces are bit-identical to the legacy ones (frozen as digests).
 * **Per-device dispatch threads** (launch mode): one CPU process per device
   (trace ``tid`` = 1 + device), each launching only to its own device.
   Processes meet at collectives and at an end-of-iteration barrier via the

@@ -15,8 +15,8 @@ size. MoE layers are left unsharded too (expert parallelism is a different
 axis than tensor parallelism).
 
 ``shard_lowered`` is the identity at ``degree == 1``; TP=1 runs execute the
-exact lowering the single-device engine always had, which is what makes the
-bit-parity guarantee against the legacy executor possible.
+exact lowering the single-device engine always had, which is what keeps
+TP=1 traces bit-identical to the legacy executor's frozen ones.
 """
 
 from __future__ import annotations

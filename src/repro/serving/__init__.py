@@ -7,8 +7,7 @@ Three processes serve all policies: continuous batching, its KV-gated form
 (:mod:`repro.kvcache.serving`), and the batched loop
 (:mod:`repro.serving.batched`) that static, priority, speculative, pipeline
 and RAG policies drive through their ``claim`` and ``plan`` hooks. The
-pre-runtime standalone loops survive in :mod:`repro.serving.legacy` as
-parity oracles.
+pre-runtime standalone loops' outcomes are frozen as exact test fixtures.
 """
 
 from repro.serving.batcher import (

@@ -16,8 +16,8 @@ The loop splits each prefill into planner chunks and moves its clock by
 exactly the steps it books, so a request's first token is the end of its
 batch's first prefill. With ``chunk_tokens == 0`` a prefill is one whole
 step ending at the closed form ``start + total``, the float operations of
-the legacy loops (:mod:`repro.serving.legacy`), so whole-prompt outcomes
-match them bit for bit. :func:`record_plan` records a plan off the sim,
+the legacy loops, so whole-prompt outcomes match their frozen rows bit for
+bit. :func:`record_plan` records a plan off the sim,
 for the standalone :class:`~repro.serving.pipeline.AgenticPipeline` and
 :func:`~repro.serving.speculative.speculative_generation_ns`.
 """

@@ -9,10 +9,9 @@ prefill + decode for the whole batch padded to its longest member.
 :class:`StaticBatchPolicy` serves through the batched loop
 (:func:`repro.serving.batched.batched_serving_process`): its ``claim`` hook
 gathers the batching window and its ``plan`` hook prices the padded batch;
-:func:`simulate_static_batching` wraps it for the single-call API. The
-original standalone loop survives as
-:func:`repro.serving.legacy.legacy_static_batching`, and with one replica the
-batched loop reproduces it bit-for-bit.
+:func:`simulate_static_batching` wraps it for the single-call API. With one
+replica it reproduces the original standalone loop's frozen outcomes
+bit-for-bit.
 """
 
 from __future__ import annotations

@@ -13,8 +13,8 @@ bucketing bounds the number of engine runs).
 
 Batch composition is delegated to the token-budget planner
 (:mod:`repro.serving.planner`). With ``chunk_tokens == 0`` (the default)
-prompts prefill whole and the loop reproduces
-:func:`repro.serving.legacy.legacy_continuous_batching` bit-for-bit; with a
+prompts prefill whole and the loop reproduces the legacy continuous loop's
+frozen outcomes bit-for-bit; with a
 positive budget, prompts are prefilled in budget-sized *chunks* interleaved
 with decode steps (sarathi-serve's stall-free scheduling), so a long prompt
 delays in-flight decodes by at most one chunk instead of a whole prefill.

@@ -27,13 +27,12 @@ hoists the machinery all serving policies share onto
   speculative, pipeline and RAG policies share), and the results (report,
   per-replica stats, schedules) come back in a :class:`ServingRunResult`.
 
-With ``replicas=1`` the policy processes perform exactly the same float
-operations in the same order as the legacy loops in
-:mod:`repro.serving.legacy`, so their outcomes are bit-identical — the
-parity tests hold the refactor to that. With ``replicas>1`` the processes
-race for claims on the shared queue; the core's deterministic FIFO
-tie-break (spawn order at equal timestamps) keeps multi-replica runs
-reproducible.
+With ``replicas=1`` static and continuous serving reproduce the legacy
+loops' outcomes bit for bit, and priority serving all but its corrected
+completions; those outcomes are frozen as exact test fixtures. With
+``replicas>1`` the processes race for claims on the shared queue; the
+core's deterministic FIFO tie-break (spawn order at equal timestamps)
+keeps multi-replica runs reproducible.
 """
 
 from __future__ import annotations
@@ -94,8 +93,7 @@ class AdmissionQueue:
                  tags: dict[int, Hashable] | None = None) -> None:
         if not requests:
             raise ConfigurationError("no requests to serve")
-        # Stable sort by arrival keeps ties in caller order, matching the
-        # legacy loops' ``sorted(requests, key=arrival)`` exactly.
+        # Stable sort by arrival keeps ties in caller order.
         ordered = sorted(requests, key=lambda r: r.arrival_ns)
         tags = tags or {}
         self.entries = [

@@ -16,9 +16,9 @@ serving while bulk work keeps the GPU in its high-throughput region.
 :class:`PriorityPolicy` serves through the batched loop
 (:func:`repro.serving.batched.batched_serving_process`): its ``claim`` hook
 is the two-class rule and its ``plan`` hook prices the padded batch. It
-fixes the legacy loop's batch-accounting bug:
-:func:`repro.serving.legacy.legacy_priority_scheduling` charged every
-request in a bulk batch the batch maximum ``output_tokens``, overstating
+fixes the legacy loop's batch-accounting bug: the original standalone
+loop charged every request in a bulk batch the batch maximum
+``output_tokens``, overstating
 short requests' completion latency; the sim-backed path charges each
 request its own generation time (the engine still runs for the padded
 batch maximum, so scheduling decisions and TTFTs are unchanged).

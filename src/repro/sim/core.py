@@ -18,7 +18,7 @@ is resumed with the simulation time at which the request was granted:
 A process that never yields simply runs to completion on its first
 scheduling slot — the single-dispatch-thread execution modes are exactly
 that degenerate case, which is what lets the refactored engine reproduce the
-legacy single-threaded executor bit-for-bit at TP=1.
+legacy single-threaded executor's frozen traces bit-for-bit at TP=1.
 """
 
 from __future__ import annotations

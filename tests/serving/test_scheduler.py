@@ -123,22 +123,3 @@ def test_bulk_completion_charges_own_output_length(latency):
         assert outcome.completion_ns == expected
     assert by_id[1].completion_ns < by_id[0].completion_ns
 
-
-def test_bulk_completion_legacy_oracle_overcharges(latency):
-    """The legacy loop deliberately preserves the overcharge (it is the
-    parity oracle for the old behaviour): every bulk member completes at
-    the batch max."""
-    from repro.serving import Request
-    from repro.serving.legacy import legacy_priority_scheduling
-
-    classified = [
-        ClassifiedRequest(
-            request=Request(request_id=i, arrival_ns=0.0, prompt_len=128,
-                            output_tokens=(64 if i == 0 else 2)),
-            request_class=(RequestClass.INTERACTIVE if i == 3
-                           else RequestClass.BULK))
-        for i in range(4)
-    ]
-    legacy = legacy_priority_scheduling(classified, GPT2, latency)
-    completions = {o.completion_ns for o in legacy.bulk.outcomes}
-    assert len(completions) == 1  # all charged the straggler's length

@@ -101,10 +101,10 @@ def test_serving_doc_matches_api():
                  "measured_retrieval_ns"):
         assert name in text
         assert hasattr(serving, name), name
-    import repro.serving.legacy as legacy
-    for name in ("legacy_static_batching", "legacy_continuous_batching",
-                 "legacy_priority_scheduling"):
-        assert hasattr(legacy, name), name
+    for fixture in ("legacy_parity_rows.json", "legacy_corpus_rows.json",
+                    "legacy_engine_digests.json"):
+        assert fixture in text, fixture
+        assert (ROOT / "tests/golden/data" / fixture).exists(), fixture
     assert "--replicas" in text
     assert "check schedule --trace" in text
 
