@@ -14,10 +14,9 @@ a policy supplies two hooks, both methods on its policy object:
 
 The loop splits each prefill into planner chunks and moves its clock by
 exactly the steps it books, so a request's first token is the end of its
-batch's first prefill. With ``chunk_tokens == 0`` a prefill is one whole
-step ending at the closed form ``start + total``, the float operations of
-the legacy loops, so whole-prompt outcomes match their frozen rows bit for
-bit. :func:`record_plan` records a plan off the sim,
+batch's first prefill and the next batch starts where the last step ended.
+With ``chunk_tokens == 0`` a prefill is one whole step.
+:func:`record_plan` records a plan off the sim,
 for the standalone :class:`~repro.serving.pipeline.AgenticPipeline` and
 :func:`~repro.serving.speculative.speculative_generation_ns`.
 """
@@ -42,9 +41,9 @@ if TYPE_CHECKING:
 class Prefill(NamedTuple):
     """A batch prefill of ``prompt_len`` tokens on ``model``.
 
-    ``ttft_ns`` prices the whole prompt; ``total_ns`` is the closed-form
-    end of the prefill plus its generation tail, measured from the
-    prefill's start. A tail longer than nothing runs as one GENERATION step.
+    ``ttft_ns`` prices the whole prompt; ``total_ns`` prices the prefill
+    plus its generation tail. A tail longer than nothing runs as one
+    GENERATION step of ``total_ns - ttft_ns``.
     """
 
     model: ModelConfig
@@ -66,9 +65,8 @@ class Booked(NamedTuple):
 
     The batch launched at ``launch_ns`` and booked ``lead_ns`` of steps
     before its first prefill, which started at ``start_ns``, booked
-    ``prefill_ns`` (whole-prompt price ``ttft_ns``; ``chunked`` when it ran
-    as more than one chunk) and ended at ``first_token_ns``. The batch
-    ended at ``end_ns``.
+    ``prefill_ns`` (whole-prompt price ``ttft_ns``) and ended at
+    ``first_token_ns``. The batch ended at ``end_ns``.
     """
 
     launch_ns: float
@@ -76,17 +74,15 @@ class Booked(NamedTuple):
     start_ns: float
     prefill_ns: float
     ttft_ns: float
-    chunked: bool
     first_token_ns: float
     end_ns: float
 
     def closed_form(self, queued_ns: float,
                     total_ns: float) -> tuple[float, float]:
-        """Completion latency and time of a request whose closed-form
-        generation ends ``total_ns`` after the first prefill's start; the
-        chunks' extra cost shifts that end."""
-        own = (self.prefill_ns + (total_ns - self.ttft_ns) if self.chunked
-               else total_ns)
+        """Completion latency and time of a request whose generation is
+        priced ``total_ns`` with the first prefill: the prefill as booked,
+        then the generation tail past the whole-prompt price."""
+        own = self.prefill_ns + (total_ns - self.ttft_ns)
         return queued_ns + own, self.start_ns + own
 
 
@@ -144,13 +140,12 @@ def book_steps(steps: Sequence[Prefill | Step], clock: float,
 
     Each prefill runs as its planner chunks (a whole-prompt chunk at
     ``ttft_ns``, partial ones at their marginal cost), then its tail as
-    one GENERATION step, and ends at ``start + total_ns`` when whole or
-    where its steps end when chunked. Whole prefills carry their engine
-    shape when ``shaped``.
+    one GENERATION step; the clock moves by exactly the steps booked.
+    Whole prefills carry their engine shape when ``shaped``.
     """
     launch = clock
     lead = 0.0
-    first: tuple[float, float, float, bool, float] | None = None
+    first: tuple[float, float, float, float] | None = None
     for item in steps:
         if isinstance(item, Step):
             sink(item.kind, clock, item.dur_ns, item.shape, None)
@@ -172,11 +167,11 @@ def book_steps(steps: Sequence[Prefill | Step], clock: float,
             clock += chunk_ns
             prefill_ns += chunk_ns
         if first is None:
-            first = (start, prefill_ns, item.ttft_ns, len(chunks) > 1, clock)
+            first = (start, prefill_ns, item.ttft_ns, clock)
         tail_ns = item.total_ns - item.ttft_ns
         if item.total_ns > item.ttft_ns:
             sink(StepKind.GENERATION, clock, tail_ns, None, None)
-        clock = start + item.total_ns if len(chunks) == 1 else clock + tail_ns
+        clock += tail_ns
     assert first is not None, "a batch plan needs a prefill"
     return Booked(launch, lead, *first, clock)
 

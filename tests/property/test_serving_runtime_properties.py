@@ -149,11 +149,19 @@ def assert_steps_back_to_back(stream, recorder):
         end = step.ts_ns + step.dur_ns
 
 
-@given(stream=request_streams(), max_active=st.integers(1, 8))
+@st.composite
+def back_to_back_policies(draw):
+    """Policies that never hold a replica idle while a request waits."""
+    if draw(st.booleans()):
+        return ContinuousBatchPolicy(max_active=draw(st.integers(1, 8)))
+    return StaticBatchPolicy(max_batch_size=draw(st.integers(1, 8)),
+                             max_wait_ns=0.0)
+
+
+@given(stream=request_streams(), policy=back_to_back_policies())
 @settings(max_examples=40, deadline=None)
-def test_one_replica_books_steps_back_to_back(stream, max_active):
+def test_one_replica_books_steps_back_to_back(stream, policy):
     recorder = RunRecorder()
-    simulate_serving(stream, GPT2, _LATENCY,
-                     policy=ContinuousBatchPolicy(max_active=max_active),
-                     replicas=1, recorder=recorder)
+    simulate_serving(stream, GPT2, _LATENCY, policy=policy, replicas=1,
+                     recorder=recorder)
     assert_steps_back_to_back(stream, recorder)
