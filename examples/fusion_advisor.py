@@ -15,7 +15,7 @@ Usage:
 import sys
 
 from repro import ExecutionMode, get_model, get_platform, SkipProfiler
-from repro.skip import analyze_trace, combined_plan, fusion_report
+from repro.skip import combined_plan, fusion_report
 from repro.units import format_ns
 
 

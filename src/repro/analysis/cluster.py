@@ -36,7 +36,6 @@ from repro.serving.latency import LatencyModel
 from repro.traffic import (
     ArrivalFamily,
     ArrivalSpec,
-    PrefixSpec,
     TrafficConfig,
     generate_traffic,
 )

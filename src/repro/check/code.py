@@ -20,6 +20,13 @@ them directly:
   malformed request fails the lint rather than a run.
 * **C004** — a simulation-module function named ``*_process`` that never
   yields is not a generator and would be driven to nothing by the core.
+* **C005** — a module-level import that nothing in the module reads is
+  dead weight, and the lint job's ruff F401 fails on it. A name counts as
+  read when an expression loads it, ``__all__`` lists it, or a quoted
+  annotation names it. ``__init__.py`` files are exempt, as in ruff's
+  per-file ignores in ``pyproject.toml``: they re-export their
+  submodules' names. :func:`unused_imports` applies the rule alone, for
+  trees such as ``tests/`` where the other rules do not hold.
 
 The pass walks real files (``lint_path``) so tests can point it at fixture
 trees with deliberately bad modules.
@@ -40,6 +47,8 @@ C003 = register_rule(
     "C003", "code", "process yields a malformed scheduler request")
 C004 = register_rule(
     "C004", "code", "*_process function contains no yield")
+C005 = register_rule(
+    "C005", "code", "unused module-level import")
 
 #: Module path prefixes (relative to the package root) where the wall
 #: clock is banned: everything the deterministic simulation touches.
@@ -204,6 +213,77 @@ class _ModuleLinter(ast.NodeVisitor):
             f"('release', res, owner, ready)"))
 
 
+def _module_level(body: list[ast.stmt]):
+    """Statements run at import time: the module body and the bodies of
+    its top-level ``if``/``try``/``with`` blocks, not functions or classes."""
+    for node in body:
+        yield node
+        if isinstance(node, (ast.If, ast.Try, ast.With)):
+            for field in ("body", "orelse", "finalbody"):
+                yield from _module_level(getattr(node, field, []))
+            for handler in getattr(node, "handlers", []):
+                yield from _module_level(handler.body)
+
+
+def _quoted_names(annotation: ast.expr | None, names: set[str]) -> None:
+    """Add the names read by the quoted parts of ``annotation``."""
+    if annotation is None:
+        return
+    for node in ast.walk(annotation):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                quoted = ast.parse(node.value, mode="eval")
+            except SyntaxError:
+                continue
+            names.update(n.id for n in ast.walk(quoted)
+                         if isinstance(n, ast.Name))
+            _quoted_names(quoted.body, names)
+
+
+def _read_names(tree: ast.Module) -> set[str]:
+    """Every name the module reads, lists in ``__all__``, or quotes in an
+    annotation."""
+    names: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, (ast.Assign, ast.AugAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            if any(isinstance(t, ast.Name) and t.id == "__all__"
+                   for t in targets):
+                names.update(n.value for n in ast.walk(node.value)
+                             if isinstance(n, ast.Constant)
+                             and isinstance(n.value, str))
+        elif isinstance(node, ast.arg):
+            _quoted_names(node.annotation, names)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            _quoted_names(node.returns, names)
+        elif isinstance(node, ast.AnnAssign):
+            _quoted_names(node.annotation, names)
+    return names
+
+
+def unused_imports(tree: ast.Module, where: str) -> list[Finding]:
+    """C005 findings for one parsed module at path ``where``."""
+    if Path(where).name == "__init__.py":
+        return []
+    imported: dict[str, ast.alias] = {}
+    for node in _module_level(tree.body):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = alias
+        elif (isinstance(node, ast.ImportFrom)
+              and node.module != "__future__"):
+            for alias in node.names:
+                if alias.name != "*":
+                    imported[alias.asname or alias.name] = alias
+    read = _read_names(tree)
+    return [Finding(C005, Severity.ERROR, f"{where}:{alias.lineno}",
+                    f"{name!r} is imported but never used")
+            for name, alias in imported.items() if name not in read]
+
+
 def _module_parts(path: Path, root: Path) -> tuple[str, ...]:
     """Module path parts relative to the package root directory."""
     return path.relative_to(root).with_suffix("").parts
@@ -219,7 +299,7 @@ def lint_source(source: str, where: str,
                         f"module does not parse: {exc.msg}")]
     linter = _ModuleLinter(where, in_sim_module)
     linter.visit(tree)
-    return linter.findings
+    return linter.findings + unused_imports(tree, where)
 
 
 def lint_path(root: str | Path) -> tuple[list[Finding], list[str]]:

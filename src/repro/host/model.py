@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 from repro.errors import ConfigurationError
 from repro.hardware.host import HostSpec, NumaDomain, host_for
 from repro.hardware.platform import Platform
-from repro.host.pool import CoreGrant, CpuPool, pool_from_domains
+from repro.host.pool import CoreGrant, pool_from_domains
 
 if TYPE_CHECKING:
     from repro.obs.recorder import RunRecorder

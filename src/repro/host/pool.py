@@ -36,7 +36,7 @@ grant-order determinism under adversarial tie-breaks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Hashable, Sequence
 
 from repro.errors import ConfigurationError, SimulationError

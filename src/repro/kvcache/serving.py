@@ -24,7 +24,6 @@ on their own copy-engine stream lane.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError, SimulationError

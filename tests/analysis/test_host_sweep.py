@@ -4,7 +4,6 @@ import pytest
 
 from repro.analysis import (
     DEFAULT_REPLICA_COUNTS,
-    ReplicasPerHostResult,
     replicas_per_host_report,
     run_replicas_per_host,
     scaled_host_spec,

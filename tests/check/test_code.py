@@ -6,9 +6,13 @@ bad module each — the wall-clock-in-sim fixture the acceptance criteria
 require lives here.
 """
 
+import ast
 from pathlib import Path
 
 from repro.check import check_source, lint_path, lint_source
+from repro.check.code import unused_imports
+
+REPO = Path(__file__).resolve().parents[2]
 
 
 def _rule_ids(findings):
@@ -28,10 +32,21 @@ def _package(tmp_path: Path, files: dict[str, str]) -> Path:
 # The real package is clean
 # ----------------------------------------------------------------------
 def test_repo_source_is_clean():
-    root = Path(__file__).resolve().parents[2] / "src" / "repro"
+    root = REPO / "src" / "repro"
     report = check_source(root)
     assert report.findings == []
     assert any(path.endswith("core.py") for path in report.checked)
+
+
+def test_tests_and_benchmarks_have_no_unused_imports():
+    # C005 alone: C002 does not hold here, where parity tests compare
+    # timestamps for exact equality on purpose.
+    findings = []
+    for tree in ("tests", "benchmarks"):
+        for path in sorted((REPO / tree).rglob("*.py")):
+            findings += unused_imports(ast.parse(path.read_text()),
+                                       str(path))
+    assert findings == []
 
 
 # ----------------------------------------------------------------------
@@ -172,3 +187,55 @@ def test_syntax_error_reported_not_raised(tmp_path):
     findings, _ = lint_path(root)
     assert len(findings) == 1
     assert "does not parse" in findings[0].message
+
+
+# ----------------------------------------------------------------------
+# C005: unused module-level imports
+# ----------------------------------------------------------------------
+def test_unused_import_flagged_c005(tmp_path):
+    root = _package(tmp_path, {"serving/loop.py": (
+        "from dataclasses import dataclass, field\n"
+        "import os.path\n"
+        "@dataclass\n"
+        "class Row:\n"
+        "    n: int = 0\n"
+    )})
+    findings, _ = lint_path(root)
+    assert _rule_ids(findings) == {"C005"}
+    assert sorted(f.location.rsplit(":", 1)[1] for f in findings) == [
+        "1", "2"]
+    assert {f.message.split()[0] for f in findings} == {"'field'", "'os'"}
+
+
+def test_init_reexport_exempt_from_c005(tmp_path):
+    root = _package(tmp_path, {"serving/__init__.py": (
+        "from repro.serving.loop import Row, serve\n"
+    )})
+    findings, _ = lint_path(root)
+    assert findings == []
+
+
+def test_quoted_annotation_counts_as_use_c005():
+    source = (
+        "from typing import TYPE_CHECKING\n"
+        "if TYPE_CHECKING:\n"
+        "    from repro.sim.core import SimCore\n"
+        "    from repro.obs import RunRecorder\n"
+        "    from repro.serving import Request\n"
+        "def run(core: 'SimCore') -> 'list[RunRecorder]':\n"
+        "    pending: \"dict[int, 'Request']\" = {}\n"
+        "    return [pending]\n"
+    )
+    assert lint_source(source, "repro/serving/loop.py") == []
+
+
+def test_all_and_attribute_reads_count_as_use_c005():
+    source = (
+        "import os.path\n"
+        "from repro.obs import RunRecorder\n"
+        "__all__ = ['RunRecorder']\n"
+        "def where():\n"
+        "    import sys\n"
+        "    return os.path.sep\n"
+    )
+    assert lint_source(source, "repro/serving/loop.py") == []
