@@ -35,6 +35,7 @@ trees with deliberately bad modules.
 from __future__ import annotations
 
 import ast
+from collections.abc import Iterator
 from pathlib import Path
 
 from repro.check.findings import Finding, Severity, register_rule
@@ -213,7 +214,7 @@ class _ModuleLinter(ast.NodeVisitor):
             f"('release', res, owner, ready)"))
 
 
-def _module_level(body: list[ast.stmt]):
+def _module_level(body: list[ast.stmt]) -> Iterator[ast.stmt]:
     """Statements run at import time: the module body and the bodies of
     its top-level ``if``/``try``/``with`` blocks, not functions or classes."""
     for node in body:

@@ -15,9 +15,9 @@ a policy supplies two hooks, both methods on its policy object:
 The loop splits each prefill into planner chunks and moves its clock by
 exactly the steps it books, so a request's first token is the end of its
 batch's first prefill and the next batch starts where the last step ended.
-With ``chunk_tokens == 0`` a prefill is one whole step.
-:func:`record_plan` records a plan off the sim,
-for the standalone :class:`~repro.serving.pipeline.AgenticPipeline` and
+With ``chunk_tokens == 0`` a prefill is one whole step. :func:`record_plan`
+records a plan off the sim, for the standalone
+:class:`~repro.serving.pipeline.AgenticPipeline` and
 :func:`~repro.serving.speculative.speculative_generation_ns`.
 """
 
