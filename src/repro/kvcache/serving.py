@@ -49,7 +49,7 @@ def kv_continuous_batching_process(
         policy: ContinuousBatchPolicy) -> Process:
     """One replica's iteration-level scheduler with a finite KV pool."""
     core = runtime.core
-    queue = runtime.queue
+    queue = session.queue
     latency = runtime.latency
     model = runtime.model
     recorder = runtime.recorder

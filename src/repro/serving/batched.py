@@ -189,7 +189,7 @@ def batched_serving_process(runtime: ServingRuntime, session: EngineSession,
                             policy: BatchedPolicy) -> Process:
     """One replica serving a batch-at-a-time policy, as a sim process;
     ``policy.chunk_tokens`` (0 when absent) sets the prefill chunks."""
-    queue = runtime.queue
+    queue = session.queue
     recorder = runtime.recorder
     planner = StepPlanner(PlannerConfig(
         chunk_tokens=getattr(policy, "chunk_tokens", 0)))

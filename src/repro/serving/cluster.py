@@ -1,22 +1,28 @@
-"""Cluster tier: a router process above N serving replicas.
+"""Cluster tier: a :class:`ServingRuntime` whose replicas a router feeds.
 
 The flat :class:`~repro.serving.runtime.ServingRuntime` scales out by
 letting replicas race for claims on one shared queue. At cluster scale
 that is the wrong model — a real deployment has a *router* making explicit
-placement decisions — so this module puts one on the sim core:
+placement decisions. :class:`ClusterRuntime` is the same runtime, with the
+same replicas, policy processes, run-end checks and results; only how work
+reaches a replica differs:
 
-* :class:`RoutedQueue` — a per-replica admission queue the router pushes
-  into. Policy processes (continuous batching, with or without KV) run on
-  it unchanged; its arrival hint folds in the router's next feed time so
-  an idle replica sleeps until work can actually reach it.
-* :class:`ClusterRuntime` — owns the core, a dedicated router CPU thread,
-  and the replica pool. The router process wakes at each arrival, charges
-  one CPU dispatch decision on its thread, and places the request per the
-  configured :class:`RouterPolicy` (round-robin, least-loaded,
-  session-affinity, or prefill/decode-disaggregated pools).
+* :class:`RoutedQueue` — each replica's own admission queue, which the
+  router pushes into. Policy processes (continuous batching, with or
+  without KV) claim from it as from the shared queue; its arrival hint
+  folds in the router's next feed time so an idle replica sleeps until
+  work can actually reach it.
+* The router process is the runtime's feeder in place of the open-loop
+  arrival process. It claims each request from the runtime's
+  :class:`~repro.serving.runtime.AdmissionQueue` at its arrival, charges
+  one CPU dispatch decision on a dedicated router thread, and pushes the
+  request to the replica the configured :class:`RouterPolicy` picks
+  (round-robin, least-loaded, session-affinity, or
+  prefill/decode-disaggregated pools).
 * **Autoscaling** — when the routed-but-unfinished backlog exceeds
-  ``backlog_per_replica`` per live replica, the router spins up a new
-  one. Spin-up is modeled as CPU dispatch work on the platform model
+  ``backlog_per_replica`` per live replica, the router adds a replica
+  (:meth:`~repro.serving.runtime.ServingRuntime.add_replica`). Spin-up is
+  modeled as CPU dispatch work on the platform model
   (``spinup_dispatch_ops`` launch calls), and the new replica's policy
   process only starts once that delay elapses (:func:`_delayed`).
 
@@ -35,23 +41,23 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.obs.recorder import RunRecorder
 from repro.serving.latency import LatencyModel
-from repro.serving.requests import Request, RequestOutcome, queue_delay_ns
+from repro.serving.requests import Request, RequestOutcome
 from repro.serving.runtime import (
     AdmissionEntry,
     AdmissionQueue,
     EngineSession,
-    KvReplicaStats,
-    ReplicaStats,
+    PolicyFactory,
     ServingRunResult,
+    ServingRuntime,
     policy_process,
 )
 from repro.sim.causality import CausalityLog
-from repro.sim.core import Process, SimCore
+from repro.sim.core import Process
 from repro.sim.queue import EventQueue
 from repro.workloads.config import ModelConfig
 
@@ -162,49 +168,6 @@ class RoutedQueue(AdmissionQueue):
         return min(own, pending)
 
 
-class ReplicaHandle:
-    """One replica's view of the cluster, duck-typing ``ServingRuntime``.
-
-    The continuous-batching policy processes only touch ``core``,
-    ``queue``, ``latency``, ``model``, ``recorder``, and ``complete`` on
-    their runtime, so a handle exposing those over the cluster lets them
-    run on a routed queue unchanged.
-    """
-
-    def __init__(self, cluster: ClusterRuntime, session: EngineSession) -> None:
-        self._cluster = cluster
-        self.session = session
-        self.queue = RoutedQueue(cluster)
-
-    @property
-    def replica(self) -> int:
-        return self.session.replica
-
-    @property
-    def core(self) -> SimCore:
-        return self._cluster.core
-
-    @property
-    def model(self) -> ModelConfig:
-        return self._cluster.model
-
-    @property
-    def latency(self) -> LatencyModel:
-        return self._cluster.latency
-
-    @property
-    def recorder(self) -> RunRecorder | None:
-        return self._cluster.recorder
-
-    def complete(self, request: Request, ttft_ns: float, completion_ns: float,
-                 batch_size: int, service_start_ns: float,
-                 session: EngineSession) -> RequestOutcome:
-        return self._cluster.complete(
-            request, ttft_ns=ttft_ns, completion_ns=completion_ns,
-            batch_size=batch_size, service_start_ns=service_start_ns,
-            session=session)
-
-
 def _delayed(inner: Process, start_ns: float) -> Process:
     """Hold a policy process's first wake-up until ``start_ns``.
 
@@ -225,16 +188,15 @@ def _delayed(inner: Process, start_ns: float) -> Process:
             return
 
 
-class ClusterRuntime:
-    """Owns the sim core, the router, and the replica pool of one run."""
+class ClusterRuntime(ServingRuntime):
+    """A serving runtime whose feeder is the router and whose replicas
+    each claim from their own :class:`RoutedQueue`."""
 
     def __init__(
         self,
         requests: Sequence[Request],
         model: ModelConfig,
         latency: LatencyModel,
-        process: Callable[..., Process],
-        policy: object,
         router: RouterPolicy = RouterPolicy.LEAST_LOADED,
         replicas: int = 4,
         recorder: RunRecorder | None = None,
@@ -245,25 +207,12 @@ class ClusterRuntime:
         causality: CausalityLog | None = None,
         host: HostModel | None = None,
     ) -> None:
-        if not requests:
-            raise ConfigurationError("no requests to serve")
-        if replicas <= 0:
-            raise ConfigurationError("replicas must be positive")
         if router is RouterPolicy.DISAGGREGATED and replicas < 2:
             raise ConfigurationError(
                 "disaggregated routing needs at least two replicas "
                 "(one prefill pool, one decode pool)")
         if disagg_prompt_ratio <= 0:
             raise ConfigurationError("disagg_prompt_ratio must be positive")
-        self.model = model
-        self.latency = latency
-        self.recorder = recorder
-        self.router_policy = router
-        self.autoscale = autoscale
-        self.disagg_prompt_ratio = disagg_prompt_ratio
-        self._process = process
-        self._serving_policy = policy
-        self.core = SimCore(queue=queue, causality=causality)
         # Routing decisions are CPU dispatch work on the platform model;
         # a strictly positive cost is also what keeps router events and
         # replica wake-ups off the same timestamp — so a platform whose
@@ -276,94 +225,51 @@ class ClusterRuntime:
                 f"launch_call_cpu_ns ({route_cost_ns}); the router cannot "
                 f"model a free dispatch decision")
         self.route_cost_ns = route_cost_ns
-        # host=None is the infinite-CPU fast path; a HostModel makes the
-        # router and every replica contend for the host's finite cores.
-        self.host = host
-        if host is not None:
-            host.attach(self.core, recorder=recorder)
+        self.router_policy = router
+        self.autoscale = autoscale
+        self.disagg_prompt_ratio = disagg_prompt_ratio
+        # Router bookkeeping, one slot per replica (add_replica grows it).
+        self._load: list[float] = []      # outstanding token mass
+        self.routed_per_replica: list[int] = []
+        self._outstanding = 0             # routed, not completed
+        self._session_map: dict[str, int] = {}
+        self._rr_next = 0
+        self.scale_events: list[ScaleEvent] = []
+        self.router_busy_ns = 0.0
+        super().__init__(requests, model, latency, recorder=recorder,
+                         replicas=replicas, kv=kv, queue=queue,
+                         causality=causality, host=host)
         self.router_thread = self.core.add_cpu_thread(name="router")
-        self.devices_per_replica = (
-            (latency.tp.degree if latency.tp else 1)
-            * (latency.pp.stages if latency.pp else 1))
-        self.kv_config = kv if kv is not None and kv.enabled else None
-        self.requests = sorted(requests, key=lambda r: r.arrival_ns)
-        self._ids = [r.request_id for r in self.requests]
-        if len(set(self._ids)) != len(self._ids):
-            raise ConfigurationError("duplicate request ids in stream")
-        self.handles: list[ReplicaHandle] = []
-        for _ in range(replicas):
-            self._make_replica()
         # Disaggregated pools split the *initial* replicas; autoscaled
         # ones join the decode pool (decode capacity is what backlogs).
         self._prefill_count = max(1, replicas // 2)
-        self.outcomes: list[RequestOutcome] = []
-        # Router bookkeeping.
-        self._load: list[float] = [0.0] * replicas  # outstanding token mass
-        self._outstanding = 0                       # routed, not completed
-        self._session_map: dict[str, int] = {}
-        self._rr_next = 0
         self._next_feed: float | None = (
-            self.requests[0].arrival_ns + self.route_cost_ns)
-        self._routed_ids: set[int] = set()
-        self.routed_per_replica: list[int] = [0] * replicas
-        self.scale_events: list[ScaleEvent] = []
-        self.router_busy_ns = 0.0
+            self.queue.entries[0].arrival_ns + route_cost_ns)
         if recorder is not None:
-            recorder.on_cluster(router.value, replicas, self._ids)
+            recorder.on_cluster(router.value, replicas, self._request_ids())
+
+    def _request_ids(self) -> list[int]:
+        return [entry.request.request_id for entry in self.queue.entries]
 
     # ------------------------------------------------------------------
     # Replica pool
     # ------------------------------------------------------------------
-    @property
-    def replicas(self) -> int:
-        return len(self.handles)
+    def add_replica(self) -> EngineSession:
+        session = super().add_replica()
+        self._load.append(0.0)
+        self.routed_per_replica.append(0)
+        return session
 
-    @property
-    def sessions(self) -> list[EngineSession]:
-        return [handle.session for handle in self.handles]
-
-    def _make_replica(self) -> ReplicaHandle:
-        replica = len(self.handles)
-        thread = self.core.add_cpu_thread(name=f"serve{replica}")
-        devices = [self.core.add_device(replica=replica)
-                   for _ in range(self.devices_per_replica)]
-        manager = None
-        if self.kv_config is not None:
-            from repro.kvcache.manager import KvManager
-
-            manager = KvManager.for_gpu(
-                self.model, self.latency.platform, self.kv_config,
-                recorder=self.recorder, replica=replica)
-            self.core.add_kv_resource(manager.resource)
-            if self.recorder is not None:
-                self.recorder.on_kv_pool(replica, manager.capacity_blocks,
-                                         self.kv_config.policy.value,
-                                         self.kv_config.block_tokens)
-        session = EngineSession(replica=replica, thread=thread,
-                                devices=devices, recorder=self.recorder,
-                                kv=manager, host=self.host,
-                                numa_domain=(self.host.domain_for(replica)
-                                             if self.host is not None
-                                             else None))
-        handle = ReplicaHandle(self, session)
-        self.handles.append(handle)
-        return handle
+    def _replica_queue(self) -> RoutedQueue:
+        return RoutedQueue(self)
 
     def complete(self, request: Request, ttft_ns: float, completion_ns: float,
                  batch_size: int, service_start_ns: float,
                  session: EngineSession) -> RequestOutcome:
-        """Record one finished request against the replica that served it."""
-        outcome = RequestOutcome(
-            request=request,
-            ttft_ns=ttft_ns,
-            completion_ns=completion_ns,
-            batch_size=batch_size,
-            queue_ns=queue_delay_ns(request, service_start_ns),
-            replica=session.replica,
-        )
-        self.outcomes.append(outcome)
-        session.requests += 1
-        session.output_tokens += request.output_tokens
+        outcome = super().complete(
+            request, ttft_ns=ttft_ns, completion_ns=completion_ns,
+            batch_size=batch_size, service_start_ns=service_start_ns,
+            session=session)
         self._load[session.replica] -= self._mass(request)
         self._outstanding -= 1
         return outcome
@@ -431,20 +337,20 @@ class ClusterRuntime:
             # event timing must stay ahead of the feed hint it publishes).
             self.host.dispatch("router", ts_ns, spinup_ns,
                                domain=self.host.router_domain)
-        handle = self._make_replica()
-        self._load.append(0.0)
-        self.routed_per_replica.append(0)
+        session = self.add_replica()
         self.scale_events.append(ScaleEvent(
             ts_ns=ts_ns, replicas=self.replicas, spinup_ns=spinup_ns))
         # Routing to the new replica is allowed immediately (its queue
         # exists now); it starts *serving* once the spin-up work is done.
         self.core.spawn(
-            _delayed(self._policy_process(handle), ts_ns + spinup_ns),
+            _delayed(self._policy_factory(self, session), ts_ns + spinup_ns),
             at_ns=ts_ns + spinup_ns)
 
-    def _router_process(self) -> Process:
+    def _feeder(self) -> Process:
+        """The router: claim each request at its arrival and route it."""
         clock = 0.0
-        for request in self.requests:
+        for entry in self.queue.entries:
+            request = entry.request
             self._next_feed = request.arrival_ns + self.route_cost_ns
             if request.arrival_ns > clock:
                 clock = yield ("at", request.arrival_ns)
@@ -455,11 +361,11 @@ class ClusterRuntime:
             if self.host is not None:
                 self.host.dispatch("router", clock, self.route_cost_ns,
                                    domain=self.host.router_domain)
-            if request.request_id in self._routed_ids:
+            if entry.claimed:
                 raise SimulationError(
                     f"request {request.request_id} routed twice")
-            self._routed_ids.add(request.request_id)
-            self.handles[replica].queue.push(request)
+            entry.claimed = entry.injected = True
+            self.sessions[replica].queue.push(request)
             self._load[replica] += self._mass(request)
             self._outstanding += 1
             self.routed_per_replica[replica] += 1
@@ -473,111 +379,42 @@ class ClusterRuntime:
     # ------------------------------------------------------------------
     # Run
     # ------------------------------------------------------------------
-    def _policy_process(self, handle: ReplicaHandle) -> Process:
-        return self._process(handle, handle.session, self._serving_policy)
+    def run(self, policy_factory: PolicyFactory) -> list[RequestOutcome]:
+        """Drive the router plus one policy process per replica to the end.
 
-    def run(self) -> list[RequestOutcome]:
-        """Drive the router plus one policy process per replica to the end."""
-        self.core.spawn(self._router_process())
-        # Replicas first wake when the first routed request can reach one —
-        # never at the first arrival itself. A stream whose first request
-        # lands exactly at a replica's start time would otherwise race the
-        # router at one timestamp, and the tie-break order (not causality)
-        # would decide whether the claim pays the routing latency.
-        start_ns = self.requests[0].arrival_ns + self.route_cost_ns
-        for handle in self.handles:
-            self.core.spawn(_delayed(self._policy_process(handle), start_ns))
-        self.core.run()
-        if self._routed_ids != set(self._ids):
-            missing = sorted(set(self._ids) - self._routed_ids)
-            raise SimulationError(
-                f"router dropped requests on the floor: {missing[:5]}")
-        for handle in self.handles:
-            if not handle.queue.all_claimed():
-                unserved = [e.request.request_id
-                            for e in handle.queue.entries if not e.claimed]
-                raise SimulationError(
-                    f"replica {handle.replica} left requests unserved: "
-                    f"{unserved[:5]}")
-        if len(self.outcomes) != len(self.requests):
-            raise SimulationError(
-                f"served {len(self.outcomes)} outcomes for "
-                f"{len(self.requests)} requests")
-        served = [o.request.request_id for o in self.outcomes]
-        if len(set(served)) != len(served):
-            raise SimulationError("a request completed more than once")
-        for session in self.sessions:
-            if session.kv is None:
-                continue
-            if session.kv.prefix_caching:
-                # Warm (idle) shared-prefix groups are cache, not leaks.
-                session.kv.flush_prefixes(self.core.now)
-            if session.kv.pool.allocated != 0:
-                raise SimulationError(
-                    f"replica {session.replica} leaked "
-                    f"{session.kv.pool.allocated} KV blocks at run end")
-            if session.kv.host_blocks != 0:
-                raise SimulationError(
-                    f"replica {session.replica} left {session.kv.host_blocks}"
-                    f" KV blocks stranded in host memory at run end")
+        Replicas first wake when the first routed request can reach one —
+        never at the first arrival itself. A stream whose first request
+        lands exactly at a replica's start time would otherwise race the
+        router at one timestamp, and the tie-break order (not causality)
+        would decide whether the claim pays the routing latency.
+        """
+        self._policy_factory = policy_factory
+        start_ns = self._next_feed
+        outcomes = super().run(
+            lambda runtime, session: _delayed(
+                policy_factory(runtime, session), start_ns))
         if self.recorder is not None:
             # Re-register with the final pool size so the exported
             # metadata reflects autoscaled replicas.
             self.recorder.on_cluster(self.router_policy.value, self.replicas,
-                                     self._ids)
-            if self.host is not None:
-                # Likewise for the host block: the end-of-run core
-                # occupancy totals are what rule N004 conserves.
-                self.recorder.on_host(self.host.describe())
-        return self.outcomes
-
-    # ------------------------------------------------------------------
-    # Stats
-    # ------------------------------------------------------------------
-    def replica_stats(self) -> list[ReplicaStats]:
-        return [ReplicaStats(
-            replica=s.replica,
-            requests=s.requests,
-            output_tokens=s.output_tokens,
-            steps=s.steps,
-            busy_ns=s.busy_ns,
-            span_ns=s.span_ns,
-            cpu_busy_ns=s.thread.busy_ns,
-        ) for s in self.sessions]
-
-    def kv_stats(self) -> list[KvReplicaStats]:
-        stats = []
-        for session in self.sessions:
-            manager = session.kv
-            if manager is None:
-                continue
-            stats.append(KvReplicaStats(
-                replica=session.replica,
-                capacity_blocks=manager.capacity_blocks,
-                block_tokens=manager.block_tokens,
-                preemptions=manager.preemptions,
-                swap_out_events=manager.swap_out_events,
-                swap_in_events=manager.swap_in_events,
-                swapped_blocks=manager.swapped_blocks,
-                swap_ns=manager.swap_ns_total,
-                prefix_hits=manager.prefix_hits,
-                prefix_misses=manager.prefix_misses,
-                cow_forks=manager.cow_forks,
-                prefix_evictions=manager.prefix_evictions,
-            ))
-        return stats
+                                     self._request_ids())
+        return outcomes
 
     def router_stats(self) -> RouterStats:
         return RouterStats(
             policy=self.router_policy.value,
             replicas=self.replicas,
-            routed=len(self._routed_ids),
+            routed=sum(self.routed_per_replica),
             routed_per_replica=tuple(self.routed_per_replica),
             router_busy_ns=self.router_busy_ns,
             route_cost_ns=self.route_cost_ns,
             scale_events=tuple(self.scale_events),
             sessions=len(self._session_map),
         )
+
+    def result(self) -> ClusterRunResult:
+        return ClusterRunResult(**vars(super().result()),
+                                router=self.router_stats())
 
 
 def simulate_cluster(
@@ -618,7 +455,6 @@ def simulate_cluster(
             pool. ``None`` keeps host CPU infinite, bit-identically to
             prior behavior.
     """
-    from repro.serving.batcher import ServingReport
     from repro.serving.continuous import ContinuousBatchPolicy
 
     if isinstance(router, str):
@@ -633,20 +469,11 @@ def simulate_cluster(
         raise ConfigurationError(
             f"cluster replicas run continuous batching; "
             f"got {type(policy).__name__}")
+    process = policy_process(policy, kv)
     runtime = ClusterRuntime(
-        requests, model, latency, process=policy_process(policy, kv),
-        policy=policy,
-        router=router, replicas=replicas, recorder=recorder, kv=kv,
-        autoscale=autoscale, disagg_prompt_ratio=disagg_prompt_ratio,
-        queue=queue, causality=causality, host=host)
-    runtime.run()
-    return ClusterRunResult(
-        report=ServingReport(outcomes=list(runtime.outcomes)),
-        outcomes=list(runtime.outcomes),
-        replicas=runtime.replica_stats(),
-        sessions=runtime.sessions,
-        devices_per_replica=runtime.devices_per_replica,
-        kv=runtime.kv_stats(),
-        router=runtime.router_stats(),
-        host=runtime.host.stats() if runtime.host is not None else None,
-    )
+        requests, model, latency, router=router, replicas=replicas,
+        recorder=recorder, kv=kv, autoscale=autoscale,
+        disagg_prompt_ratio=disagg_prompt_ratio, queue=queue,
+        causality=causality, host=host)
+    runtime.run(lambda rt, session: process(rt, session, policy))
+    return runtime.result()

@@ -94,7 +94,7 @@ def continuous_batching_process(runtime: ServingRuntime,
     immediately and steps are pure decodes — the legacy schedule, bit for
     bit.
     """
-    queue = runtime.queue
+    queue = session.queue
     latency = runtime.latency
     model = runtime.model
     recorder = runtime.recorder

@@ -12,27 +12,33 @@ hoists the machinery all serving policies share onto
 * :func:`arrival_process` — injects each request into the queue at its
   ``arrival_ns``; pure bookkeeping, the open-loop load generator.
 * :class:`EngineSession` — one engine replica's resources: a CPU dispatch
-  thread plus one GPU device per tensor-parallel shard. ``execute`` (one
-  step) and ``execute_steps`` (a decode window's steps) are where a
-  policy's steps touch simulated hardware: each step occupies the thread,
-  submits one kernel per device stream and appends to the replica's device
-  schedules (checkable by ``repro check schedule``), and the steps are
-  recorded with the run recorder.
+  thread plus one GPU device per tensor-parallel shard, and the queue its
+  policy process claims from. ``execute`` (one step) and
+  ``execute_steps`` (a decode window's steps) are where a policy's steps
+  touch simulated hardware: each step occupies the thread, submits one
+  kernel per device stream and appends to the replica's device schedules
+  (checkable by ``repro check schedule``), and the steps are recorded with
+  the run recorder.
 * :class:`ServingRuntime` — owns the core, the queue, the sessions, and the
-  outcome list. ``run(policy_factory)`` spawns the arrival process plus one
-  policy process per replica and drives the simulation to completion.
+  outcome list. ``run(policy_factory)`` spawns the feeder (the arrival
+  process) plus one policy process per replica, drives the simulation to
+  completion and checks that every request was served exactly once with
+  no KV block left behind; ``result()`` packs a :class:`ServingRunResult`.
+  :class:`~repro.serving.cluster.ClusterRuntime` is the same runtime with
+  a router as its feeder and a routed queue per replica.
 * :func:`simulate_serving` — the one entry point: :func:`policy_process`
   picks the policy's process (continuous batching, its KV-gated form, or
   the batched loop of :mod:`repro.serving.batched` that static, priority,
   speculative, pipeline and RAG policies share), and the results (report,
   per-replica stats, schedules) come back in a :class:`ServingRunResult`.
 
-With ``replicas=1`` static and continuous serving reproduce the legacy
-loops' outcomes bit for bit, and priority serving all but its corrected
-completions; those outcomes are frozen as exact test fixtures. With
-``replicas>1`` the processes race for claims on the shared queue; the
-core's deterministic FIFO tie-break (spawn order at equal timestamps)
-keeps multi-replica runs reproducible.
+With ``replicas=1`` continuous serving reproduces the retired standalone
+loops' outcomes bit for bit; static and priority rows were moved on
+purpose where the batched loop's clock corrects them by a few ulps (see
+``tests/golden/data/legacy_parity_rows.json``). With ``replicas>1`` the
+processes race for claims on the shared queue; the core's deterministic
+FIFO tie-break (spawn order at equal timestamps) keeps multi-replica runs
+reproducible.
 """
 
 from __future__ import annotations
@@ -93,6 +99,8 @@ class AdmissionQueue:
                  tags: dict[int, Hashable] | None = None) -> None:
         if not requests:
             raise ConfigurationError("no requests to serve")
+        if len({r.request_id for r in requests}) != len(requests):
+            raise ConfigurationError("duplicate request ids in stream")
         # Stable sort by arrival keeps ties in caller order.
         ordered = sorted(requests, key=lambda r: r.arrival_ns)
         tags = tags or {}
@@ -204,7 +212,10 @@ def arrival_process(queue: AdmissionQueue) -> Process:
 class EngineSession:
     """One engine replica: a CPU dispatch thread plus its TP shard devices.
 
-    ``schedule_items`` holds, per device, the ordered issue list the policy
+    ``queue`` is what the replica's policy process claims from: the
+    runtime's shared :class:`AdmissionQueue` in a flat run, or the
+    replica's own :class:`~repro.serving.cluster.RoutedQueue` under a
+    router. ``schedule_items`` holds, per device, the ordered issue list the policy
     produced — ``("kernel", name)`` entries plus, for multi-shard replicas,
     ``("join", key, parties)`` collectives that keep the shards in lockstep.
     ``repro.check.schedule.schedules_from_serving`` lifts these into typed
@@ -214,6 +225,7 @@ class EngineSession:
     replica: int
     thread: CpuThread
     devices: list[GpuDevice]
+    queue: AdmissionQueue
     recorder: RunRecorder | None = None
     kv: KvManager | None = None
     #: Finite-host CPU model (None = the classic infinite-CPU path, which
@@ -430,7 +442,13 @@ PolicyFactory = Callable[["ServingRuntime", EngineSession], Process]
 
 
 class ServingRuntime:
-    """Owns the sim core, admission queue, and engine sessions of one run."""
+    """Owns the sim core, admission queue, and engine sessions of one run.
+
+    Two hooks let a subclass change how work reaches the replicas and
+    nothing else: :meth:`_feeder` is the process that feeds the queues
+    (here the open-loop :func:`arrival_process`) and :meth:`_replica_queue`
+    is the queue a new replica claims from (here the shared one).
+    """
 
     def __init__(
         self,
@@ -469,32 +487,47 @@ class ServingRuntime:
         if host is not None:
             host.attach(self.core, recorder=recorder)
         self.sessions: list[EngineSession] = []
-        for replica in range(replicas):
-            thread = self.core.add_cpu_thread(name=f"serve{replica}")
-            devices = [self.core.add_device(replica=replica)
-                       for _ in range(self.devices_per_replica)]
-            manager = None
-            if self.kv_config is not None:
-                from repro.kvcache.manager import KvManager
-
-                manager = KvManager.for_gpu(
-                    model, latency.platform, self.kv_config,
-                    recorder=recorder, replica=replica)
-                self.core.add_kv_resource(manager.resource)
-                if recorder is not None:
-                    recorder.on_kv_pool(replica, manager.capacity_blocks,
-                                        self.kv_config.policy.value,
-                                        self.kv_config.block_tokens)
-            self.sessions.append(EngineSession(
-                replica=replica, thread=thread, devices=devices,
-                recorder=recorder, kv=manager, host=host,
-                numa_domain=(host.domain_for(replica)
-                             if host is not None else None)))
         self.outcomes: list[RequestOutcome] = []
+        for _ in range(replicas):
+            self.add_replica()
 
     @property
     def replicas(self) -> int:
         return len(self.sessions)
+
+    def add_replica(self) -> EngineSession:
+        """Build one more replica: its dispatch thread, its shard devices,
+        its KV pool (when ``kv`` sets a pressure policy) and its queue."""
+        replica = len(self.sessions)
+        thread = self.core.add_cpu_thread(name=f"serve{replica}")
+        devices = [self.core.add_device(replica=replica)
+                   for _ in range(self.devices_per_replica)]
+        manager = None
+        if self.kv_config is not None:
+            from repro.kvcache.manager import KvManager
+
+            manager = KvManager.for_gpu(
+                self.model, self.latency.platform, self.kv_config,
+                recorder=self.recorder, replica=replica)
+            self.core.add_kv_resource(manager.resource)
+            if self.recorder is not None:
+                self.recorder.on_kv_pool(replica, manager.capacity_blocks,
+                                         self.kv_config.policy.value,
+                                         self.kv_config.block_tokens)
+        host = self.host
+        session = EngineSession(
+            replica=replica, thread=thread, devices=devices,
+            queue=self._replica_queue(), recorder=self.recorder,
+            kv=manager, host=host,
+            numa_domain=host.domain_for(replica) if host is not None else None)
+        self.sessions.append(session)
+        return session
+
+    def _replica_queue(self) -> AdmissionQueue:
+        return self.queue
+
+    def _feeder(self) -> Process:
+        return arrival_process(self.queue)
 
     def complete(self, request: Request, ttft_ns: float, completion_ns: float,
                  batch_size: int, service_start_ns: float,
@@ -514,15 +547,18 @@ class ServingRuntime:
         return outcome
 
     def run(self, policy_factory: PolicyFactory) -> list[RequestOutcome]:
-        """Spawn the arrival process plus one policy process per replica and
-        drive the simulation until every request has been served."""
-        self.core.spawn(arrival_process(self.queue))
+        """Spawn the feeder plus one policy process per replica, drive the
+        simulation until every request has been served, and check the run
+        conserved its requests and KV blocks."""
+        self.core.spawn(self._feeder())
         for session in self.sessions:
             self.core.spawn(policy_factory(self, session))
         self.core.run()
-        if not self.queue.all_claimed():
-            unserved = [e.request.request_id
-                        for e in self.queue.entries if not e.claimed]
+        queues = [self.queue] + [s.queue for s in self.sessions
+                                 if s.queue is not self.queue]
+        unserved = [e.request.request_id for q in queues
+                    for e in q.entries if not e.claimed]
+        if unserved:
             raise SimulationError(
                 f"policy left requests unserved: {unserved[:5]}")
         if len(self.outcomes) != len(self.queue.entries):
@@ -586,6 +622,20 @@ class ServingRuntime:
                 prefix_evictions=manager.prefix_evictions,
             ))
         return stats
+
+    def result(self) -> ServingRunResult:
+        """Everything the finished run produced."""
+        from repro.serving.batcher import ServingReport
+
+        return ServingRunResult(
+            report=ServingReport(outcomes=list(self.outcomes)),
+            outcomes=list(self.outcomes),
+            replicas=self.replica_stats(),
+            sessions=self.sessions,
+            devices_per_replica=self.devices_per_replica,
+            kv=self.kv_stats(),
+            host=self.host.stats() if self.host is not None else None,
+        )
 
 
 @dataclass
@@ -698,7 +748,6 @@ def simulate_serving(
             Only the continuous-batching policy family prices per-step
             CPU shares, so other policies require ``host=None``.
     """
-    from repro.serving.batcher import ServingReport
     from repro.serving.continuous import ContinuousBatchPolicy
 
     if policy is None:
@@ -714,12 +763,4 @@ def simulate_serving(
                              replicas=replicas, tags=tags or None, kv=kv,
                              queue=queue, causality=causality, host=host)
     runtime.run(lambda rt, session: process(rt, session, policy))
-    return ServingRunResult(
-        report=ServingReport(outcomes=list(runtime.outcomes)),
-        outcomes=list(runtime.outcomes),
-        replicas=runtime.replica_stats(),
-        sessions=runtime.sessions,
-        devices_per_replica=runtime.devices_per_replica,
-        kv=runtime.kv_stats(),
-        host=runtime.host.stats() if runtime.host is not None else None,
-    )
+    return runtime.result()

@@ -146,7 +146,6 @@ def test_non_positive_launch_cost_rejected_not_clamped():
 
     with pytest.raises(ConfigurationError, match="launch_call_cpu_ns"):
         ClusterRuntime(_simple_stream(4), GPT2, _FreeDispatchLatency(),
-                       process=None, policy=ContinuousBatchPolicy(),
                        replicas=2)
 
 
@@ -165,10 +164,8 @@ def test_duplicate_request_ids_rejected():
 
 def test_routed_queue_rejects_out_of_order_pushes():
     runtime = ClusterRuntime(
-        _simple_stream(4), GPT2, LatencyModel(platform=GH200),
-        process=lambda *a: iter(()), policy=ContinuousBatchPolicy(),
-        replicas=2)
-    queue = runtime.handles[0].queue
+        _simple_stream(4), GPT2, LatencyModel(platform=GH200), replicas=2)
+    queue = runtime.sessions[0].queue
     queue.push(ServingRequest(request_id=90, arrival_ns=5e6, prompt_len=8,
                               output_tokens=2))
     with pytest.raises(SimulationError, match="arrival order"):
