@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.hardware import get_platform
+from repro.kvcache import KvCacheConfig, KvPolicy
 from repro.serving.batcher import StaticBatchPolicy
 from repro.serving.cluster import (
     AutoscaleConfig,
@@ -162,6 +163,17 @@ def test_duplicate_request_ids_rejected():
                          LatencyModel(platform=GH200))
 
 
+def test_duplicate_request_ids_rejected_by_the_flat_runtime():
+    # The admission queue rejects them up front, before any simulation.
+    from repro.serving.runtime import simulate_serving
+
+    request = ServingRequest(request_id=1, arrival_ns=0.0, prompt_len=8,
+                             output_tokens=2)
+    with pytest.raises(ConfigurationError, match="duplicate"):
+        simulate_serving([request, request], GPT2,
+                         LatencyModel(platform=GH200))
+
+
 def test_routed_queue_rejects_out_of_order_pushes():
     runtime = ClusterRuntime(
         _simple_stream(4), GPT2, LatencyModel(platform=GH200), replicas=2)
@@ -267,7 +279,13 @@ def test_canonical_cluster_run_uses_prefix_caching():
     assert result.router.routed == len(requests)
 
 
-def test_single_replica_cluster_matches_flat_runtime_modulo_routing():
+@pytest.mark.parametrize("kv", [
+    pytest.param(None, id="no-kv"),
+    # 34 blocks: two 18-block sequences cannot both grow, so both sides swap.
+    pytest.param(KvCacheConfig(policy=KvPolicy.OFFLOAD, pool_gib=0.019),
+                 id="offload"),
+])
+def test_single_replica_cluster_matches_flat_runtime_modulo_routing(kv):
     # One replica, no tags: the cluster serves the identical stream; the
     # only divergence budget is the router's explicit decision latency,
     # visible as the first arrival's queue delay.
@@ -277,9 +295,12 @@ def test_single_replica_cluster_matches_flat_runtime_modulo_routing():
                                 prompt_len=256, output_tokens=32, seed=4)
     latency = LatencyModel(platform=GH200)
     policy = ContinuousBatchPolicy(max_active=8)
-    flat = simulate_serving(requests, GPT2, latency, policy=policy)
+    flat = simulate_serving(requests, GPT2, latency, policy=policy, kv=kv)
     routed = simulate_cluster(requests, GPT2, latency, policy=policy,
-                              router="round-robin", replicas=1)
+                              router="round-robin", replicas=1, kv=kv)
+    if kv is not None:
+        assert flat.kv[0].swap_out_events > 0
+        assert routed.kv[0].swap_out_events > 0
     assert [o.request.request_id for o in routed.outcomes] == [
         o.request.request_id for o in flat.outcomes]
     first = min(routed.outcomes, key=lambda o: o.request.arrival_ns)

@@ -7,12 +7,15 @@ from repro.check.tracelint import lint_trace
 from repro.engine import TPConfig
 from repro.errors import ConfigurationError, SimulationError
 from repro.hardware import INTEL_H100
+from repro.kvcache import KvCacheConfig, KvPolicy
 from repro.obs import RunRecorder, recording_to_trace
 from repro.serving import (
     AdmissionQueue,
+    ClusterRuntime,
     ContinuousBatchPolicy,
     LatencyModel,
     Request,
+    ServingRuntime,
     StaticBatchPolicy,
     poisson_requests,
     simulate_serving,
@@ -98,6 +101,50 @@ def test_every_request_served_once(latency, overloaded_stream):
                               replicas=2)
     served = [o.request.request_id for o in result.report.outcomes]
     assert sorted(served) == sorted(r.request_id for r in overloaded_stream)
+
+
+# ----------------------------------------------------------------------
+# Run-end conservation, flat and routed
+# ----------------------------------------------------------------------
+
+def _stub(skip=(), twice=(), hold_kv=False):
+    """A policy process that claims its queue once every request can have
+    reached it, then completes each claimed request except those in
+    ``skip`` (those in ``twice`` twice), optionally keeping a KV block."""
+    def process(runtime, session):
+        now = yield ("at", 1e9)
+        for request in session.queue.claim(now, 1 << 30):
+            if hold_kv:
+                session.kv.try_allocate(request.request_id, 1, now)
+            for _ in range(2 if request.request_id in twice else
+                           0 if request.request_id in skip else 1):
+                runtime.complete(request, ttft_ns=1.0, completion_ns=2.0,
+                                 batch_size=1, service_start_ns=now,
+                                 session=session)
+    return process
+
+
+def _unclaiming(runtime, session):
+    """A policy process that leaves every request in its queue."""
+    yield ("at", 1e9)
+
+
+@pytest.mark.parametrize("runtime_cls", [ServingRuntime, ClusterRuntime])
+@pytest.mark.parametrize("factory,kv,match", [
+    pytest.param(_unclaiming, None, "unserved", id="unclaimed"),
+    pytest.param(_stub(skip={1}, twice={0}), None, "more than once",
+                 id="completed-twice"),
+    pytest.param(_stub(twice={0}), None, "outcomes for", id="extra-outcome"),
+    pytest.param(_stub(hold_kv=True),
+                 KvCacheConfig(policy=KvPolicy.RECOMPUTE, pool_gib=0.04),
+                 "leaked", id="kv-leak"),
+])
+def test_run_end_checks_catch_a_faulty_policy(runtime_cls, factory, kv,
+                                              match, latency):
+    runtime = runtime_cls(_requests([0.0, 1e3, 2e3]), GPT2, latency,
+                          replicas=1, kv=kv)
+    with pytest.raises(SimulationError, match=match):
+        runtime.run(factory)
 
 
 def test_scale_out_beats_one_replica(latency, overloaded_stream):
