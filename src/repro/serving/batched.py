@@ -81,9 +81,11 @@ class Booked(NamedTuple):
                     total_ns: float) -> tuple[float, float]:
         """Completion latency and time of a request whose generation is
         priced ``total_ns`` with the first prefill: the prefill as booked,
-        then the generation tail past the whole-prompt price."""
-        own = self.prefill_ns + (total_ns - self.ttft_ns)
-        return queued_ns + own, self.start_ns + own
+        then the generation tail past the whole-prompt price. The tail
+        runs from the first token, so a request charged the batch's whole
+        generation completes exactly where its GENERATION step ends."""
+        tail = total_ns - self.ttft_ns
+        return queued_ns + (self.prefill_ns + tail), self.first_token_ns + tail
 
 
 class BatchPlan(NamedTuple):

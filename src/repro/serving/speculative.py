@@ -206,17 +206,20 @@ class SpeculativeServingPolicy:
         batch maximum output is generated (:func:`speculative_steps`).
         Each request finishes at its own expected round count after the
         first token, not the batch maximum's."""
+        output_tokens = max(r.output_tokens for r in batch)
         steps, _, per_round = speculative_steps(
             runtime.model, self.draft, runtime.latency, self.config,
-            len(batch), max(r.prompt_len for r in batch),
-            max(r.output_tokens for r in batch),
+            len(batch), max(r.prompt_len for r in batch), output_tokens,
             shaped=runtime.recorder is not None)
         expected = self.config.expected_tokens_per_round
+        rounds_ns = output_tokens / expected * per_round
 
         def charge(request: Request, queued: float,
                    booked: Booked) -> tuple[float, float]:
-            completion = (queued + booked.prefill_ns
-                          + request.output_tokens / expected * per_round)
-            return completion, request.arrival_ns + completion
+            # A request needing fewer rounds than the batch's longest
+            # finishes the missing rounds' cost before the last step ends.
+            own = request.output_tokens / expected * per_round
+            return (queued + booked.prefill_ns + own,
+                    booked.end_ns - (rounds_ns - own))
 
         return BatchPlan(steps, charge)

@@ -264,17 +264,17 @@ FROZEN = {
     recompute_prefix_serve: "259292d8b2cc9a19",
     prefix_cluster_serve: "4d46ea1230c334f8",
     sampled_continuous_serve: "7d151bd19b059b91",
-    static_serve: "49beff56022e7195",
-    priority_serve: "05d3f937c361bb82",
-    speculative_serve: "897ffecb47390f3f",
+    static_serve: "4e2e8cdda90dc61a",
+    priority_serve: "5d75bbf15a16c8b7",
+    speculative_serve: "740c9d4dec972fef",
     pipeline_serve: "a75fc6dfcc9db5f7",
-    rag_serve: "ece73be0198482c7",
-    static_two_replica_serve: "e58347925f78fa60",
-    priority_two_replica_serve: "692d7db7dc7e5230",
-    speculative_chunked_serve: "efa903d62e16b595",
-    priority_chunked_serve: "f999da43e5913d24",
+    rag_serve: "0977d21cc2430470",
+    static_two_replica_serve: "d1947ac7a82ed2db",
+    priority_two_replica_serve: "fe1f2ace83af8cc4",
+    speculative_chunked_serve: "d02a0b21b3a32f9c",
+    priority_chunked_serve: "be6e9b9a9baac1ea",
     pipeline_chunked_serve: "b30ea07cc328aa42",
-    rag_chunked_serve: "b5911c2cc81843e9",
+    rag_chunked_serve: "bc588b4cb61c92e3",
 }
 
 

@@ -3,10 +3,13 @@
 One process (:func:`repro.serving.batched.batched_serving_process`) serves
 all five policies. Its clock moves by exactly the steps it books, so no
 step overlaps the one before it, not even by an ulp, the compute stream
-ends exactly where the last step does, and a chunked prefill cannot
-report the whole-prompt TTFT; outcomes must not depend on the event queue's tie-break
+ends exactly where the last step does, a chunked prefill cannot
+report the whole-prompt TTFT, and no request completes after its batch's
+last step ends; outcomes must not depend on the event queue's tie-break
 order; and every policy resolves to one of three processes.
 """
+
+import math
 
 import pytest
 
@@ -59,6 +62,25 @@ def _prefill_end(steps, admitted_ns):
     return steps[i].ts_ns + steps[i].dur_ns
 
 
+def _check_batch_completions(recorder, steps, requests):
+    """No request of a batch completes after the batch's last step ends,
+    and those charged its whole generation (the longest output) complete
+    exactly there. A batch is the requests one replica admitted at once."""
+    spans = recorder.spans
+    launches = sorted({spans[r.request_id].admitted_ns for r in requests})
+    for launch, next_launch in zip(launches, launches[1:] + [math.inf]):
+        batch = [r for r in requests
+                 if spans[r.request_id].admitted_ns == launch]
+        last = [s for s in steps if launch <= s.ts_ns < next_launch][-1]
+        end = last.ts_ns + last.dur_ns
+        longest = max(r.output_tokens for r in batch)
+        for request in batch:
+            completed = spans[request.request_id].completed_ns
+            assert completed <= end, (request, completed, end)
+            if request.output_tokens == longest:
+                assert completed == end, (request, completed, end)
+
+
 @pytest.mark.parametrize("name,platform,chunk_tokens", list(_cases()))
 def test_steps_and_first_tokens_follow_the_booked_clock(name, platform,
                                                         chunk_tokens,
@@ -77,6 +99,8 @@ def test_steps_and_first_tokens_follow_the_booked_clock(name, platform,
                                                                  after)
         last = steps[-1].ts_ns + steps[-1].dur_ns
         assert session.devices[0].compute_stream.free_at == last
+        _check_batch_completions(recorder, steps, [
+            o.request for o in run.outcomes if o.replica == session.replica])
     for outcome in run.outcomes:
         span = recorder.spans[outcome.request.request_id]
         steps = [s for s in recorder.steps if s.replica == outcome.replica]
