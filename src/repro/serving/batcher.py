@@ -10,8 +10,9 @@ prefill + decode for the whole batch padded to its longest member.
 (:func:`repro.serving.batched.batched_serving_process`): its ``claim`` hook
 gathers the batching window and its ``plan`` hook prices the padded batch;
 :func:`simulate_static_batching` wraps it for the single-call API. With one
-replica it reproduces the original standalone loop's frozen outcomes
-bit-for-bit.
+replica its outcomes match the original standalone loop's frozen ones
+except where the batched loop's booked clock moves a completion by a few
+ulps (``tests/golden/data/legacy_parity_rows.json`` holds the moved rows).
 """
 
 from __future__ import annotations

@@ -72,8 +72,8 @@ def queue_delay_ns(request: Request, service_start_ns: float) -> float:
 
     Queue time is the wait between a request's arrival and the instant its
     batch starts service (prefill launch). Every policy — static,
-    continuous, priority, speculative, pipeline, RAG — and both the legacy
-    and sim-backed paths use this one definition, so ``queue_ns`` means the
+    continuous, priority, speculative, pipeline, RAG — on the flat and the
+    routed runtime uses this one definition, so ``queue_ns`` means the
     same thing in every :class:`RequestOutcome` and recorder histogram.
     """
     return max(0.0, service_start_ns - request.arrival_ns)

@@ -33,9 +33,10 @@ hoists the machinery all serving policies share onto
   per-replica stats, schedules) come back in a :class:`ServingRunResult`.
 
 With ``replicas=1`` continuous serving reproduces the retired standalone
-loops' outcomes bit for bit; static and priority rows were moved on
-purpose where the batched loop's clock corrects them by a few ulps (see
-``tests/golden/data/legacy_parity_rows.json``). With ``replicas>1`` the
+loops' outcomes bit for bit. Static and priority outcomes match theirs
+except where the batched loop's booked clock moves a completion by a few
+ulps; the reference rows, moved ones included, are frozen as exact
+fixtures under ``tests/golden/data/``. With ``replicas>1`` the
 processes race for claims on the shared queue; the core's deterministic
 FIFO tie-break (spawn order at equal timestamps) keeps multi-replica runs
 reproducible.
