@@ -216,7 +216,9 @@ class EngineSession:
     ``queue`` is what the replica's policy process claims from: the
     runtime's shared :class:`AdmissionQueue` in a flat run, or the
     replica's own :class:`~repro.serving.cluster.RoutedQueue` under a
-    router. ``schedule_items`` holds, per device, the ordered issue list the policy
+    router.
+
+    ``schedule_items`` holds, per device, the ordered issue list the policy
     produced — ``("kernel", name)`` entries plus, for multi-shard replicas,
     ``("join", key, parties)`` collectives that keep the shards in lockstep.
     ``repro.check.schedule.schedules_from_serving`` lifts these into typed
@@ -561,7 +563,7 @@ class ServingRuntime:
                     for e in q.entries if not e.claimed]
         if unserved:
             raise SimulationError(
-                f"policy left requests unserved: {unserved[:5]}")
+                f"requests left unserved: {unserved[:5]}")
         if len(self.outcomes) != len(self.queue.entries):
             raise SimulationError(
                 f"served {len(self.outcomes)} outcomes for "

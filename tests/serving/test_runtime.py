@@ -116,8 +116,9 @@ def _stub(skip=(), twice=(), hold_kv=False):
         for request in session.queue.claim(now, 1 << 30):
             if hold_kv:
                 session.kv.try_allocate(request.request_id, 1, now)
-            for _ in range(2 if request.request_id in twice else
-                           0 if request.request_id in skip else 1):
+            if request.request_id in skip:
+                continue
+            for _ in range(2 if request.request_id in twice else 1):
                 runtime.complete(request, ttft_ns=1.0, completion_ns=2.0,
                                  batch_size=1, service_start_ns=now,
                                  session=session)
