@@ -245,11 +245,6 @@ class ClusterRuntime(ServingRuntime):
         self._prefill_count = max(1, replicas // 2)
         self._next_feed: float | None = (
             self.queue.entries[0].arrival_ns + route_cost_ns)
-        if recorder is not None:
-            recorder.on_cluster(router.value, replicas, self._request_ids())
-
-    def _request_ids(self) -> list[int]:
-        return [entry.request.request_id for entry in self.queue.entries]
 
     # ------------------------------------------------------------------
     # Replica pool
@@ -394,10 +389,11 @@ class ClusterRuntime(ServingRuntime):
             lambda runtime, session: _delayed(
                 policy_factory(runtime, session), start_ns))
         if self.recorder is not None:
-            # Re-register with the final pool size so the exported
-            # metadata reflects autoscaled replicas.
-            self.recorder.on_cluster(self.router_policy.value, self.replicas,
-                                     self._request_ids())
+            # Registered at run end so the exported metadata counts
+            # autoscaled replicas.
+            self.recorder.on_cluster(
+                self.router_policy.value, self.replicas,
+                [entry.request.request_id for entry in self.queue.entries])
         return outcomes
 
     def router_stats(self) -> RouterStats:
