@@ -21,10 +21,6 @@ from repro.kvcache.pool import (
     pool_capacity_blocks,
 )
 from repro.kvcache.resource import KvCacheResource
-from repro.kvcache.serving import (
-    kv_continuous_batching_process,
-    lifetime_blocks,
-)
 
 __all__ = [
     "KV_BLOCK_TOKENS",
@@ -37,8 +33,6 @@ __all__ = [
     "KvPolicy",
     "block_bytes",
     "blocks_for_tokens",
-    "kv_continuous_batching_process",
-    "lifetime_blocks",
     "pool_bytes",
     "pool_capacity_blocks",
 ]

@@ -39,6 +39,7 @@ from repro.workloads.config import ModelConfig
 
 if TYPE_CHECKING:
     from repro.obs.recorder import RunRecorder
+    from repro.serving.requests import Request
 
 
 class KvPolicy(enum.Enum):
@@ -173,6 +174,50 @@ class KvManager:
                           - bound.get(seq, (0, 0))[1]
                           - held.get(seq, 0)) > 0 else 0
                 for seq, count in zip(seqs, tokens)]
+
+    # -- admission -------------------------------------------------------
+    def admit(self, request: Request, ts_ns: float) -> int | None:
+        """Reserve a request's prompt blocks (plus the prefill's first token).
+
+        Returns the prompt tokens a prefix-cache hit lets the prefill skip
+        (0 without one), or ``None`` when the pool refuses: nothing stays
+        bound or allocated, and the head-of-line request waits. A request
+        whose lifetime (prompt plus output) exceeds the whole pool raises
+        ``ConfigurationError``, since no amount of waiting admits it.
+        """
+        rid = request.request_id
+        lifetime = self.blocks_for(request.prompt_len + request.output_tokens)
+        if lifetime > self.capacity_blocks:
+            raise ConfigurationError(
+                f"request {rid} needs {lifetime} KV blocks but the pool "
+                f"holds {self.capacity_blocks}; the pool cannot fit a "
+                f"single sequence of this length")
+        cached_tokens = 0
+        key = (getattr(request, "prefix_hash", None)
+               if self.prefix_caching else None)
+        if key is not None:
+            got = self.acquire_prefix(rid, key,
+                                      getattr(request, "prefix_len"), ts_ns)
+            if got is None:
+                return None  # a cold prefix cannot fit
+            cached_tokens = got
+        need = self.growth_delta(rid, request.prompt_len + 1)
+        if not self.try_allocate(rid, need, ts_ns):
+            if key is not None:
+                self.release_prefix(rid, ts_ns)
+            return None
+        return cached_tokens
+
+    def could_admit(self, request: Request, free: int) -> bool:
+        """Whether :meth:`admit` would act on ``request`` with ``free``
+        blocks free: admit it, touch the prefix cache (a prefix-tagged
+        request does even when refused), or raise."""
+        return (self.blocks_for(request.prompt_len + request.output_tokens)
+                > self.capacity_blocks
+                or (self.prefix_caching
+                    and getattr(request, "prefix_hash", None) is not None)
+                or self.growth_delta(request.request_id,
+                                     request.prompt_len + 1) <= free)
 
     # -- allocation ------------------------------------------------------
     def try_allocate(self, seq: int, blocks: int, ts_ns: float) -> bool:

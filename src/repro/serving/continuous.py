@@ -19,6 +19,29 @@ positive budget, prompts are prefilled in budget-sized *chunks* interleaved
 with decode steps (sarathi-serve's stall-free scheduling), so a long prompt
 delays in-flight decodes by at most one chunk instead of a whole prefill.
 
+A replica with a finite KV pool (its session's
+:class:`~repro.kvcache.manager.KvManager`) runs the same loop with the
+infinite-memory assumption removed. The pool gates it where a real engine
+touches KV memory:
+
+* **admission** — a request is claimed only once blocks for its prompt (plus
+  the prefill's first token) are allocated; the claim order stays FIFO, so
+  a too-big head-of-line request blocks later ones rather than being
+  skipped.
+* **decode growth** — before each decode step, every active sequence gets
+  the blocks for one more token.
+* **eviction** — when the pool cannot cover the growth, the policy evicts
+  victims newest-first (never below one resident sequence): ``recompute``
+  frees the victim and re-prefills it later; ``offload`` pays a swap-out
+  transfer over the interconnect now and a swap-in transfer before the
+  victim's next decode step.
+
+Swap transfers appear on the serving timeline as ``SWAP_OUT`` /
+``SWAP_IN`` steps — they occupy the engine like a real synchronous
+``cudaMemcpy`` on the scheduler's critical path, and they export to traces
+on their own copy-engine stream lane. A gated replica runs a prompt's
+chunks back to back at admission instead of interleaving them.
+
 The serving loop is :func:`continuous_batching_process`, a process on
 :class:`repro.serving.runtime.ServingRuntime`. Passing a
 :class:`repro.obs.RunRecorder` records every admission, prefill batch or
@@ -31,7 +54,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
+from repro.kvcache.manager import KvManager, KvPolicy
 from repro.obs.events import EngineShape, StepKind
 from repro.obs.recorder import RunRecorder
 from repro.serving.batcher import ServingReport
@@ -86,30 +110,63 @@ def continuous_batching_process(runtime: ServingRuntime,
     Each wake-up runs one decode window (see
     :meth:`StepPlanner.decode_window`): every active sequence decodes one
     token per step, for as many steps as nothing else could happen in
-    between. A window's first step is planner-composed: the leftover token
-    budget (if chunking is on) runs prompt chunks for
-    claimed-but-unprefilled requests, and such a step is a window of one.
-    Finished sequences retire and new arrivals are admitted at the window
-    boundary. With chunking off, admission prefills the whole batch
-    immediately and steps are pure decodes — the legacy schedule, bit for
-    bit.
+    between. On an ungated replica, a window's first step is
+    planner-composed: the leftover token budget (if chunking is on) runs
+    prompt chunks for claimed-but-unprefilled requests, and such a step is
+    a window of one. Finished sequences retire and new arrivals are
+    admitted at the window boundary. With chunking off, admission prefills
+    the whole batch immediately and steps are pure decodes — the legacy
+    schedule, bit for bit. A session with a KV pool (``session.kv``) gates
+    admission, decode growth and eviction on it (see the module docstring).
     """
+    core = runtime.core
     queue = session.queue
     latency = runtime.latency
     model = runtime.model
     recorder = runtime.recorder
     # Finite-host runs price each step's dispatch-CPU share so the
-    # session can book it on the contended core pool; the infinite-CPU
-    # path passes 0.0 and performs no extra lookups.
+    # session can book it on the contended core pool (a swap pays one
+    # launch call, so KV pressure itself contends for host cores); the
+    # infinite-CPU path passes 0.0 and performs no extra lookups.
     host = session.host
-    planner = StepPlanner(PlannerConfig(chunk_tokens=policy.chunk_tokens),
-                          max_active=policy.max_active)
+    kv = session.kv
+    planner = StepPlanner(PlannerConfig(chunk_tokens=policy.chunk_tokens))
+    # The one schedule difference a KV pool makes (an open question, see
+    # ROADMAP.md item 3): only an ungated replica interleaves prompt chunks
+    # with decodes. A gated one allocates a prompt's blocks at admission
+    # and runs its chunks back to back there, so chunking bounds its step
+    # granularity (observability, S007 checkability), not decode stalls.
+    interleave = planner.enabled and kv is None
     active: list[ChunkedSequenceState] = []
-    # Chunked mode: requests claimed but still prefilling, by id, with the
-    # claim time (queue-delay accounting needs it once the last chunk lands).
+    swapped: list[ChunkedSequenceState] = []   # offloaded, FIFO readmission order
+    preempted: list[Request] = []     # recompute victims awaiting re-prefill
+    # Interleaved chunking: requests claimed but still prefilling, by id,
+    # with the claim time (queue-delay accounting needs it once the last
+    # chunk lands).
     admitted: dict[int, tuple[Request, float]] = {}
     newly_joined: list[int] = []        # rids whose first decode is next step
     clock = 0.0
+
+    def depth() -> int:
+        return queue.depth(clock) if recorder is not None else 0
+
+    def occupied() -> int:
+        """Sequences holding a slot: decoding, mid-prefill or parked."""
+        return (len(active) + planner.pending_count + len(swapped)
+                + len(preempted))
+
+    def retire(seq: ChunkedSequenceState, batch_size: int) -> None:
+        """A finished sequence returns its blocks and completes."""
+        if kv is not None:
+            kv.free(seq.request.request_id, clock)
+        if recorder is not None:
+            recorder.on_completed(seq.request.request_id, clock)
+        runtime.complete(seq.request,
+                         ttft_ns=seq.first_token_ns,
+                         completion_ns=seq.last_token_ns,
+                         batch_size=batch_size,
+                         service_start_ns=seq.admitted_ns,
+                         session=session)
 
     def start_sequence(request: Request, admitted_ns: float,
                        batch_size: int) -> None:
@@ -127,72 +184,243 @@ def continuous_batching_process(runtime: ServingRuntime,
         if seq.remaining <= 0:
             # Single-token request: its first (prefill) token is its
             # last; it completes here and never joins the decode batch.
-            if recorder is not None:
-                recorder.on_completed(request.request_id, clock)
-            runtime.complete(request,
-                             ttft_ns=seq.first_token_ns,
-                             completion_ns=seq.first_token_ns,
-                             batch_size=batch_size,
-                             service_start_ns=admitted_ns,
-                             session=session)
+            retire(seq, batch_size)
         else:
             active.append(seq)
-            if planner.enabled:
+            if interleave:
                 newly_joined.append(request.request_id)
 
-    def admit() -> None:
+    def run_chunk(chunk: PromptChunk, batch_size: int, shaped: bool) -> None:
+        """Execute one prompt chunk for ``batch_size`` sequences.
+
+        Priced at its marginal prefill cost, so a whole-prompt chunk makes
+        the single ``ttft_ns`` lookup of an unchunked prefill (the parity
+        anchor). ``shaped`` records a whole chunk's engine shape.
+        """
         nonlocal clock
-        batch = queue.claim(
-            clock, policy.max_active - len(active) - planner.pending_count)
-        if not batch:
-            return
+        clock += session.execute(
+            chunk.kind, clock,
+            StepPlanner.chunk_cost_ns(latency, model, batch_size, chunk),
+            batch_size, queue_depth=depth(),
+            shape=EngineShape(model.name, batch_size, chunk.total)
+            if shaped and chunk.is_whole and recorder is not None else None,
+            schedule_label=chunk.schedule_label,
+            cpu_ns=StepPlanner.chunk_cpu_ns(latency, model, batch_size,
+                                            chunk)
+            if host is not None else 0.0)
+
+    def prefill(batch: list[Request], cached_tokens: int = 0) -> None:
+        """Admit ``batch`` and run its prefill back to back.
+
+        The prompt runs in the planner's chunks (one whole chunk with
+        chunking off). A prefix-cache hit (``cached_tokens > 0``, a batch
+        of one) computes only its divergent suffix, as one step: the
+        cached prefix deletes prefill *compute* but not the launch tax —
+        the suffix still runs a full forward pass (every layer's kernels
+        dispatch, over fewer tokens), which is exactly the mechanism that
+        shifts the CPU-bound→GPU-bound crossover per platform.
+        """
         admitted_ns = clock
         if recorder is not None:
             for request in batch:
                 recorder.on_admitted(request.request_id, request.arrival_ns,
                                      clock)
-        if planner.enabled:
-            # Chunked mode: defer prefill to the step loop, where the
-            # planner interleaves budget-sized chunks with decodes.
-            planner.admit(batch, clock)
-            for request in batch:
-                admitted[request.request_id] = (request, admitted_ns)
-            return
-        prompt_len = max(r.prompt_len for r in batch)
-        for chunk in planner.prefill_plan(batch[0].request_id, prompt_len):
-            # Whole-prompt plan: one chunk priced by the same single
-            # ttft_ns lookup the pre-planner loop made (the parity anchor).
-            prefill_ns = StepPlanner.chunk_cost_ns(latency, model,
-                                                   len(batch), chunk)
-            clock += session.execute(
-                chunk.kind, clock, prefill_ns, len(batch),
-                queue_depth=queue.depth(clock) if recorder is not None else 0,
-                shape=EngineShape(model.name, len(batch), prompt_len)
-                if recorder is not None else None,
-                schedule_label=chunk.schedule_label,
-                cpu_ns=StepPlanner.chunk_cpu_ns(latency, model, len(batch),
-                                                chunk)
-                if host is not None else 0.0)
+        seed = batch[0].request_id
+        if cached_tokens:
+            suffix = batch[0].prompt_len - cached_tokens
+            chunks: tuple[PromptChunk, ...] = (
+                PromptChunk(seed, 0, suffix, suffix),)
+        else:
+            chunks = planner.prefill_plan(seed,
+                                          max(r.prompt_len for r in batch))
+        for chunk in chunks:
+            run_chunk(chunk, len(batch), shaped=True)
         for request in batch:
             start_sequence(request, admitted_ns, len(batch))
 
-    def run_chunk(chunk: PromptChunk) -> None:
-        """Execute one planned prompt chunk (BS=1 marginal-prefill cost)."""
+    def prefill_claimed(claimed: list[tuple[Request, int]]) -> None:
+        """Prefill claimed ``(request, cached_tokens)`` pairs in FIFO order.
+
+        Consecutive uncached requests prefill as one batch; cache hits run
+        as suffix-only singletons. An ungated replica claims no hits, so
+        its claim is one batch.
+        """
+        plain: list[Request] = []
+        for request, cached_tokens in claimed:
+            if cached_tokens:
+                if plain:
+                    prefill(plain)
+                    plain = []
+                prefill([request], cached_tokens)
+            else:
+                plain.append(request)
+        if plain:
+            prefill(plain)
+
+    def claim_new() -> bool:
+        """Claim due arrivals, FIFO, while slots (and on a gated replica,
+        pool blocks) last; returns whether any was claimed."""
+        claimed: list[tuple[Request, int]] = []
+        if kv is None:
+            claimed = [(request, 0) for request in
+                       queue.claim(clock, policy.max_active - occupied())]
+        else:
+            while occupied() + len(claimed) < policy.max_active:
+                entry = queue.first_unclaimed()
+                if entry is None or entry.arrival_ns > clock:
+                    break
+                cached_tokens = kv.admit(entry.request, clock)
+                if cached_tokens is None:
+                    break  # head-of-line waits for blocks
+                got = queue.claim(clock, 1)
+                if not got or got[0] is not entry.request:
+                    raise SimulationError(
+                        f"claim raced ahead of admission gating for request "
+                        f"{entry.request.request_id}")
+                claimed.append((entry.request, cached_tokens))
+        if not claimed:
+            return False
+        if not interleave:
+            prefill_claimed(claimed)
+            return True
+        # Defer prefill to the step loop, where the planner interleaves
+        # budget-sized chunks with decodes.
+        batch = [request for request, _ in claimed]
+        if recorder is not None:
+            for request in batch:
+                recorder.on_admitted(request.request_id, request.arrival_ns,
+                                     clock)
+        planner.admit(batch, clock)
+        for request in batch:
+            admitted[request.request_id] = (request, clock)
+        return True
+
+    def swap_in_ready() -> None:
+        """Bring back offloaded sequences, oldest first, while room lasts."""
         nonlocal clock
-        chunk_ns = StepPlanner.chunk_cost_ns(latency, model, 1, chunk)
-        clock += session.execute(
-            chunk.kind, clock, chunk_ns, 1,
-            queue_depth=queue.depth(clock) if recorder is not None else 0,
-            shape=None, schedule_label=chunk.schedule_label,
-            cpu_ns=StepPlanner.chunk_cpu_ns(latency, model, 1, chunk)
-            if host is not None else 0.0)
-        if chunk.is_last:
-            request, admitted_ns = admitted.pop(chunk.request_id)
-            start_sequence(request, admitted_ns, 1)
+        while swapped and kv is not None:
+            seq = swapped[0]
+            transfer_ns = kv.swap_in(seq.request.request_id, clock)
+            if transfer_ns is None:
+                break
+            swapped.pop(0)
+            clock += session.execute(
+                StepKind.SWAP_IN, clock, transfer_ns, 1,
+                queue_depth=depth(),
+                cpu_ns=latency.platform.launch_call_cpu_ns
+                if host is not None else 0.0)
+            active.append(seq)
+
+    def readmit_preempted() -> None:
+        """Re-prefill recompute victims, oldest first, while room lasts."""
+        batch: list[tuple[Request, int]] = []
+        # Preempted sequences are not counted against max_active here:
+        # they are the ones being drained back in. A victim's prefix
+        # binding survives preemption (only private blocks were dropped),
+        # so its re-prefill recomputes just the copy-on-write suffix.
+        while (preempted and kv is not None
+               and len(active) + len(swapped) + len(batch) < policy.max_active):
+            request = preempted[0]
+            need = kv.growth_delta(request.request_id,
+                                   request.prompt_len + 1)
+            if not kv.try_allocate(request.request_id, need, clock):
+                break
+            preempted.pop(0)
+            shared = kv.shared_blocks_of(request.request_id)
+            batch.append((request, shared * kv.block_tokens))
+        if batch:
+            prefill_claimed(batch)
+
+    def admit() -> None:
+        swap_in_ready()
+        readmit_preempted()
+        claim_new()
+
+    def admission_open(free: int) -> bool:
+        """Whether :func:`admit` could act after a decode step that
+        leaves ``free`` pool blocks (ignored on an ungated replica).
+
+        Mirrors the first probe of each admission path: a swap-in, a
+        recompute readmission, and a claim of the due head-of-line
+        request, which a gated replica probes with
+        :meth:`KvManager.could_admit`. A decode step only shrinks the free
+        pool and never claims, so a probe that fails after one step of a
+        window fails after every later one: those steps need no admission
+        at all. Requests still to arrive bound the window as core events
+        (see :meth:`StepPlanner.decode_window`).
+        """
+        if kv is not None:
+            if (swapped and kv.host_blocks_of(swapped[0].request.request_id)
+                    <= free):
+                return True
+            if preempted and len(active) + len(swapped) < policy.max_active:
+                request = preempted[0]
+                if kv.growth_delta(request.request_id,
+                                   request.prompt_len + 1) <= free:
+                    return True
+        if occupied() >= policy.max_active:
+            return False
+        entry = queue.first_unclaimed()
+        if entry is None or entry.arrival_ns > clock:
+            return False
+        return kv is None or kv.could_admit(entry.request, free)
+
+    def evict_until_growth_fits(kv: KvManager, ids: list[int],
+                                deltas: list[int]) -> bool:
+        """Make room for every active sequence to grow by one token.
+
+        ``ids`` and ``deltas`` run parallel to ``active`` and shrink with
+        it. Evicting a victim frees only the victim's blocks, so the other
+        sequences' deltas stay valid and are never recomputed. Returns
+        whether anything was evicted (a decode-window boundary: the freed
+        blocks may readmit parked work after the step).
+        """
+        nonlocal clock
+        evicted = False
+        while True:
+            needed = sum(deltas)
+            if kv.pool.can_allocate(needed):
+                return evicted
+            evicted = True
+            # Warm (idle) prefix groups are the cheapest victims: evicting
+            # them costs future hits, not live work.
+            if (kv.prefix_caching
+                    and kv.evict_idle_prefixes(needed, clock)):
+                return evicted
+            if kv.policy is KvPolicy.NONE:
+                raise SimulationError(
+                    "kv pool exhausted with policy none: prefix caching "
+                    "alone cannot evict live sequences — use recompute or "
+                    "offload, or grow the pool")
+            if len(active) <= 1:
+                raise SimulationError(
+                    "kv pool cannot cover a single sequence's decode growth "
+                    "(admission capacity guard should have prevented this)")
+            victim = active.pop()  # newest admission loses its residency
+            ids.pop()
+            deltas.pop()
+            if kv.policy is KvPolicy.RECOMPUTE:
+                kv.preempt(victim.request.request_id, clock)
+                preempted.append(victim.request)
+            else:
+                transfer_ns = kv.swap_out(victim.request.request_id, clock)
+                clock += session.execute(
+                    StepKind.SWAP_OUT, clock, transfer_ns, 1,
+                    queue_depth=depth(),
+                    cpu_ns=latency.platform.launch_call_cpu_ns
+                    if host is not None else 0.0)
+                swapped.append(victim)
 
     while True:
         clock = yield ("at", clock)
         if not active and not planner.has_pending:
+            if swapped or preempted:
+                admit()
+                if not active:
+                    raise SimulationError(
+                        "kv serving stalled: parked sequences but an empty "
+                        "pool refused readmission")
+                continue
             nxt = queue.next_unclaimed_arrival()
             if nxt is None:
                 break
@@ -201,44 +429,69 @@ def continuous_batching_process(runtime: ServingRuntime,
                 # may claim it first; re-check on wake).
                 clock = nxt
                 continue
-            admit()
+            head = queue.first_unclaimed()
+            if (not claim_new() and kv is not None and head is not None
+                    and head.arrival_ns <= clock):
+                # Only a pool refuses a due request. Nothing is resident,
+                # so the refusal would repeat at this instant forever: only
+                # idle prefix groups can hold the blocks the head needs.
+                if kv.prefix_caching:
+                    kv.evict_idle_prefixes(
+                        kv.blocks_for(head.request.prompt_len + 1), clock)
+                if not claim_new():
+                    raise SimulationError(
+                        f"kv serving stalled: request "
+                        f"{head.request.request_id} is due but an idle "
+                        f"engine with nothing resident cannot admit it")
             continue
         # Compose the step up front: decode tokens first (decode priority),
         # then whatever budget remains as prompt chunks.
-        plan = planner.plan_step(len(active))
+        chunks = planner.plan_step(len(active)).chunks if interleave else ()
         if active:
-            # A decode window for the whole active set. Prompt chunks
+            # A decode window for the whole active set. On a gated replica
+            # the first step pays its growth up front (and evicts for it);
+            # later steps run while the pool covers theirs. Prompt chunks
             # after the first step, a newly joined sequence's labelled
-            # first decode, or a due request with a free slot to claim it
+            # first decode, an eviction, or an admission that could act
             # make it a window of one.
+            ids = [seq.request.request_id for seq in active]
+            contexts = [seq.context for seq in active]
+            deltas: list[int] = []
+            evicted = False
+            if kv is not None:
+                deltas = kv.growth_deltas(
+                    ids, [context + 1 for context in contexts])
+                evicted = evict_until_growth_fits(kv, ids, deltas)
+                del contexts[len(active):]  # victims leave from the end
             step_batch = len(active)
 
             def limit() -> int:
-                if plan.chunks or newly_joined:
+                if (chunks or newly_joined or evicted or admission_open(
+                        kv.pool.free_blocks - sum(deltas)
+                        if kv is not None else 0)):
                     return 1
-                if step_batch + planner.pending_count < policy.max_active:
-                    due = queue.next_unclaimed_arrival()
-                    if due is not None and due <= clock:
-                        return 1
-                return min(seq.remaining for seq in active)
+                steps = min(seq.remaining for seq in active)
+                if kv is None:
+                    return steps
+                return kv.decode_steps_covered(ids, contexts, deltas, steps)
 
-            horizon = runtime.core.next_event_ns()
-            steps = planner.decode_window(
-                latency, model, step_batch,
-                max(seq.context for seq in active), policy.context_bucket,
-                clock, horizon, limit, priced_cpu=host is not None,
-                shaped=recorder is not None)
+            horizon = core.next_event_ns()
             clocks = session.execute_steps(
-                StepKind.DECODE, clock, steps, step_batch,
-                queue_depth=queue.depth(clock) if recorder is not None else 0,
-                horizon_ns=horizon,
+                StepKind.DECODE, clock,
+                planner.decode_window(latency, model, step_batch,
+                                      max(contexts), policy.context_bucket,
+                                      clock, horizon, limit,
+                                      priced_cpu=host is not None,
+                                      shaped=recorder is not None),
+                step_batch, queue_depth=depth(), horizon_ns=horizon,
                 schedule_label=decode_schedule_label(newly_joined))
             newly_joined.clear()
+            if kv is not None:
+                kv.apply_decode_window(ids, contexts, deltas, clocks[:-1])
             count = len(clocks) - 1
             clock = clocks[-1]
             if recorder is not None:
-                recorder.on_token_steps(
-                    [seq.request.request_id for seq in active], clocks[1:])
+                recorder.on_token_steps(ids, clocks[1:])
             finished: list[ChunkedSequenceState] = []
             for seq in active:
                 seq.context += count
@@ -248,17 +501,14 @@ def continuous_batching_process(runtime: ServingRuntime,
                     finished.append(seq)
             for seq in finished:
                 active.remove(seq)
-                if recorder is not None:
-                    recorder.on_completed(seq.request.request_id, clock)
-                runtime.complete(seq.request,
-                                 ttft_ns=seq.first_token_ns,
-                                 completion_ns=seq.last_token_ns,
-                                 batch_size=step_batch,
-                                 service_start_ns=seq.admitted_ns,
-                                 session=session)
-        for chunk in plan.chunks:
-            run_chunk(chunk)
-        # Admit newly arrived requests at the step boundary.
+                retire(seq, step_batch)
+        for chunk in chunks:
+            # An interleaved chunk runs at BS=1 and records no shape.
+            run_chunk(chunk, 1, shaped=False)
+            if chunk.is_last:
+                request, admitted_ns = admitted.pop(chunk.request_id)
+                start_sequence(request, admitted_ns, 1)
+        # Admit newly arrived requests (and parked work) at the boundary.
         admit()
 
 

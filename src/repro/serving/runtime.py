@@ -683,12 +683,12 @@ def _normalize(requests: Sequence) -> tuple[list[Request], dict[int, Hashable]]:
 
 def policy_process(policy: object,
                    kv: KvCacheConfig | None = None) -> Callable[..., Process]:
-    """The process that serves ``policy``: one of three.
+    """The process that serves ``policy``: one of two.
 
-    Continuous batching runs :func:`continuous_batching_process`, or the
-    KV-gated :func:`~repro.kvcache.serving.kv_continuous_batching_process`
-    when ``kv`` sets a pressure policy. Every policy with ``claim`` and
-    ``plan`` hooks (static, priority, speculative, pipeline, RAG) runs
+    Continuous batching runs :func:`continuous_batching_process`, flat or
+    routed, with or without a KV pool (the session's ``KvManager`` gates
+    it). Every policy with ``claim`` and ``plan`` hooks (static, priority,
+    speculative, pipeline, RAG) runs
     :func:`~repro.serving.batched.batched_serving_process`. Lazy imports
     keep the policy modules free to import this one at module level.
     """
@@ -697,14 +697,9 @@ def policy_process(policy: object,
         continuous_batching_process,
     )
 
-    kv_pressure = kv is not None and kv.enabled
     if isinstance(policy, ContinuousBatchPolicy):
-        if kv_pressure:
-            from repro.kvcache.serving import kv_continuous_batching_process
-
-            return kv_continuous_batching_process
         return continuous_batching_process
-    if kv_pressure:
+    if kv is not None and kv.enabled:
         raise ConfigurationError(
             f"KV pressure policies require continuous batching; "
             f"got {type(policy).__name__}")

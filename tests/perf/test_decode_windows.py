@@ -13,7 +13,6 @@ import pytest
 from repro.hardware import get_platform
 from repro.host import HostConfig, HostModel
 from repro.kvcache import KvCacheConfig, KvPolicy
-from repro.kvcache.serving import kv_continuous_batching_process
 from repro.obs import RunRecorder
 from repro.obs.events import StepKind
 from repro.serving import ContinuousBatchPolicy, LatencyModel
@@ -24,7 +23,7 @@ from repro.serving.runtime import ServingRuntime
 from repro.workloads import GPT2
 
 
-def serve(process, kv):
+def serve(kv):
     requests = poisson_requests(rate_per_s=40, duration_s=0.25,
                                 prompt_len=256, output_tokens=96, seed=3)
     recorder = RunRecorder()
@@ -32,19 +31,19 @@ def serve(process, kv):
                              LatencyModel(platform=get_platform("AMD+A100")),
                              recorder=recorder, kv=kv)
     policy = ContinuousBatchPolicy(max_active=4)
-    runtime.run(lambda rt, session: process(rt, session, policy))
+    runtime.run(lambda rt, session: continuous_batching_process(rt, session,
+                                                                policy))
     decode_steps = sum(1 for step in recorder.steps
                        if step.kind is StepKind.DECODE)
     return runtime, decode_steps
 
 
-@pytest.mark.parametrize("process, kv", [
-    (kv_continuous_batching_process,
-     KvCacheConfig(policy=KvPolicy.OFFLOAD, pool_gib=0.03)),
-    (continuous_batching_process, None),
+@pytest.mark.parametrize("kv", [
+    KvCacheConfig(policy=KvPolicy.OFFLOAD, pool_gib=0.03),
+    None,
 ], ids=["kv", "plain"])
-def test_decode_steps_outnumber_core_events(process, kv):
-    runtime, decode_steps = serve(process, kv)
+def test_decode_steps_outnumber_core_events(kv):
+    runtime, decode_steps = serve(kv)
     assert len(runtime.outcomes) == len(runtime.queue.entries)
     assert decode_steps > 200
     assert runtime.core.events_processed < decode_steps / 4

@@ -79,8 +79,7 @@ def test_unrecorded_policies_build_no_engine_shapes(monkeypatch):
 
     # Policies import the symbol into their own namespaces; patch each one.
     for module in ("repro.serving.continuous", "repro.serving.batched",
-                   "repro.serving.speculative", "repro.kvcache.serving",
-                   "repro.serving.planner"):
+                   "repro.serving.speculative", "repro.serving.planner"):
         monkeypatch.setattr(f"{module}.EngineShape", counting_shape)
 
     from repro.kvcache import KvCacheConfig

@@ -6,7 +6,7 @@ step overlaps the one before it, not even by an ulp, the compute stream
 ends exactly where the last step does, a chunked prefill cannot
 report the whole-prompt TTFT, and no request completes after its batch's
 last step ends; outcomes must not depend on the event queue's tie-break
-order; and every policy resolves to one of three processes.
+order; and every policy resolves to one of two processes.
 """
 
 import math
@@ -16,7 +16,6 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.hardware import get_platform
 from repro.kvcache import KvCacheConfig, KvPolicy
-from repro.kvcache.serving import kv_continuous_batching_process
 from repro.obs import RunRecorder
 from repro.obs.events import StepKind
 from repro.serving import (ContinuousBatchPolicy, LatencyModel,
@@ -125,12 +124,12 @@ def test_two_replicas_survive_tiebreak_perturbation(name, latencies):
     assert baseline == perturbed
 
 
-def test_three_processes_serve_every_policy():
+def test_two_processes_serve_every_policy():
     kv = KvCacheConfig(policy=KvPolicy.OFFLOAD, pool_gib=0.04)
     assert policy_process(ContinuousBatchPolicy()) is (
         continuous_batching_process)
     assert policy_process(ContinuousBatchPolicy(), kv) is (
-        kv_continuous_batching_process)
+        continuous_batching_process)
     for name in BATCHED_POLICIES:
         assert policy_process(batched_policy(name)) is (
             batched_serving_process)
