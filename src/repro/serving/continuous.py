@@ -139,7 +139,7 @@ def continuous_batching_process(runtime: ServingRuntime,
     interleave = planner.enabled and kv is None
     active: list[ChunkedSequenceState] = []
     swapped: list[ChunkedSequenceState] = []   # offloaded, FIFO readmission order
-    preempted: list[Request] = []     # recompute victims awaiting re-prefill
+    preempted: list[ChunkedSequenceState] = []  # recompute victims
     # Interleaved chunking: requests claimed but still prefilling, by id,
     # with the claim time (queue-delay accounting needs it once the last
     # chunk lands).
@@ -209,8 +209,9 @@ def continuous_batching_process(runtime: ServingRuntime,
                                             chunk)
             if host is not None else 0.0)
 
-    def prefill(batch: list[Request], cached_tokens: int = 0) -> None:
-        """Admit ``batch`` and run its prefill back to back.
+    def run_prefill(seed: int, tokens: int, cached_tokens: int,
+                    batch_size: int) -> None:
+        """Run one prefill of ``tokens`` tokens back to back.
 
         The prompt runs in the planner's chunks (one whole chunk with
         chunking off). A prefix-cache hit (``cached_tokens > 0``, a batch
@@ -220,21 +221,24 @@ def continuous_batching_process(runtime: ServingRuntime,
         dispatch, over fewer tokens), which is exactly the mechanism that
         shifts the CPU-bound→GPU-bound crossover per platform.
         """
+        if cached_tokens:
+            suffix = tokens - cached_tokens
+            chunks: tuple[PromptChunk, ...] = (
+                PromptChunk(seed, 0, suffix, suffix),)
+        else:
+            chunks = planner.prefill_plan(seed, tokens)
+        for chunk in chunks:
+            run_chunk(chunk, batch_size, shaped=True)
+
+    def prefill(batch: list[Request], cached_tokens: int = 0) -> None:
+        """Admit ``batch``, prefill it and start its sequences."""
         admitted_ns = clock
         if recorder is not None:
             for request in batch:
                 recorder.on_admitted(request.request_id, request.arrival_ns,
                                      clock)
-        seed = batch[0].request_id
-        if cached_tokens:
-            suffix = batch[0].prompt_len - cached_tokens
-            chunks: tuple[PromptChunk, ...] = (
-                PromptChunk(seed, 0, suffix, suffix),)
-        else:
-            chunks = planner.prefill_plan(seed,
-                                          max(r.prompt_len for r in batch))
-        for chunk in chunks:
-            run_chunk(chunk, len(batch), shaped=True)
+        run_prefill(batch[0].request_id, max(r.prompt_len for r in batch),
+                    cached_tokens, len(batch))
         for request in batch:
             start_sequence(request, admitted_ns, len(batch))
 
@@ -312,24 +316,27 @@ def continuous_batching_process(runtime: ServingRuntime,
             active.append(seq)
 
     def readmit_preempted() -> None:
-        """Re-prefill recompute victims, oldest first, while room lasts."""
-        batch: list[tuple[Request, int]] = []
-        # Preempted sequences are not counted against max_active here:
-        # they are the ones being drained back in. A victim's prefix
-        # binding survives preemption (only private blocks were dropped),
-        # so its re-prefill recomputes just the copy-on-write suffix.
+        """Re-prefill recompute victims, oldest first, while room lasts.
+
+        A victim resumes where it stopped (vLLM's recompute): blocks for
+        its prompt and the tokens it has generated are reserved again and
+        prefilled, and it keeps its first token, admission time and
+        remaining tokens. Its prefix binding survives preemption (only
+        private blocks were dropped), so the re-prefill skips the shared
+        prefix. Victims are not counted against max_active here: they are
+        the ones being drained back in.
+        """
         while (preempted and kv is not None
-               and len(active) + len(swapped) + len(batch) < policy.max_active):
-            request = preempted[0]
-            need = kv.growth_delta(request.request_id,
-                                   request.prompt_len + 1)
-            if not kv.try_allocate(request.request_id, need, clock):
+               and len(active) + len(swapped) < policy.max_active):
+            seq = preempted[0]
+            rid = seq.request.request_id
+            if not kv.try_allocate(rid, kv.growth_delta(rid, seq.context),
+                                   clock):
                 break
             preempted.pop(0)
-            shared = kv.shared_blocks_of(request.request_id)
-            batch.append((request, shared * kv.block_tokens))
-        if batch:
-            prefill_claimed(batch)
+            run_prefill(rid, seq.context,
+                        kv.shared_blocks_of(rid) * kv.block_tokens, 1)
+            active.append(seq)
 
     def admit() -> None:
         swap_in_ready()
@@ -353,11 +360,10 @@ def continuous_batching_process(runtime: ServingRuntime,
             if (swapped and kv.host_blocks_of(swapped[0].request.request_id)
                     <= free):
                 return True
-            if preempted and len(active) + len(swapped) < policy.max_active:
-                request = preempted[0]
-                if kv.growth_delta(request.request_id,
-                                   request.prompt_len + 1) <= free:
-                    return True
+            if (preempted and len(active) + len(swapped) < policy.max_active
+                    and kv.growth_delta(preempted[0].request.request_id,
+                                        preempted[0].context) <= free):
+                return True
         if occupied() >= policy.max_active:
             return False
         entry = queue.first_unclaimed()
@@ -401,7 +407,7 @@ def continuous_batching_process(runtime: ServingRuntime,
             deltas.pop()
             if kv.policy is KvPolicy.RECOMPUTE:
                 kv.preempt(victim.request.request_id, clock)
-                preempted.append(victim.request)
+                preempted.append(victim)
             else:
                 transfer_ns = kv.swap_out(victim.request.request_id, clock)
                 clock += session.execute(

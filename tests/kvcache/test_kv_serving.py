@@ -43,6 +43,20 @@ def test_recompute_preempts_and_still_completes_everything():
     assert check_kv_events(manager.events, manager.capacity_blocks) == []
 
 
+def test_recompute_readmission_is_not_a_new_request():
+    """A recompute victim resumes: one admission, one first token, and
+    only its own output tokens, however often it is preempted."""
+    recorder = RunRecorder()
+    requests, run = pressured_run(GH200, KvPolicy.RECOMPUTE,
+                                  recorder=recorder)
+    assert run.kv[0].preemptions > len(requests)
+    aggregates = recorder.aggregates
+    assert aggregates.requests_admitted == len(requests)
+    assert aggregates.ttft_count == len(requests)
+    assert aggregates.tokens_generated == sum(r.output_tokens - 1
+                                              for r in requests)
+
+
 def test_offload_swaps_and_still_completes_everything():
     requests, run = pressured_run(GH200, KvPolicy.OFFLOAD)
     assert len(run.outcomes) == len(requests)

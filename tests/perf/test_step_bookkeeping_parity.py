@@ -261,7 +261,7 @@ def rag_chunked_serve():
 #: Fingerprints of the per-sequence implementation (see module docstring).
 FROZEN = {
     offload_chunked_serve: "1d3fc9430f25e6ad",
-    recompute_prefix_serve: "259292d8b2cc9a19",
+    recompute_prefix_serve: "5ecaa9bbe31afafd",
     prefix_cluster_serve: "4d46ea1230c334f8",
     sampled_continuous_serve: "7d151bd19b059b91",
     static_serve: "4e2e8cdda90dc61a",
@@ -343,7 +343,7 @@ def chunked_continuous_serve():
 #: decode steps ran in windows.
 FROZEN_SCHEDULES = {
     offload_chunked_serve: "1a2b03734e6f7ed0",
-    recompute_prefix_serve: "a9832f3abc4a410d",
+    recompute_prefix_serve: "57d2018cc3ec6bd2",
     prefix_cluster_serve: "7d1ef8dac28d000b",
     sampled_continuous_serve: "7b0a4afe044ef316",
     tp2_continuous_serve: "62300773a7012442",
