@@ -23,7 +23,7 @@ This module is the planning layer every serving policy consumes:
 * :class:`StepPlanner` — the planner itself: prompt-progress state for
   chunked admissions, decode-priority hybrid step composition, the FIFO
   batch-claim decision of the batched policies, the marginal-prefill chunk
-  cost model, and the decode window the continuous loops run between
+  cost model, and the decode window the continuous loop runs between
   boundaries (:meth:`StepPlanner.decode_window`).
 
 Chunk cost model: chunk ``i`` covering ``[start, start+length)`` costs
@@ -239,14 +239,7 @@ class StepPlanner:
     the planner never touches the clock, the session, or the recorder.
     """
 
-    def __init__(self, config: PlannerConfig,
-                 max_active: int | None = None) -> None:
-        if (config.enabled and max_active is not None
-                and config.chunk_tokens < max_active):
-            raise ConfigurationError(
-                f"chunk_tokens ({config.chunk_tokens}) must cover one decode "
-                f"token per active sequence (max_active={max_active}); "
-                f"raise the budget or lower max_active")
+    def __init__(self, config: PlannerConfig) -> None:
         self.config = config
         self.pending: list[PromptProgress] = []
 
@@ -438,12 +431,8 @@ class StepPlanner:
 
 @dataclass
 class ChunkedSequenceState:
-    """Bookkeeping a policy keeps per sequence it is decoding.
-
-    Shared by the continuous and KV-aware policies (it is exactly their
-    former private ``_Sequence`` dataclasses, hoisted next to the planner
-    that now feeds them).
-    """
+    """Bookkeeping the continuous loop keeps per sequence it is decoding
+    (or holds parked: swapped out, or preempted for recompute)."""
 
     request: Request
     first_token_ns: float

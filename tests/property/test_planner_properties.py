@@ -57,7 +57,7 @@ def admissions(draw):
 @given(events=admissions(), budget=st.integers(8, 512))
 @settings(max_examples=60, deadline=None)
 def test_no_step_exceeds_the_token_budget(events, budget):
-    planner = StepPlanner(PlannerConfig(chunk_tokens=budget), max_active=8)
+    planner = StepPlanner(PlannerConfig(chunk_tokens=budget))
     prefilled: dict[int, int] = {}
     totals: dict[int, int] = {}
     for kind, payload in events:
