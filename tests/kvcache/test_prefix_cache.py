@@ -9,6 +9,7 @@ from repro.hardware import get_platform
 from repro.kvcache import KvCacheConfig, KvPolicy
 from repro.kvcache.manager import KvManager
 from repro.kvcache.pool import BlockPool
+from repro.obs import RunRecorder
 from repro.serving.continuous import ContinuousBatchPolicy
 from repro.serving.latency import LatencyModel
 from repro.serving.requests import ServingRequest, poisson_requests
@@ -148,17 +149,34 @@ def _rows(result):
              o.batch_size, o.queue_ns, o.replica) for o in result.outcomes]
 
 
-def test_untagged_stream_is_bit_identical_with_caching_on():
-    """prefix_caching=True + no tags == the plain serving run, exactly."""
+#: KV configs that gate an untagged, unpressured stream without acting:
+#: no request binds a prefix, and a 64 GiB pool never runs short.
+NEUTRAL_GATES = {
+    "prefix-caching": KvCacheConfig(policy=KvPolicy.NONE,
+                                    prefix_caching=True),
+    "offload": KvCacheConfig(policy=KvPolicy.OFFLOAD, pool_gib=64),
+    "recompute": KvCacheConfig(policy=KvPolicy.RECOMPUTE, pool_gib=64),
+}
+
+
+@pytest.mark.parametrize("platform", ["GH200", "AMD+A100"])
+@pytest.mark.parametrize("gate", list(NEUTRAL_GATES))
+def test_untagged_stream_is_bit_identical_with_caching_on(gate, platform):
+    """A KV pool that never acts changes nothing: the gated run equals the
+    plain serving run exactly, in outcome rows and in recorded steps."""
     requests = poisson_requests(rate_per_s=200.0, duration_s=0.2,
                                 prompt_len=256, output_tokens=32, seed=4)
-    latency = LatencyModel(platform=GH200)
+    latency = LatencyModel(platform=get_platform(platform))
     policy = ContinuousBatchPolicy(max_active=8)
-    plain = simulate_serving(requests, GPT2, latency, policy=policy)
-    cached = simulate_serving(
-        requests, GPT2, latency, policy=policy,
-        kv=KvCacheConfig(policy=KvPolicy.NONE, prefix_caching=True))
-    assert _rows(plain) == _rows(cached)
+
+    def serve(kv):
+        recorder = RunRecorder()
+        run = simulate_serving(requests, GPT2, latency, policy=policy,
+                               recorder=recorder, kv=kv)
+        return _rows(run), list(recorder.steps)
+
+    plain = serve(None)
+    assert serve(NEUTRAL_GATES[gate]) == plain
 
 
 def _tagged_stream(n=8, prefix_len=128, gap_ns=4e6):
