@@ -5,7 +5,8 @@ Two questions the cluster tier makes answerable:
 **Where does prefix caching move the CPU-bound -> GPU-bound crossover?**
 A shared-prefix hit deletes the cached tokens' prefill *compute* but not
 the per-layer launch tax — the suffix still walks every layer, paying the
-full dispatch path (:func:`repro.kvcache.serving.prefill_cached`). Pricing
+full dispatch path (a prefix-cache hit's suffix prefill in
+:func:`repro.serving.continuous.continuous_batching_process`). Pricing
 TTFT over a batch sweep with and without the cached prefix therefore
 shifts the launch-flat region: the uncached curve ``ttft(B, P)`` leaves
 the framework-bound plateau where compute overtakes launch tax, while the

@@ -3,10 +3,11 @@
 Every policy runs as a process on the shared sim-backed runtime
 (:mod:`repro.serving.runtime`); :func:`simulate_serving` is the one entry
 point, and the per-policy ``simulate_*`` helpers are thin wrappers over it.
-Three processes serve all policies: continuous batching, its KV-gated form
-(:mod:`repro.kvcache.serving`), and the batched loop
-(:mod:`repro.serving.batched`) that static, priority, speculative, pipeline
-and RAG policies drive through their ``claim`` and ``plan`` hooks. The
+Two processes serve all policies: continuous batching
+(:mod:`repro.serving.continuous`), which a replica's KV pool gates when
+it has one, and the batched loop (:mod:`repro.serving.batched`) that
+static, priority, speculative, pipeline and RAG policies drive through
+their ``claim`` and ``plan`` hooks. The
 pre-runtime standalone loops' outcomes are frozen as exact test fixtures.
 """
 

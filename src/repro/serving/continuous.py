@@ -203,7 +203,7 @@ def continuous_batching_process(runtime: ServingRuntime,
             StepPlanner.chunk_cost_ns(latency, model, batch_size, chunk),
             batch_size, queue_depth=depth(),
             shape=EngineShape(model.name, batch_size, chunk.total)
-            if shaped and chunk.is_whole and recorder is not None else None,
+            if recorder is not None and shaped and chunk.is_whole else None,
             schedule_label=chunk.schedule_label,
             cpu_ns=StepPlanner.chunk_cpu_ns(latency, model, batch_size,
                                             chunk)

@@ -27,9 +27,10 @@ hoists the machinery all serving policies share onto
   :class:`~repro.serving.cluster.ClusterRuntime` is the same runtime with
   a router as its feeder and a routed queue per replica.
 * :func:`simulate_serving` — the one entry point: :func:`policy_process`
-  picks the policy's process (continuous batching, its KV-gated form, or
-  the batched loop of :mod:`repro.serving.batched` that static, priority,
-  speculative, pipeline and RAG policies share), and the results (report,
+  picks the policy's process (continuous batching, gated by a KV pool when
+  the run has one, or the batched loop of :mod:`repro.serving.batched`
+  that static, priority, speculative, pipeline and RAG policies share),
+  and the results (report,
   per-replica stats, schedules) come back in a :class:`ServingRunResult`.
 
 With ``replicas=1`` continuous serving reproduces the retired standalone
