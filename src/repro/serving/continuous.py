@@ -20,27 +20,15 @@ with decode steps (sarathi-serve's stall-free scheduling), so a long prompt
 delays in-flight decodes by at most one chunk instead of a whole prefill.
 
 A replica with a finite KV pool (its session's
-:class:`~repro.kvcache.manager.KvManager`) runs the same loop with the
-infinite-memory assumption removed. The pool gates it where a real engine
-touches KV memory:
-
-* **admission** — a request is claimed only once blocks for its prompt (plus
-  the prefill's first token) are allocated; the claim order stays FIFO, so
-  a too-big head-of-line request blocks later ones rather than being
-  skipped.
-* **decode growth** — before each decode step, every active sequence gets
-  the blocks for one more token.
-* **eviction** — when the pool cannot cover the growth, the policy evicts
-  victims newest-first (never below one resident sequence): ``recompute``
-  frees the victim and re-prefills it later; ``offload`` pays a swap-out
-  transfer over the interconnect now and a swap-in transfer before the
-  victim's next decode step.
-
-Swap transfers appear on the serving timeline as ``SWAP_OUT`` /
-``SWAP_IN`` steps — they occupy the engine like a real synchronous
-``cudaMemcpy`` on the scheduler's critical path, and they export to traces
-on their own copy-engine stream lane. A gated replica runs a prompt's
-chunks back to back at admission instead of interleaving them.
+:class:`~repro.kvcache.manager.KvManager`) runs the same loop, gated where
+a real engine touches KV memory: a request is claimed only once its
+prompt's blocks are allocated (FIFO, so a head-of-line request that does
+not fit blocks later ones), each decode step first grows every active
+sequence by one token, and when the pool cannot cover that growth the
+newest sequences are evicted, to be recomputed later or swapped over the
+CPU-GPU link as ``SWAP_OUT``/``SWAP_IN`` steps on the engine's critical
+path (see ``docs/kvcache.md``). A gated replica runs a prompt's chunks
+back to back at admission instead of interleaving them.
 
 The serving loop is :func:`continuous_batching_process`, a process on
 :class:`repro.serving.runtime.ServingRuntime`. Passing a
@@ -435,20 +423,21 @@ def continuous_batching_process(runtime: ServingRuntime,
                 # may claim it first; re-check on wake).
                 clock = nxt
                 continue
-            head = queue.first_unclaimed()
-            if (not claim_new() and kv is not None and head is not None
-                    and head.arrival_ns <= clock):
-                # Only a pool refuses a due request. Nothing is resident,
-                # so the refusal would repeat at this instant forever: only
-                # idle prefix groups can hold the blocks the head needs.
-                if kv.prefix_caching:
-                    kv.evict_idle_prefixes(
-                        kv.blocks_for(head.request.prompt_len + 1), clock)
-                if not claim_new():
-                    raise SimulationError(
-                        f"kv serving stalled: request "
-                        f"{head.request.request_id} is due but an idle "
-                        f"engine with nothing resident cannot admit it")
+            if not claim_new() and kv is not None:
+                head = queue.first_unclaimed()
+                if head is not None and head.arrival_ns <= clock:
+                    # Only a pool refuses a due request. Nothing is
+                    # resident, so the refusal would repeat at this instant
+                    # forever: only idle prefix groups can hold the blocks
+                    # the head request needs.
+                    if kv.prefix_caching:
+                        kv.evict_idle_prefixes(
+                            kv.blocks_for(head.request.prompt_len + 1), clock)
+                    if not claim_new():
+                        raise SimulationError(
+                            f"kv serving stalled: request "
+                            f"{head.request.request_id} is due but an idle "
+                            f"engine with nothing resident cannot admit it")
             continue
         # Compose the step up front: decode tokens first (decode priority),
         # then whatever budget remains as prompt chunks.

@@ -30,8 +30,8 @@ hoists the machinery all serving policies share onto
   picks the policy's process (continuous batching, gated by a KV pool when
   the run has one, or the batched loop of :mod:`repro.serving.batched`
   that static, priority, speculative, pipeline and RAG policies share),
-  and the results (report,
-  per-replica stats, schedules) come back in a :class:`ServingRunResult`.
+  and the results (report, per-replica stats, schedules) come back in a
+  :class:`ServingRunResult`.
 
 With ``replicas=1`` continuous serving reproduces the retired standalone
 loops' outcomes bit for bit. Static and priority outcomes match theirs

@@ -152,8 +152,7 @@ def _rows(result):
 #: KV configs that gate an untagged, unpressured stream without acting:
 #: no request binds a prefix, and a 64 GiB pool never runs short.
 NEUTRAL_GATES = {
-    "prefix-caching": KvCacheConfig(policy=KvPolicy.NONE,
-                                    prefix_caching=True),
+    "prefix": KvCacheConfig(policy=KvPolicy.NONE, prefix_caching=True),
     "offload": KvCacheConfig(policy=KvPolicy.OFFLOAD, pool_gib=64),
     "recompute": KvCacheConfig(policy=KvPolicy.RECOMPUTE, pool_gib=64),
 }
@@ -161,7 +160,7 @@ NEUTRAL_GATES = {
 
 @pytest.mark.parametrize("platform", ["GH200", "AMD+A100"])
 @pytest.mark.parametrize("gate", list(NEUTRAL_GATES))
-def test_untagged_stream_is_bit_identical_with_caching_on(gate, platform):
+def test_a_kv_gate_that_never_acts_changes_nothing(gate, platform):
     """A KV pool that never acts changes nothing: the gated run equals the
     plain serving run exactly, in outcome rows and in recorded steps."""
     requests = poisson_requests(rate_per_s=200.0, duration_s=0.2,
