@@ -287,7 +287,10 @@ def _check_chunk_order(schedule: DeviceSchedule) -> list[Finding]:
     The planner's invariant: a request's prompt chunks run in offset order
     ``0, b, 2b, ...`` until they cover the prompt, its first decode (the
     ``+r<id>`` marker on a decode step) comes only after the final chunk,
-    and no chunk of that request runs after it started decoding. Schedules
+    and no chunk of that request runs after it started decoding. An
+    offset-0 chunk of a request not yet decoding whose previous chunks
+    covered their total starts a new stream: a recompute readmission
+    re-prefills the prompt and the tokens generated so far. Schedules
     without chunk kernels pass vacuously.
     """
     findings: list[Finding] = []
@@ -308,6 +311,9 @@ def _check_chunk_order(schedule: DeviceSchedule) -> list[Finding]:
                     f"scheduled after the request started decoding"))
                 continue
             want = expected.get(rid, 0)
+            if start == 0 and rid in totals and want >= totals[rid]:
+                want = 0            # the previous stream was complete
+                totals[rid] = total
             if start != want or totals.setdefault(rid, total) != total:
                 findings.append(Finding(
                     S007, Severity.ERROR, where,

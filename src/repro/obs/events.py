@@ -111,9 +111,25 @@ class StepEvent(_StepEventFields):
         """Steps ``index``, ``index + 1``, ... of one kind and batch.
 
         Step ``j`` began at ``starts[j]``, lasted ``durations[j]`` and ran
-        shape ``shapes[j]`` (None when ``shapes`` is None). The fields the
-        steps share are checked once; each duration is checked, with the
-        constructor's messages.
+        shape ``shapes[j]`` (None when ``shapes`` is None). The steps are
+        checked by :meth:`check_series`.
+        """
+        cls.check_series(index, starts, durations, batch_size, queue_depth,
+                         replica)
+        new = tuple.__new__
+        return [new(cls, (index + j, kind, ts_ns, dur_ns, batch_size,
+                          queue_depth, None if shapes is None else shapes[j],
+                          replica))
+                for j, (ts_ns, dur_ns) in enumerate(zip(starts, durations))]
+
+    @staticmethod
+    def check_series(index: int, starts: Sequence[float],
+                     durations: Sequence[float], batch_size: int,
+                     queue_depth: int, replica: int) -> None:
+        """Raise the constructor's :class:`AnalysisError` for the first bad
+        step of a :meth:`series`, without building the steps.
+
+        The fields the steps share are checked once, then each duration.
         """
         if starts and batch_size <= 0:
             raise AnalysisError(f"step {index} has no sequences")
@@ -121,16 +137,9 @@ class StepEvent(_StepEventFields):
             raise AnalysisError(f"step {index} has negative queue depth")
         if starts and replica < 0:
             raise AnalysisError(f"step {index} has negative replica")
-        new = tuple.__new__
-        events = []
-        for j, (ts_ns, dur_ns) in enumerate(zip(starts, durations)):
+        for j, (_, dur_ns) in enumerate(zip(starts, durations)):
             if dur_ns < 0:
                 raise AnalysisError(f"step {index + j} has negative duration")
-            events.append(new(cls, (index + j, kind, ts_ns, dur_ns,
-                                    batch_size, queue_depth,
-                                    None if shapes is None else shapes[j],
-                                    replica)))
-        return events
 
     @property
     def ts_end_ns(self) -> float:

@@ -16,8 +16,11 @@ The recorded run can then be:
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from operator import itemgetter
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence, overload
 
 from repro.errors import AnalysisError
 from repro.obs.events import EngineShape, RequestSpan, StepEvent, StepKind
@@ -39,6 +42,89 @@ H_LAUNCH_DELAY = "kernel_launch_delay_ns"
 #: Per-kind step histogram and counter names, built once.
 _STEP_NAMES = {kind: (f"step_{kind.value}_ns", f"steps_{kind.value}")
                for kind in StepKind}
+
+
+class _StepWindow(NamedTuple):
+    """Steps ``index``, ``index + 1``, ... of one kind, batch and replica,
+    stored once: step ``j`` began at ``starts[j]``, lasted ``spans[j]``
+    and ran shape ``shapes[j]`` (None when ``shapes`` is None)."""
+
+    index: int
+    kind: StepKind
+    batch_size: int
+    queue_depth: int
+    replica: int
+    starts: array
+    spans: array
+    shapes: tuple[EngineShape | None, ...] | None
+
+    def step(self, j: int) -> StepEvent:
+        """The window's step ``j`` (checked when the window was recorded)."""
+        return tuple.__new__(StepEvent, (
+            self.index + j, self.kind, self.starts[j], self.spans[j],
+            self.batch_size, self.queue_depth,
+            None if self.shapes is None else self.shapes[j], self.replica))
+
+
+class StepLog(Sequence[StepEvent]):
+    """The recorded engine steps: a read-only sequence of :class:`StepEvent`.
+
+    A decode window of two or more steps is stored as one record (its
+    starts and spans as ``array('d')``, its shapes as a tuple) and read
+    back as the steps one :meth:`RunRecorder.record_step` per step would
+    have appended. Length, iteration, indexing (negative indexes and
+    slices too) and ``==`` against a list or another log see exactly
+    those steps.
+    """
+
+    __slots__ = ("_records", "_len")
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(self) -> None:
+        self._records: list[StepEvent | _StepWindow] = []
+        self._len = 0
+
+    def _append(self, record: StepEvent | _StepWindow, count: int) -> None:
+        self._records.append(record)
+        self._len += count
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self) -> Iterator[StepEvent]:
+        for record in self._records:
+            if type(record) is _StepWindow:
+                yield from map(record.step, range(len(record.starts)))
+            else:
+                yield record
+
+    @overload
+    def __getitem__(self, index: int) -> StepEvent: ...
+
+    @overload
+    def __getitem__(self, index: slice) -> list[StepEvent]: ...
+
+    def __getitem__(self, index: int | slice) -> StepEvent | list[StepEvent]:
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(self._len))]
+        if index < 0:
+            index += self._len
+        if not 0 <= index < self._len:
+            raise IndexError("step index out of range")
+        record = self._records[
+            bisect_right(self._records, index, key=itemgetter(0)) - 1]
+        if type(record) is _StepWindow:
+            return record.step(index - record.index)
+        return record
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (StepLog, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            mine == theirs for mine, theirs in zip(self, other))
+
+    def __repr__(self) -> str:
+        return f"StepLog({list(self)!r})"
 
 
 @dataclass(frozen=True)
@@ -109,7 +195,7 @@ class RunRecorder:
     on them.
     """
 
-    steps: list[StepEvent] = field(default_factory=list)
+    steps: StepLog = field(default_factory=StepLog)
     spans: dict[int, RequestSpan] = field(default_factory=dict)
     counters: CounterSet = field(default_factory=CounterSet)
     kv_events: list[KvCacheEvent] = field(default_factory=list)
@@ -221,9 +307,9 @@ class RunRecorder:
         aggregates.tbt_count = tbt_count
         if gaps:
             self.histogram(H_TBT).observe_each(gaps)
-        for _ in stamps:
-            aggregates.tokens_generated += tokens
-            self.counters.add("tokens_generated", float(tokens))
+        generated = tokens * len(stamps)
+        aggregates.tokens_generated += generated
+        self.counters.add("tokens_generated", float(generated))
 
     def on_completed(self, request_id: int, ts_ns: float) -> None:
         """A request finished generating."""
@@ -253,7 +339,7 @@ class RunRecorder:
                          dur_ns=dur_ns, batch_size=batch_size,
                          queue_depth=queue_depth, shape=shape,
                          replica=replica)
-        self.steps.append(step)
+        self.steps._append(step, 1)
         self.histogram(H_BATCH_SIZE).observe(float(batch_size))
         self.histogram(H_QUEUE_DEPTH).observe(float(queue_depth))
         histogram_name, counter_name = _STEP_NAMES[kind]
@@ -270,26 +356,39 @@ class RunRecorder:
         queue_depth: int = 0,
         shapes: Sequence[EngineShape | None] | None = None,
         replica: int = 0,
-    ) -> list[StepEvent]:
+    ) -> None:
         """Record consecutive engine invocations of one kind and batch.
 
         Step ``j`` began at ``starts[j]`` and lasted ``durations[j]``
-        (shape ``shapes[j]``). Every list and histogram gets its values
-        in the order one :meth:`record_step` per step would append them.
+        (shape ``shapes[j]``), checked as :meth:`StepEvent.series` checks
+        them. Two or more steps are stored as one window record of
+        :attr:`steps`. Every list and histogram gets its values in the
+        order one :meth:`record_step` per step would append them; a
+        window's batch-size and queue-depth observations share one float.
         """
-        events = StepEvent.series(len(self.steps), kind, starts, durations,
-                                  batch_size, queue_depth, shapes, replica)
-        if not events:
-            return events
-        self.steps.extend(events)
-        count = len(events)
-        self.histogram(H_BATCH_SIZE).observe_each([batch_size] * count)
-        self.histogram(H_QUEUE_DEPTH).observe_each([queue_depth] * count)
+        count = len(starts)
+        if not count:
+            return
+        index = len(self.steps)
+        record: StepEvent | _StepWindow
+        if count == 1:
+            (record,) = StepEvent.series(index, kind, starts, durations,
+                                         batch_size, queue_depth, shapes,
+                                         replica)
+        else:
+            StepEvent.check_series(index, starts, durations, batch_size,
+                                   queue_depth, replica)
+            record = _StepWindow(index, kind, batch_size, queue_depth,
+                                 replica, array("d", starts),
+                                 array("d", durations),
+                                 None if shapes is None else tuple(shapes))
+        self.steps._append(record, count)
+        self.histogram(H_BATCH_SIZE).observe_each([float(batch_size)] * count)
+        self.histogram(H_QUEUE_DEPTH).observe_each(
+            [float(queue_depth)] * count)
         histogram_name, counter_name = _STEP_NAMES[kind]
         self.histogram(histogram_name).observe_each(durations)
-        for _ in events:
-            self.counters.add(counter_name)
-        return events
+        self.counters.add(counter_name, float(count))
 
     def steps_of(self, kind: StepKind) -> int:
         """Steps of ``kind`` recorded so far."""

@@ -282,7 +282,7 @@ def continuous_batching_process(runtime: ServingRuntime,
             for request in batch:
                 recorder.on_admitted(request.request_id, request.arrival_ns,
                                      clock)
-        planner.admit(batch, clock)
+        planner.admit(batch)
         for request in batch:
             admitted[request.request_id] = (request, clock)
         return True

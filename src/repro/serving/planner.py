@@ -138,7 +138,6 @@ class PromptProgress:
     """A claimed request whose prompt is still being prefilled in chunks."""
 
     request: Request
-    admitted_ns: float
     done: int = 0
 
     @property
@@ -256,15 +255,14 @@ class StepPlanner:
         return bool(self.pending)
 
     # -- chunked admission ---------------------------------------------
-    def admit(self, batch: Sequence[Request], now: float) -> None:
+    def admit(self, batch: Sequence[Request]) -> None:
         """Queue claimed requests for chunked prefill (enabled mode only)."""
         if not self.enabled:
             raise SimulationError(
                 "chunked admission requires chunk_tokens > 0; whole-prompt "
                 "policies use prefill_plan instead")
         for request in batch:
-            self.pending.append(PromptProgress(request=request,
-                                               admitted_ns=now))
+            self.pending.append(PromptProgress(request=request))
 
     def plan_step(self, decode_count: int) -> StepPlan:
         """Compose the next hybrid step and commit its chunk progress.
@@ -295,13 +293,6 @@ class StepPlanner:
             if prompt.remaining == 0:
                 self.pending.pop(0)
         return StepPlan(decode_tokens=decode_count, chunks=tuple(chunks))
-
-    def progress_for(self, request_id: int) -> PromptProgress | None:
-        """The in-flight prompt state for a request, if still chunking."""
-        for prompt in self.pending:
-            if prompt.request.request_id == request_id:
-                return prompt
-        return None
 
     # -- whole-batch prefill plans (batched policies) ------------------
     def prefill_plan(self, request_id: int,

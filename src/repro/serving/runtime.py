@@ -214,6 +214,12 @@ def arrival_process(queue: AdmissionQueue) -> Process:
 # ----------------------------------------------------------------------
 # Engine sessions (one per replica)
 # ----------------------------------------------------------------------
+#: The schedule item of a step that keeps its kind's default kernel name,
+#: one shared tuple per kind.
+_KERNEL_ITEMS = {kind: ("kernel", f"serving::{kind.value}")
+                 for kind in StepKind}
+
+
 @dataclass
 class EngineSession:
     """One engine replica: a CPU dispatch thread plus its TP shard devices.
@@ -286,8 +292,7 @@ class EngineSession:
         coordinates there for rule S007); the recorder stream is unaffected.
         """
         start_ns, span_ns = self._step_hardware(
-            ts_ns, dur_ns, cpu_ns,
-            schedule_label or f"serving::{kind.value}")
+            ts_ns, dur_ns, cpu_ns, self._kernel_item(kind, schedule_label))
         if self.recorder is not None:
             self.recorder.record_step(kind, start_ns, span_ns, batch_size,
                                       queue_depth=queue_depth, shape=shape,
@@ -321,10 +326,10 @@ class EngineSession:
         spans: list[float] = []
         shapes: list[EngineShape | None] = []
         clock = ts_ns
-        name = schedule_label or f"serving::{kind.value}"
+        item = self._kernel_item(kind, schedule_label)
         for dur_ns, cpu_ns, shape in steps:
             start_ns, span_ns = self._step_hardware(clock, dur_ns, cpu_ns,
-                                                    name)
+                                                    item)
             starts.append(start_ns)
             spans.append(span_ns)
             shapes.append(shape)
@@ -347,9 +352,19 @@ class EngineSession:
                                        shapes=shapes, replica=self.replica)
         return clocks
 
+    @staticmethod
+    def _kernel_item(kind: StepKind,
+                     schedule_label: str | None) -> tuple[str, str]:
+        """The ``("kernel", name)`` schedule item of a step: the kind's
+        shared item, or a new one for a custom label."""
+        if schedule_label:
+            return ("kernel", schedule_label)
+        return _KERNEL_ITEMS[kind]
+
     def _step_hardware(self, ts_ns: float, dur_ns: float, cpu_ns: float,
-               name: str) -> tuple[float, float]:
-        """One step on the hardware: host grant, thread, streams, schedule.
+                       item: tuple[str, str]) -> tuple[float, float]:
+        """One step on the hardware: host grant, thread, streams, schedule
+        (``item`` is appended to every shard's schedule).
 
         Returns the step's ``(start_ns, span_ns)``; without a host model
         that is exactly ``(ts_ns, dur_ns)``.
@@ -367,7 +382,7 @@ class EngineSession:
         for device in self.devices:
             device.compute_stream.submit(start_ns, span_ns)
             items = self.schedule_items[device.index]
-            items.append(("kernel", name))
+            items.append(item)
             if self.world > 1:
                 items.append(("join",
                               f"replica{self.replica}.step{self.steps}",

@@ -215,6 +215,57 @@ def test_interleaved_requests_progress_independently():
     assert check_schedules([schedule]) == []
 
 
+def test_restart_after_a_complete_stream_is_clean():
+    # A recompute readmission re-prefills prompt plus generated tokens.
+    schedule = DeviceSchedule(0, [
+        _chunk(7, 0, 32, 48), _chunk(7, 32, 16, 48),
+        _chunk(7, 0, 32, 50), _chunk(7, 32, 18, 50),
+        _chunk(7, 0, 50, 50),
+    ])
+    assert check_schedules([schedule]) == []
+
+
+def test_restart_before_the_stream_completes_flagged_s007():
+    schedule = DeviceSchedule(0, [
+        _chunk(7, 0, 32, 48),
+        _chunk(7, 0, 32, 50),  # 16 prompt tokens never prefilled
+    ])
+    findings = check_schedules([schedule])
+    assert _rule_ids(findings) == {"S007"}
+    assert "expected 32" in findings[0].message
+
+
+def test_chunked_recompute_serving_run_schedules_are_clean():
+    """Recompute victims re-prefill their chunks from offset 0."""
+    from repro.check import check_serving_schedules
+    from repro.hardware import GH200
+    from repro.kvcache import KvCacheConfig, KvPolicy
+    from repro.serving import (
+        ContinuousBatchPolicy,
+        LatencyModel,
+        poisson_requests,
+        simulate_serving,
+    )
+    from repro.workloads import GPT2
+
+    requests = poisson_requests(rate_per_s=40, duration_s=0.2,
+                                prompt_len=48, output_tokens=32, seed=0)
+    run = simulate_serving(
+        requests, GPT2, LatencyModel(GH200),
+        policy=ContinuousBatchPolicy(max_active=4, chunk_tokens=32),
+        kv=KvCacheConfig(policy=KvPolicy.RECOMPUTE, pool_gib=0.0094))
+    assert sum(kv.preemptions for kv in run.kv) > 0
+    # Some request starts a second chunk stream at offset 0.
+    streams = [
+        name.split(":")[2].split("+")[0]  # "prefill_chunk[r<id>"
+        for session in run.sessions
+        for _, name in session.schedule_items[session.devices[0].index]
+        if name.startswith("serving::prefill_chunk[") and ":0+" in name]
+    assert len(streams) > len(set(streams))
+    report = check_serving_schedules(run.sessions)
+    assert report.findings == []
+
+
 def test_chunked_serving_run_schedules_are_clean():
     """A real chunked continuous-batching run passes its own rule."""
     from repro.check import check_serving_schedules

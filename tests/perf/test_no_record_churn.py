@@ -14,11 +14,16 @@ profile read only for its metrics and fusion plan, must draw zero global
 trace event ids. The global id counter in ``repro.trace.events`` is
 the allocation probe: every trace event constructed anywhere in the
 process advances it exactly once.
+
+A recorded serve keeps a decode window of k steps as one record of its
+step log, not k ``StepEvent`` records, and every step that keeps its kind's
+default kernel name appends one shared schedule item per kind.
 """
 
 from repro.engine.executor import run
 from repro.hardware import get_platform
 from repro.kvcache import KvPolicy
+from repro.obs import RunRecorder, StepEvent, StepKind
 from repro.serving import (
     ContinuousBatchPolicy,
     LatencyModel,
@@ -96,3 +101,35 @@ def test_unrecorded_policies_build_no_engine_shapes(monkeypatch):
                      policy=SpeculativeServingPolicy(draft=GPT2,
                                                      max_batch_size=4))
     assert built == []
+
+
+def test_recorded_decode_windows_are_one_step_record_each(monkeypatch):
+    from tests.perf.test_step_bookkeeping_parity import offload_chunked_serve
+
+    window_lengths = []
+    record_steps = RunRecorder.record_steps
+
+    def counting_record_steps(self, kind, starts, *args, **kwargs):
+        window_lengths.append(len(starts))
+        return record_steps(self, kind, starts, *args, **kwargs)
+
+    monkeypatch.setattr(RunRecorder, "record_steps", counting_record_steps)
+    recorder, served = offload_chunked_serve()
+    windows = [k for k in window_lengths if k >= 2]
+    records = recorder.steps._records
+    assert len(windows) > 20 and sum(windows) > 200
+    assert sum(type(r) is not StepEvent for r in records) == len(windows)
+    assert len(records) == len(recorder.steps) - sum(k - 1 for k in windows)
+
+    # Default-name kernel items are one shared tuple per kind; chunk
+    # labels (unique per chunk) are not.
+    for session in served.sessions:
+        for items in session.schedule_items.values():
+            kernels = [item for item in items if item[0] == "kernel"]
+            for kind in StepKind:
+                default = ("kernel", f"serving::{kind.value}")
+                assert len({id(item) for item in kernels
+                            if item == default}) <= 1
+            assert any(item[1].startswith("serving::prefill_chunk[")
+                       for item in kernels)
+            assert len({id(item) for item in kernels}) < len(kernels) / 4

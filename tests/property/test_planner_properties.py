@@ -62,7 +62,7 @@ def test_no_step_exceeds_the_token_budget(events, budget):
     totals: dict[int, int] = {}
     for kind, payload in events:
         if kind == "admit":
-            planner.admit(payload, now=0.0)
+            planner.admit(payload)
             for request in payload:
                 totals[request.request_id] = request.prompt_len
             continue
