@@ -29,13 +29,14 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro.analysis import run_batch_sweep, run_tp_sweep, tp_sweep_report
 from repro.analysis.whatif import required_cpu_speedup
 from repro.engine import DispatchMode, EngineConfig, ExecutionMode, TPConfig
 from repro.errors import ConfigurationError, ReproError
 from repro.hardware import PAPER_PLATFORMS, get_platform, nullkernel_table
+from repro.kvcache import KvPolicy
 from repro.skip import SkipProfiler, fusion_report, profile_report, transition_report
 from repro.units import format_bytes, format_ns
 from repro.viz import render_table
@@ -43,6 +44,28 @@ from repro.workloads import get_model
 from repro.workloads.memory import memory_report
 
 _FAST = EngineConfig(iterations=1)
+
+
+def _comma_list(element: Callable[[str], object],
+                what: str) -> Callable[[str], tuple]:
+    """An argparse ``type`` parsing a comma-separated list of ``what``.
+
+    A malformed entry is a usage error (exit 2) at parse time, like any
+    other bad option value.
+    """
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(element(item) for item in text.split(","))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {what}, got {text!r}") from None
+    return parse
+
+
+_INT_LIST = _comma_list(int, "integers")
+_FLOAT_LIST = _comma_list(float, "numbers")
+_KV_POLICY_LIST = _comma_list(
+    KvPolicy, "KV policies (" + ", ".join(p.value for p in KvPolicy) + ")")
 
 
 def _add_workload_args(parser: argparse.ArgumentParser) -> None:
@@ -164,12 +187,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_tpsweep(args: argparse.Namespace) -> int:
-    degrees = tuple(int(d) for d in args.degrees.split(","))
     sweep = run_tp_sweep(
         get_model(args.model),
         get_platform(args.platform),
         batch_size=args.batch_size,
-        degrees=degrees,
+        degrees=args.degrees,
         seq_len=args.seq_len,
         dispatch=DispatchMode(args.dispatch),
         engine_config=_FAST,
@@ -182,11 +204,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     model = get_model(args.model)
     platforms = ([get_platform(args.platform)] if args.platform != "all"
                  else list(PAPER_PLATFORMS))
-    batches = tuple(int(b) for b in args.batches.split(","))
     for platform in platforms:
-        _require_memory_fits(model, platform, max(batches), args.seq_len,
+        _require_memory_fits(model, platform, max(args.batches), args.seq_len,
                              args.ignore_memory)
-    sweep = run_batch_sweep(model, platforms, batches, seq_len=args.seq_len,
+    sweep = run_batch_sweep(model, platforms, args.batches,
+                            seq_len=args.seq_len,
                             engine_config=_FAST, tp=_tp_config(args),
                             jobs=args.jobs)
     for platform in platforms:
@@ -237,9 +259,8 @@ def _cmd_export(args: argparse.Namespace) -> int:
     model = get_model(args.model)
     platforms = ([get_platform(args.platform)] if args.platform != "all"
                  else list(PAPER_PLATFORMS))
-    batches = tuple(int(b) for b in args.batches.split(","))
-    sweep = run_batch_sweep(model, platforms, batches, seq_len=args.seq_len,
-                            engine_config=_FAST)
+    sweep = run_batch_sweep(model, platforms, args.batches,
+                            seq_len=args.seq_len, engine_config=_FAST)
     if args.out.endswith(".csv"):
         sweep_to_csv(sweep, args.out)
     else:
@@ -265,7 +286,7 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
 
 def _kv_config(args: argparse.Namespace):
     """Build the serve command's KV-cache settings (None = pre-kvcache path)."""
-    from repro.kvcache import KvCacheConfig, KvPolicy
+    from repro.kvcache import KvCacheConfig
 
     policy = KvPolicy(args.kv_policy)
     if policy is KvPolicy.NONE:
@@ -490,14 +511,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_kvpressure(args: argparse.Namespace) -> int:
     from repro.analysis import kv_pressure_report, run_kv_pressure_sweep
-    from repro.kvcache import KvPolicy
 
     platforms = [get_platform(name) for name in args.platforms.split(",")]
-    pools = tuple(float(p) for p in args.pools.split(","))
-    policies = tuple(KvPolicy(p) for p in args.policies.split(","))
     result = run_kv_pressure_sweep(
         get_model(args.model), platforms,
-        pool_gib=pools, policies=policies,
+        pool_gib=args.pools, policies=args.policies,
         prompt_len=args.prompt_len, output_tokens=args.output_tokens,
         rate_per_s=args.rate, duration_s=args.duration, seed=args.seed,
         max_active=args.max_active, mode=ExecutionMode(args.mode),
@@ -510,9 +528,8 @@ def _cmd_hostsweep(args: argparse.Namespace) -> int:
     from repro.analysis import replicas_per_host_report, run_replicas_per_host
 
     platforms = [get_platform(name) for name in args.platforms.split(",")]
-    counts = tuple(int(c) for c in args.counts.split(","))
     result = run_replicas_per_host(
-        get_model(args.model), platforms, counts=counts, scale=args.scale,
+        get_model(args.model), platforms, counts=args.counts, scale=args.scale,
         knee_fraction=args.knee_fraction, prompt_len=args.prompt_len,
         output_tokens=args.output_tokens, requests_count=args.requests,
         seed=args.seed, max_active=args.max_active)
@@ -556,9 +573,8 @@ def _emit_report(report, as_json: bool) -> int:
 def _cmd_check_graph(args: argparse.Namespace) -> int:
     from repro.check import check_workload_graphs
 
-    degrees = tuple(int(d) for d in args.degrees.split(","))
     report = check_workload_graphs(_resolve_check_models(args.models),
-                                   degrees, batch_size=args.batch_size,
+                                   args.degrees, batch_size=args.batch_size,
                                    seq_len=args.seq_len)
     return _emit_report(report, args.json)
 
@@ -568,10 +584,9 @@ def _cmd_check_schedule(args: argparse.Namespace) -> int:
 
     if args.trace:
         return _emit_report(check_trace_schedules(args.trace), args.json)
-    degrees = tuple(int(d) for d in args.degrees.split(","))
     _pp_config(args)  # validate the stage/microbatch pair up front
     report = check_workload_schedules(_resolve_check_models(args.models),
-                                      degrees, batch_size=args.batch_size,
+                                      args.degrees, batch_size=args.batch_size,
                                       seq_len=args.seq_len,
                                       dispatch=DispatchMode(args.dispatch),
                                       pp_stages=args.pp,
@@ -669,7 +684,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--platform", default="all",
                        help="platform name or 'all'")
     sweep.add_argument("--seq-len", type=int, default=512)
-    sweep.add_argument("--batches", default="1,2,4,8,16,32,64,128")
+    sweep.add_argument("--batches", type=_INT_LIST,
+                       default="1,2,4,8,16,32,64,128")
     _add_tp_args(sweep)
     sweep.add_argument("--jobs", type=int, default=1,
                        help="worker processes for the sweep grid (results "
@@ -681,7 +697,7 @@ def build_parser() -> argparse.ArgumentParser:
     tpsweep = sub.add_parser(
         "tpsweep", help="tensor-parallel degree sweep (per-device metrics)")
     _add_workload_args(tpsweep)
-    tpsweep.add_argument("--degrees", default="1,2,4",
+    tpsweep.add_argument("--degrees", type=_INT_LIST, default="1,2,4",
                          help="comma-separated TP degrees (each must divide "
                               "the model's attention head count)")
     tpsweep.add_argument("--dispatch", default="single",
@@ -802,7 +818,8 @@ def build_parser() -> argparse.ArgumentParser:
     hostsweep.add_argument("--platforms",
                            default="AMD+A100,Intel+H100,GH200",
                            help="comma-separated platform names to compare")
-    hostsweep.add_argument("--counts", default="1,2,3,4,6,8",
+    hostsweep.add_argument("--counts", type=_INT_LIST,
+                           default="1,2,3,4,6,8",
                            help="comma-separated replica counts (increasing)")
     hostsweep.add_argument("--scale", type=int, default=16,
                            help="divide each cataloged host's cores by this "
@@ -826,9 +843,11 @@ def build_parser() -> argparse.ArgumentParser:
     kvpressure.add_argument("--model", default="llama-3.2-1b")
     kvpressure.add_argument("--platforms", default="AMD+A100,GH200",
                             help="comma-separated platform names to compare")
-    kvpressure.add_argument("--pools", default="0.2,0.15,0.1",
+    kvpressure.add_argument("--pools", type=_FLOAT_LIST,
+                            default="0.2,0.15,0.1",
                             help="comma-separated pool sizes (GiB/replica)")
-    kvpressure.add_argument("--policies", default="recompute,offload",
+    kvpressure.add_argument("--policies", type=_KV_POLICY_LIST,
+                            default="recompute,offload",
                             help="comma-separated pressure policies")
     kvpressure.add_argument("--prompt-len", type=int, default=1024)
     kvpressure.add_argument("--output-tokens", type=int, default=128)
@@ -869,7 +888,7 @@ def build_parser() -> argparse.ArgumentParser:
     def _add_check_catalog(p: argparse.ArgumentParser) -> None:
         p.add_argument("--models", default="paper",
                        help="'paper', 'all', or comma-separated model names")
-        p.add_argument("--degrees", default="1,2,4,8",
+        p.add_argument("--degrees", type=_INT_LIST, default="1,2,4,8",
                        help="TP degrees to verify (non-dividing skipped)")
         p.add_argument("--batch-size", type=int, default=1)
         p.add_argument("--seq-len", type=int, default=128)
@@ -934,7 +953,8 @@ def build_parser() -> argparse.ArgumentParser:
     export.add_argument("--model", default="bert-base-uncased")
     export.add_argument("--platform", default="all")
     export.add_argument("--seq-len", type=int, default=512)
-    export.add_argument("--batches", default="1,2,4,8,16,32,64,128")
+    export.add_argument("--batches", type=_INT_LIST,
+                        default="1,2,4,8,16,32,64,128")
     export.add_argument("--out", required=True,
                         help="output path (.json or .csv)")
     export.set_defaults(func=_cmd_export)

@@ -90,7 +90,7 @@ CACHE_ENTRIES = 64
 
 @dataclass
 class CacheStats:
-    """Hit/miss counters, exposed for the perf harness and tests."""
+    """Hit/miss counters, exposed for benchmarks and tests."""
 
     graph_hits: int = 0
     graph_misses: int = 0

@@ -1,14 +1,15 @@
-"""Counters and weighted histograms for the observability layer.
+"""Counters and histograms for the observability layer.
 
 The serving simulations are single-threaded and deterministic, so the
-implementations favour simplicity: a histogram keeps its raw (value, weight)
-observations and computes weighted nearest-rank percentiles on demand. At
-simulation scale (thousands of steps) this is far below the cost of a single
-engine run, which keeps the recorder's overhead negligible.
+implementations favour simplicity: a histogram keeps its raw observations
+and computes nearest-rank percentiles on demand. At simulation scale
+(thousands of steps) this is far below the cost of a single engine run,
+which keeps the recorder's overhead negligible.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -31,52 +32,40 @@ class HistogramSummary:
 
 @dataclass
 class Histogram:
-    """A weighted histogram of float observations.
+    """A histogram of float observations.
 
-    ``observe(value, count)`` records ``count`` occurrences of ``value`` in
-    O(1); percentiles sort lazily. Weights let per-step observations stand in
-    for per-request ones (a decode step contributes one time-between-tokens
-    sample per active sequence).
+    ``observe(value)`` records one occurrence of ``value`` in O(1);
+    percentiles sort lazily.
     """
 
     name: str
     _values: list[float] = field(default_factory=list, repr=False)
-    _weights: list[float] = field(default_factory=list, repr=False)
 
-    def observe(self, value: float, count: float = 1.0) -> None:
-        if count <= 0:
-            raise AnalysisError(f"histogram {self.name}: count must be positive")
+    def observe(self, value: float) -> None:
         self._values.append(float(value))
-        self._weights.append(float(count))
 
     def observe_each(self, values: Iterable[float]) -> None:
         """Record one occurrence of each value, in order.
 
         Equivalent to ``observe(value)`` per value, in one call.
         """
-        start = len(self._values)
         self._values.extend(map(float, values))
-        self._weights.extend([1.0] * (len(self._values) - start))
 
     @property
-    def count(self) -> float:
-        return sum(self._weights)
+    def count(self) -> int:
+        return len(self._values)
 
     @property
     def empty(self) -> bool:
         return not self._values
 
     def mean(self) -> float:
-        return self._mean(self.count)
-
-    def _mean(self, count: float) -> float:
         if self.empty:
             raise AnalysisError(f"histogram {self.name} is empty")
-        total = sum(v * w for v, w in zip(self._values, self._weights))
-        return total / count
+        return sum(self._values) / len(self._values)
 
     def percentile(self, p: float) -> float:
-        """Weighted nearest-rank percentile; ``p`` in [0, 100]."""
+        """Nearest-rank percentile; ``p`` in [0, 100]."""
         return self._percentiles((p,))[0]
 
     def _percentiles(self, ps: tuple[float, ...]) -> list[float]:
@@ -85,28 +74,18 @@ class Histogram:
             raise AnalysisError("percentile must be in [0, 100]")
         if self.empty:
             raise AnalysisError(f"histogram {self.name} is empty")
-        pairs = sorted(zip(self._values, self._weights))
-        total = sum(w for _, w in pairs)
-        results = []
-        for p in ps:
-            rank = p / 100.0 * total
-            cumulative = 0.0
-            for value, weight in pairs:
-                cumulative += weight
-                if cumulative >= rank:
-                    results.append(value)
-                    break
-            else:
-                results.append(pairs[-1][0])
-        return results
+        ordered = sorted(self._values)
+        n = len(ordered)
+        # The first value whose 1-based rank reaches p% of n.
+        return [ordered[max(math.ceil(p / 100.0 * float(n)), 1) - 1]
+                for p in ps]
 
     def summary(self) -> HistogramSummary:
-        count = self.count
         p50, p90, p99 = self._percentiles((50, 90, 99))
         return HistogramSummary(
             name=self.name,
-            count=int(count),
-            mean=self._mean(count),
+            count=self.count,
+            mean=self.mean(),
             minimum=min(self._values),
             maximum=max(self._values),
             p50=p50,

@@ -51,8 +51,9 @@ def _probe() -> Generator[tuple, float, None]:
 _HAS_GI_SUSPENDED = hasattr(_probe(), "gi_suspended")
 
 #: Events processed by every :class:`SimCore` in this interpreter, across
-#: engine, serving, and KV simulations. The perf harness reads this before
-#: and after a scenario to report sim-events/sec; nothing inside the
+#: engine, serving, and KV simulations. Tests read it before and after a
+#: call to check how many events it simulated
+#: (``tests/perf/test_no_engine_fallback.py``); nothing inside the
 #: simulation depends on it.
 EVENTS_TOTAL = 0
 

@@ -1,4 +1,4 @@
-"""Counters and weighted histograms."""
+"""Counters and histograms."""
 
 import random
 
@@ -18,38 +18,30 @@ def test_histogram_basic_summary():
     assert summary.minimum == 1.0
     assert summary.maximum == 4.0
     assert summary.p50 == 2.0
-
-
-def test_histogram_weights_shift_percentiles():
-    h = Histogram("w")
-    h.observe(1.0, count=1.0)
-    h.observe(10.0, count=99.0)
-    assert h.percentile(50) == 10.0
-    assert h.percentile(1) == 1.0
-    assert h.mean() == pytest.approx((1.0 + 10.0 * 99.0) / 100.0)
+    # Nearest rank: the first value whose rank reaches p% of the count.
+    assert [h.percentile(p) for p in (0, 25, 26, 90, 100)] == [
+        1.0, 1.0, 2.0, 4.0, 4.0]
 
 
 def test_summary_percentiles_equal_percentile_exactly():
     rng = random.Random(11)
     h = Histogram("mixed")
     for _ in range(2000):
-        # Few distinct values, so ties with different weights sort by weight.
-        h.observe(rng.choice((0.1, 0.3, 2.5, 7.0)) * rng.randint(1, 40),
-                  count=rng.choice((1.0, 0.3, 2.0, 0.7)))
+        # Few distinct values, so most observations tie with another.
+        h.observe(rng.choice((0.1, 0.3, 2.5, 7.0)) * rng.randint(1, 40))
     summary = h.summary()
     assert (summary.p50, summary.p90, summary.p99) == (
         h.percentile(50), h.percentile(90), h.percentile(99))
-    values, weights = h._values, h._weights
-    assert summary.mean == sum(v * w for v, w in zip(values, weights)) / sum(
-        weights)
-    assert summary.count == int(sum(weights))
+    values = h._values
+    assert summary.mean == sum(values) / len(values)
+    assert summary.count == len(values) == 2000
     assert (summary.minimum, summary.maximum) == (min(values), max(values))
 
 
 def test_observe_each_equals_observe_per_value():
     each, one_by_one = Histogram("a"), Histogram("a")
-    each.observe(4.0, count=3.0)
-    one_by_one.observe(4.0, count=3.0)
+    each.observe(4.0)
+    one_by_one.observe(4.0)
     values = [2, 0.5, 9.25, 0.5]
     each.observe_each(values)
     each.observe_each([])
@@ -70,11 +62,11 @@ def test_histogram_empty_rejected():
 
 def test_histogram_invalid_inputs_rejected():
     h = Histogram("bad")
-    with pytest.raises(AnalysisError):
-        h.observe(1.0, count=0.0)
     h.observe(1.0)
     with pytest.raises(AnalysisError):
         h.percentile(101)
+    with pytest.raises(AnalysisError):
+        h.percentile(-1)
 
 
 def test_counter_set_accumulates():

@@ -15,8 +15,9 @@ from the per-sequence implementation (one ``growth_delta``, ``grow`` and
 records, one sort per percentile) and hash the whole recorder state of
 four small serves: every step, every KV event (the recorder's mirror and
 every manager's own log, each per-step ``decode`` event hashed as the
-per-sequence rows it replaced), raw histogram values and weights in insertion
-order, counters in insertion order, aggregates, spans, the summary and
+per-sequence rows it replaced), raw histogram values in insertion order
+(each beside the 1.0 weight histograms stored when the tables were taken),
+counters in insertion order, aggregates, spans, the summary and
 the request outcomes. A second table, taken from the one-step-per-wake-up
 loops, hashes what the serves leave on their sessions' hardware.
 
@@ -87,7 +88,7 @@ def fingerprint(recorder: RunRecorder, run) -> str:
         _kv_rows(recorder.kv_events),
         [_kv_rows(session.kv.events)
          for session in run.sessions if session.kv is not None],
-        [(name, list(h._values), list(h._weights))
+        [(name, list(h._values), [1.0] * len(h._values))
          for name, h in recorder._histograms.items()],
         list(recorder.counters.as_dict().items()),
         astuple(recorder.aggregates),
@@ -375,7 +376,7 @@ def test_session_state_matches_the_one_step_loops(serve):
 def _token_state(recorder: RunRecorder) -> tuple:
     return (astuple(recorder.aggregates),
             list(recorder.counters.as_dict().items()),
-            [(name, list(h._values), list(h._weights))
+            [(name, list(h._values))
              for name, h in recorder._histograms.items()],
             list(recorder._last_token_ns.items()))
 
@@ -491,7 +492,7 @@ def test_on_token_steps_equals_a_loop_of_on_tokens(sample_every):
 
 def _step_state(recorder: RunRecorder) -> tuple:
     return ([_step_row(step) for step in recorder.steps],
-            [(name, list(h._values), list(h._weights))
+            [(name, list(h._values))
              for name, h in recorder._histograms.items()],
             list(recorder.counters.as_dict().items()))
 

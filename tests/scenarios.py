@@ -100,9 +100,9 @@ def tiebreak_pair(run):
     (FIFO at equal timestamps) and once with a
     :class:`~repro.sim.queue.PerturbedEventQueue` (LIFO at equal
     timestamps, causally equivalent) — and both results are returned as
-    ``(baseline, perturbed)``. Parity suites and the perf harness assert
-    the two are equal: any divergence means an outcome depended on
-    event-queue pop order rather than on simulated causality (the same
+    ``(baseline, perturbed)``. Parity suites assert the two are equal:
+    any divergence means an outcome depended on event-queue pop order
+    rather than on simulated causality (the same
     adversarial perturbation ``repro check hb --certify`` uses).
     """
     from repro.sim.queue import EventQueue, PerturbedEventQueue

@@ -114,6 +114,28 @@ def test_missing_subcommand_exits():
         main([])
 
 
+@pytest.mark.parametrize("argv", [
+    ["tpsweep", "--degrees", "abc"],
+    ["tpsweep", "--degrees", "1,,2"],
+    ["sweep", "--batches", "1,x"],
+    ["export", "--out", "unused.json", "--batches", "1,x"],
+    ["hostsweep", "--counts", "1,x"],
+    ["kvpressure", "--pools", "x"],
+    ["kvpressure", "--policies", "bogus"],
+    ["check", "graph", "--degrees", "x"],
+    ["check", "schedule", "--degrees", "x"],
+], ids=" ".join)
+def test_malformed_list_option_is_a_usage_error(capsys, argv):
+    """A bad entry in a comma-separated option fails at parse time."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "usage:" in err
+    assert f"argument {argv[-2]}: expected comma-separated" in err
+    assert "Traceback" not in err
+
+
 def test_serve_command_summary(capsys):
     code, out = run_cli(capsys, "serve", "--rate", "20", "--duration", "0.2",
                         "--prompt-len", "64", "--output-tokens", "3")

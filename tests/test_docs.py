@@ -1,5 +1,6 @@
 """Documentation stays consistent with the code it describes."""
 
+import json
 import re
 from pathlib import Path
 
@@ -221,18 +222,19 @@ def test_observability_doc_covers_multi_replica_export():
         recording_to_trace).parameters
 
 
-def test_performance_doc_names_every_harness_scenario():
-    """docs/performance.md documents each scenario by its canonical name."""
-    from repro.perf import SCENARIO_NAMES
-
+def test_performance_doc_names_every_benchmark_workload():
+    """docs/performance.md names, in backticks, each workload that
+    BENCHMARK.json declares."""
+    workloads = json.loads(_read("BENCHMARK.json"))["workloads"]
     text = _read("docs/performance.md")
-    for name in SCENARIO_NAMES:
-        assert f"`{name}`" in text, (
-            f"harness scenario {name!r} missing from docs/performance.md")
-    # And no stale scenario entries: every `snake_case` bullet naming a
-    # scenario must still exist in the harness.
+    assert workloads
+    for workload in workloads:
+        assert f"`{workload['name']}`" in text, (
+            f"benchmark workload {workload['name']!r} missing from "
+            "docs/performance.md")
+    # And no stale workload bullets.
     documented = re.findall(r"^\* `(\w+)` —", text, re.MULTILINE)
-    assert set(documented) == set(SCENARIO_NAMES)
+    assert set(documented) == {workload["name"] for workload in workloads}
 
 
 def test_performance_doc_is_linked():
