@@ -28,6 +28,7 @@ Run ``python -m repro <subcommand> --help`` for options.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Callable, Sequence
 
@@ -62,7 +63,15 @@ def _comma_list(element: Callable[[str], object],
     return parse
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value <= 0:
+        raise ValueError(f"not positive: {value}")
+    return value
+
+
 _INT_LIST = _comma_list(int, "integers")
+_POSITIVE_INT_LIST = _comma_list(_positive_int, "positive integers")
 _FLOAT_LIST = _comma_list(float, "numbers")
 _KV_POLICY_LIST = _comma_list(
     KvPolicy, "KV policies (" + ", ".join(p.value for p in KvPolicy) + ")")
@@ -317,9 +326,9 @@ def _serve_requests(args: argparse.Namespace) -> list:
         tag_requests,
     )
 
-    if args.rate <= 0:
+    if not 0 < args.rate < math.inf:
         raise ConfigurationError(
-            f"--rate must be positive (got {args.rate:g})")
+            f"--rate must be positive and finite (got {args.rate:g})")
     if not 0.0 <= args.prefix_share <= 1.0:
         raise ConfigurationError(
             f"--prefix-share must be in [0, 1] (got {args.prefix_share:g})")
@@ -697,7 +706,7 @@ def build_parser() -> argparse.ArgumentParser:
     tpsweep = sub.add_parser(
         "tpsweep", help="tensor-parallel degree sweep (per-device metrics)")
     _add_workload_args(tpsweep)
-    tpsweep.add_argument("--degrees", type=_INT_LIST, default="1,2,4",
+    tpsweep.add_argument("--degrees", type=_POSITIVE_INT_LIST, default="1,2,4",
                          help="comma-separated TP degrees (each must divide "
                               "the model's attention head count)")
     tpsweep.add_argument("--dispatch", default="single",
@@ -888,7 +897,7 @@ def build_parser() -> argparse.ArgumentParser:
     def _add_check_catalog(p: argparse.ArgumentParser) -> None:
         p.add_argument("--models", default="paper",
                        help="'paper', 'all', or comma-separated model names")
-        p.add_argument("--degrees", type=_INT_LIST, default="1,2,4,8",
+        p.add_argument("--degrees", type=_POSITIVE_INT_LIST, default="1,2,4,8",
                        help="TP degrees to verify (non-dividing skipped)")
         p.add_argument("--batch-size", type=int, default=1)
         p.add_argument("--seq-len", type=int, default=128)

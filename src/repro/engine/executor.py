@@ -116,6 +116,12 @@ class EngineConfig:
             raise ConfigurationError("dispatch_epilogue_fraction must be in [0, 1)")
         if not (0 <= self.child_dispatch_fraction < 1):
             raise ConfigurationError("child_dispatch_fraction must be in [0, 1)")
+        # A negative boundary cost would start an iteration inside the last
+        # op of the one before it.
+        if not self.inter_iteration_gap_ns >= 0:
+            raise ConfigurationError("inter_iteration_gap_ns must be non-negative")
+        if not self.sync_call_ns >= 0:
+            raise ConfigurationError("sync_call_ns must be non-negative")
 
 
 DEFAULT_CONFIG = EngineConfig()

@@ -22,6 +22,17 @@ pass through the engine entry point, ``run(..., priced=True)``, so a
 priced latency miss is still one engine call. Compiled and graph-replay
 modes do not qualify: Inductor fusion merges kernels across layer
 boundaries, so their lowering does not repeat layer by layer.
+
+Three things are settled once instead of replayed op by op. Each compact
+op's dispatch split, epilogue and kernel durations are computed before
+the walk, once for every layer. A run of at most ``launch_queue_depth`` kernels keeps no kernel
+start times, since the launch queue can never hold it back. And the root
+rule is proved, not stacked: an op that starts with no scope open is a
+root, and when its duration is at most its start time, Sterbenz's lemma
+makes its recorded end exactly the clock, which the next op would pop, so
+nothing is pushed. Only a root that outlasts its own start time (the
+first ops of a run, ops the launch queue holds back) goes on the stack,
+with the ops that start inside it.
 """
 
 from __future__ import annotations
@@ -83,56 +94,86 @@ def price_step(model: ModelConfig, platform: Platform, batch_size: int,
                for op in chain(compact.head, compact.layer, compact.tail)]
     # One device, so no kernel is a collective and no link is consulted.
     planned = _op_plans(lowered, None, platform, mode, config, 1)
-    head, width = len(compact.head), len(compact.layer)
-    plans = (planned[:head] + planned[head:head + width] * compact.count
-             + planned[head + width:])
     if not any(kernels for *_, kernels in planned):
         raise AnalysisError("iteration 0 launched no kernels")
+
+    # Each compact op's walk constants, computed once rather than once per
+    # layer: the CPU time before the child scope opens (all of ``pre`` when
+    # the op opens none), the child's share (None when it opens none), the
+    # epilogue and the kernel durations. The products are the floats the
+    # launch process computes per op.
+    child_frac = config.child_dispatch_fraction
+    walked = []
+    for _name, _dispatch, epilogue, pre, child_name, kernels in planned:
+        durations = tuple(duration for _kernel, duration, _ in kernels)
+        walked.append(
+            (pre, None, epilogue, durations) if child_name is None
+            else (pre * (1.0 - child_frac), pre * child_frac, epilogue,
+                  durations))
+    head, width = len(compact.head), len(compact.layer)
+    walk = (walked[:head] + walked[head:head + width] * compact.count
+            + walked[head + width:])
 
     launch_cpu = platform.launch_call_cpu_ns
     launch_latency = platform.launch_latency_ns
     gap = config.stream_kernel_gap_ns
-    # StreamResource.submit's checks, made once over the distinct kernels.
+    # StreamResource.submit's checks, made once over the compact graph's
+    # kernels.
     # The CPU clock never runs backwards, so an arrival is negative only if
     # the launch latency is.
-    if any(duration < 0 for *_, kernels in planned
-           for _kernel, duration, _collective in kernels):
+    if any(duration < 0 for *_, durations in walked
+           for duration in durations):
         raise SimulationError("kernel duration must be non-negative")
     if launch_latency < 0:
         raise SimulationError("kernel arrival must be non-negative")
     if gap < 0:
         raise SimulationError("gap must be non-negative")
+    runs = config.warmup_iterations + config.iterations
     queue_depth = config.launch_queue_depth
-    child_frac = config.child_dispatch_fraction
+    # The launch queue holds back the k-th launch until kernel
+    # k - queue_depth has started, so a run of at most queue_depth kernels
+    # never waits on it and keeps no start times.
+    per_op = [len(durations) for *_, durations in walked]
+    bounded = (sum(per_op[:head])
+               + sum(per_op[head:head + width]) * compact.count
+               + sum(per_op[head + width:])) * runs > queue_depth
     cpu = 0.0
     free = 0.0            # the stream's free_at
-    starts: list[float] = []   # every kernel start, for the launch queue
+    lead = 0.0            # gap before the next kernel; none before the first
+    starts: list[float] = []   # every kernel start, when the queue can fill
     # End (ts + dur) of each open operator scope, innermost last: an op is
     # a root when it starts at or after all of them, as metrics_from_tape
     # decides it.
     open_ends: list[float] = []
     latencies: list[float] = []
     busy_times: list[float] = []
-    for iteration in range(config.warmup_iterations + config.iterations):
+    for iteration in range(runs):
         measured = iteration >= config.warmup_iterations
         first_root: float | None = None
         busy = 0
-        for _name, _dispatch, epilogue, pre, child_name, kernels in plans:
+        for pre, child_pre, epilogue, durations in walk:
             op_ts = cpu
-            if child_name is not None:
-                cpu += pre * (1.0 - child_frac)
+            cpu += pre
+            if child_pre is not None:
                 child_ts = cpu
-                cpu += pre * child_frac
-            else:
-                cpu += pre
-            for _kernel, duration, _collective in kernels:
-                backlog_index = len(starts) - queue_depth
-                if backlog_index >= 0:
-                    cpu = max(cpu, starts[backlog_index])
-                start = max(cpu + launch_latency,
-                            free + (gap if starts else 0.0))
+                cpu += child_pre
+            # max(a, b) is b only when b > a; the comparisons below keep
+            # that operand choice.
+            for duration in durations:
+                if bounded:
+                    backlog_index = len(starts) - queue_depth
+                    if backlog_index >= 0:
+                        backlog = starts[backlog_index]
+                        if backlog > cpu:
+                            cpu = backlog
+                arrival = cpu + launch_latency
+                start = free + lead
+                if not start > arrival:
+                    start = arrival
                 free = start + duration
-                starts.append(start)
+                if bounded:
+                    starts.append(start)
+                lead = gap
                 cpu += launch_cpu
             child_end = cpu
             cpu += epilogue
@@ -144,8 +185,18 @@ def price_step(model: ModelConfig, platform: Platform, batch_size: int,
                 busy += dur
                 if first_root is None:
                     first_root = op_ts
+                # Root proof. Every cost the clock adds is non-negative
+                # (EngineConfig checks the iteration-boundary ones), so
+                # 0 <= op_ts <= cpu, and dur <= op_ts holds iff
+                # cpu <= 2 * op_ts. Sterbenz's lemma then makes cpu - op_ts
+                # exact: the recorded end op_ts + dur is cpu itself. A child
+                # scope lies inside, op_ts <= child_ts <= child_end <= cpu,
+                # so its end is exactly child_end. The next op starts at or
+                # after cpu and would pop both, so neither is pushed.
+                if dur <= op_ts:
+                    continue
             open_ends.append(op_ts + dur)
-            if child_name is not None:
+            if child_pre is not None:
                 # The child starts at least one launch call before its
                 # parent ends, so it is never a root; its end still bounds
                 # the next op.

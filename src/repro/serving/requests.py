@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -97,8 +98,9 @@ def poisson_requests(
         output_tokens / output_jitter: Output length and uniform +/- jitter.
         seed: RNG seed (deterministic streams for tests/benches).
     """
-    if rate_per_s <= 0 or duration_s <= 0:
-        raise ConfigurationError("rate and duration must be positive")
+    if not (0 < rate_per_s < math.inf and 0 < duration_s < math.inf):
+        raise ConfigurationError(
+            "rate and duration must be positive and finite")
     rng = random.Random(seed)
     requests: list[Request] = []
     clock_s = 0.0

@@ -73,19 +73,19 @@ class ArrivalSpec:
     period_s: float | None = None
 
     def __post_init__(self) -> None:
-        if self.rate_per_s <= 0:
-            raise ConfigurationError("rate must be positive")
-        if self.duration_s <= 0:
-            raise ConfigurationError("duration must be positive")
-        if self.burst_multiplier <= 1:
+        if not 0 < self.rate_per_s < math.inf:
+            raise ConfigurationError("rate must be positive and finite")
+        if not 0 < self.duration_s < math.inf:
+            raise ConfigurationError("duration must be positive and finite")
+        if not self.burst_multiplier > 1:
             raise ConfigurationError("burst_multiplier must exceed 1")
         if not 0 < self.burst_fraction < 1:
             raise ConfigurationError("burst_fraction must be in (0, 1)")
-        if self.burst_dwell_s <= 0:
+        if not self.burst_dwell_s > 0:
             raise ConfigurationError("burst_dwell_s must be positive")
         if not 0 <= self.amplitude < 1:
             raise ConfigurationError("amplitude must be in [0, 1)")
-        if self.period_s is not None and self.period_s <= 0:
+        if self.period_s is not None and not self.period_s > 0:
             raise ConfigurationError("period_s must be positive")
 
 

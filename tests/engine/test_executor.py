@@ -181,6 +181,10 @@ def test_engine_config_validation():
         EngineConfig(launch_queue_depth=0)
     with pytest.raises(ConfigurationError):
         EngineConfig(dispatch_epilogue_fraction=1.0)
+    for field in ("inter_iteration_gap_ns", "sync_call_ns"):
+        for value in (-1.0, float("nan")):
+            with pytest.raises(ConfigurationError, match=field):
+                EngineConfig(**{field: value})
 
 
 def test_compile_report_attached(bert_result):

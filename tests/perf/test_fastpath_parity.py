@@ -8,6 +8,8 @@ These tests run the fast path and its reference path on identical inputs
 and assert bit-identical output — not approximate, not statistical.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.analysis.sweep import DEFAULT_BATCH_SIZES
@@ -383,6 +385,11 @@ PRICING_CONFIGS = [
     # gap-free start shows).
     EngineConfig(iterations=2, warmup_iterations=1, launch_queue_depth=48,
                  stream_kernel_gap_ns=50_000.0),
+    # The same queue and gap with one measured iteration: the GPU runs so
+    # far behind that root ops end inexactly (cpu > 2 * ts) inside measured
+    # iterations, where the root proof must fall back to the stack.
+    EngineConfig(iterations=1, launch_queue_depth=48,
+                 stream_kernel_gap_ns=50_000.0),
 ]
 
 
@@ -425,6 +432,24 @@ def test_pricing_pass_matches_tape_metrics(model, phase, mode):
                 assert priced == _tape_metrics(model, platform, batch, phase,
                                                length, mode, config), (
                     platform.name, batch, length, config)
+
+
+@pytest.mark.parametrize("extra", [0, 1], ids=["depth", "depth+1"])
+def test_pricing_pass_at_the_launch_queue_bound(extra):
+    """A run of exactly ``launch_queue_depth`` kernels never waits on the
+    launch queue; one kernel more makes the last launch wait for the first
+    kernel to start. A 5 ms launch path keeps the first kernel unstarted
+    past the last launch, so the wait moves both metrics."""
+    platform = dataclasses.replace(INTEL_H100, driver_launch_ns=5e6)
+    args = (GPT2, platform, 2, 64, Phase.PREFILL, None, ExecutionMode.EAGER)
+    one_pass = EngineConfig(iterations=1)
+    kernels = len(run(*args[:2], batch_size=2, seq_len=64, config=one_pass,
+                      tape=True).tape.launches)
+    config = EngineConfig(iterations=1, launch_queue_depth=kernels - extra)
+    priced = price_step(*args, config)
+    assert priced == _tape_metrics(GPT2, platform, 2, Phase.PREFILL, 64,
+                                   ExecutionMode.EAGER, config)
+    assert (priced == price_step(*args, one_pass)) is (extra == 0)
 
 
 def test_priced_run_is_the_pricing_pass():

@@ -1,5 +1,7 @@
 """Command-line interface."""
 
+import signal
+
 import pytest
 
 from repro.cli import main
@@ -124,6 +126,9 @@ def test_missing_subcommand_exits():
     ["kvpressure", "--policies", "bogus"],
     ["check", "graph", "--degrees", "x"],
     ["check", "schedule", "--degrees", "x"],
+    ["check", "graph", "--degrees", "0"],
+    ["check", "schedule", "--degrees", "2,0"],
+    ["tpsweep", "--degrees", "-1"],
 ], ids=" ".join)
 def test_malformed_list_option_is_a_usage_error(capsys, argv):
     """A bad entry in a comma-separated option fails at parse time."""
@@ -133,6 +138,40 @@ def test_malformed_list_option_is_a_usage_error(capsys, argv):
     assert exc.value.code == 2
     assert "usage:" in err
     assert f"argument {argv[-2]}: expected comma-separated" in err
+    assert "Traceback" not in err
+
+
+@pytest.fixture
+def deadline():
+    """Fail a call that runs past a few seconds rather than hang on it."""
+    def expire(signum, frame):
+        raise TimeoutError("still running after 5 s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(5)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("argv", [
+    ["serve", "--rate", "nan"],
+    ["serve", "--duration", "nan"],
+    ["serve", "--arrival", "poisson", "--rate", "nan"],
+    ["serve", "--arrival", "poisson", "--duration", "nan"],
+    ["kvpressure", "--rate", "nan"],
+    ["kvpressure", "--duration", "nan"],
+    ["serve", "--rate", "inf"],
+    ["serve", "--duration", "inf"],
+    ["serve", "--arrival", "poisson", "--duration", "inf"],
+], ids=" ".join)
+def test_non_finite_rate_or_duration_is_a_configuration_error(
+        capsys, deadline, argv):
+    """A NaN or infinite rate or duration fails its guard instead of
+    generating arrivals forever."""
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and "positive" in err
     assert "Traceback" not in err
 
 

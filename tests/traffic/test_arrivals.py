@@ -6,6 +6,7 @@ from repro.errors import ConfigurationError
 from repro.serving.requests import poisson_requests
 from repro.traffic import ArrivalFamily, ArrivalSpec, arrival_times_ns
 
+NAN, INF = float("nan"), float("inf")
 FAMILIES = [ArrivalFamily.POISSON, ArrivalFamily.BURSTY,
             ArrivalFamily.DIURNAL]
 
@@ -95,7 +96,29 @@ def test_fixed_has_no_process_to_sample():
     dict(amplitude=-0.1),
     dict(amplitude=1.0),
     dict(period_s=0.0),
+    dict(rate_per_s=NAN),
+    dict(duration_s=NAN),
+    dict(burst_multiplier=NAN),
+    dict(burst_fraction=NAN),
+    dict(burst_dwell_s=NAN),
+    dict(amplitude=NAN),
+    dict(period_s=NAN),
+    dict(rate_per_s=INF),
+    dict(duration_s=INF),
 ])
 def test_spec_validation(kwargs):
     with pytest.raises(ConfigurationError):
         ArrivalSpec(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(rate_per_s=0.0, duration_s=1.0),
+    dict(rate_per_s=NAN, duration_s=1.0),
+    dict(rate_per_s=10.0, duration_s=NAN),
+    dict(rate_per_s=INF, duration_s=1.0),
+    dict(rate_per_s=10.0, duration_s=INF),
+])
+def test_poisson_requests_validation(kwargs):
+    """NaN and infinity fail the guard: the stream would never end."""
+    with pytest.raises(ConfigurationError, match="must be positive"):
+        poisson_requests(**kwargs)
