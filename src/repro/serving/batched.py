@@ -10,12 +10,16 @@ a policy supplies two hooks, both methods on its policy object:
   done, a wake-up time, or a claimed batch and its launch time;
 * ``plan(runtime, batch)`` returns a :class:`BatchPlan`: :class:`Prefill`
   and :class:`Step` items in order, and the charge that turns where they
-  landed (:class:`Booked`) into each request's completion.
+  landed (:class:`Booked`) into each request's completion time.
 
 The loop splits each prefill into planner chunks and moves its clock by
 exactly the steps it books, so a request's first token is the end of its
 batch's first prefill and the next batch starts where the last step ended.
-With ``chunk_tokens == 0`` a prefill is one whole step. :func:`record_plan`
+With ``chunk_tokens == 0`` a prefill is one whole step. The loop hands the
+booked first-token and completion times to
+:meth:`~repro.serving.runtime.ServingRuntime.complete`, which derives the
+outcome's latencies from them as it does for continuous batching, so an
+outcome is exactly its recorded span. :func:`record_plan`
 records a plan off the sim, for the standalone
 :class:`~repro.serving.pipeline.AgenticPipeline` and
 :func:`~repro.serving.speculative.speculative_generation_ns`.
@@ -27,7 +31,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Protocol, Sequence
 
 from repro.obs.events import EngineShape, StepKind
 from repro.serving.planner import BatchDecision, PlannerConfig, StepPlanner
-from repro.serving.requests import Request, queue_delay_ns
+from repro.serving.requests import Request
 from repro.workloads.config import ModelConfig
 
 if TYPE_CHECKING:
@@ -61,40 +65,20 @@ class Step(NamedTuple):
 
 
 class Booked(NamedTuple):
-    """Where a batch's steps landed, as its charge reads them.
+    """Where a batch's steps landed, as its charge reads them: its first
+    prefill ended (the batch's first token) at ``first_token_ns`` and its
+    last step at ``end_ns``."""
 
-    The batch launched at ``launch_ns`` and booked ``lead_ns`` of steps
-    before its first prefill, which started at ``start_ns``, booked
-    ``prefill_ns`` (whole-prompt price ``ttft_ns``) and ended at
-    ``first_token_ns``. The batch ended at ``end_ns``.
-    """
-
-    launch_ns: float
-    lead_ns: float
-    start_ns: float
-    prefill_ns: float
-    ttft_ns: float
     first_token_ns: float
     end_ns: float
 
-    def closed_form(self, queued_ns: float,
-                    total_ns: float) -> tuple[float, float]:
-        """Completion latency and time of a request whose generation is
-        priced ``total_ns`` with the first prefill: the prefill as booked,
-        then the generation tail past the whole-prompt price. The tail
-        runs from the first token, so a request charged the batch's whole
-        generation completes exactly where its GENERATION step ends."""
-        tail = total_ns - self.ttft_ns
-        return queued_ns + (self.prefill_ns + tail), self.first_token_ns + tail
-
 
 class BatchPlan(NamedTuple):
-    """A priced batch: its steps in order, and ``charge(request,
-    queued_ns, booked)`` returning a request's completion latency and
-    completion time (``queued_ns`` is its queue wait plus the lead)."""
+    """A priced batch: its steps in order, and ``charge(request, booked)``
+    returning the booked time at which a request completes."""
 
     steps: tuple[Prefill | Step, ...]
-    charge: Callable[[Request, float, Booked], tuple[float, float]]
+    charge: Callable[[Request, Booked], float]
 
 
 class BatchedPolicy(Protocol):
@@ -122,12 +106,14 @@ def padded_plan(latency: LatencyModel, model: ModelConfig,
     total = latency.generation_ns(model, batch_size, prompt_len,
                                   output_tokens)
 
-    def charge(request: Request, queued: float,
-               booked: Booked) -> tuple[float, float]:
+    def charge(request: Request, booked: Booked) -> float:
+        # The generation tail past the whole-prompt price runs from the
+        # first token, so a request charged the batch's whole generation
+        # completes exactly where its GENERATION step ends.
         own = (latency.generation_ns(model, batch_size, prompt_len,
                                      request.output_tokens)
                if own_output else total)
-        return booked.closed_form(queued, own)
+        return booked.first_token_ns + (own - ttft)
 
     return BatchPlan((*lead, Prefill(model, prompt_len, ttft, total)),
                      charge)
@@ -145,18 +131,12 @@ def book_steps(steps: Sequence[Prefill | Step], clock: float,
     one GENERATION step; the clock moves by exactly the steps booked.
     Whole prefills carry their engine shape when ``shaped``.
     """
-    launch = clock
-    lead = 0.0
-    first: tuple[float, float, float, float] | None = None
+    first_token: float | None = None
     for item in steps:
         if isinstance(item, Step):
             sink(item.kind, clock, item.dur_ns, item.shape, None)
             clock += item.dur_ns
-            if first is None:
-                lead += item.dur_ns
             continue
-        start = clock
-        prefill_ns = 0.0
         chunks = planner.prefill_plan(seed_id, item.prompt_len)
         for chunk in chunks:
             chunk_ns = (item.ttft_ns if chunk.is_whole
@@ -167,15 +147,14 @@ def book_steps(steps: Sequence[Prefill | Step], clock: float,
                  if shaped and chunk.is_whole else None,
                  chunk.schedule_label)
             clock += chunk_ns
-            prefill_ns += chunk_ns
-        if first is None:
-            first = (start, prefill_ns, item.ttft_ns, clock)
+        if first_token is None:
+            first_token = clock
         tail_ns = item.total_ns - item.ttft_ns
         if item.total_ns > item.ttft_ns:
             sink(StepKind.GENERATION, clock, tail_ns, None, None)
         clock += tail_ns
-    assert first is not None, "a batch plan needs a prefill"
-    return Booked(launch, lead, *first, clock)
+    assert first_token is not None, "a batch plan needs a prefill"
+    return Booked(first_token, clock)
 
 
 def record_plan(recorder: RunRecorder, steps: Sequence[Prefill | Step],
@@ -221,14 +200,10 @@ def batched_serving_process(runtime: ServingRuntime, session: EngineSession,
             runtime.latency, batch_size, planner, batch[0].request_id,
             recorder is not None)
         for request in batch:
-            queued = queue_delay_ns(request, launch) + booked.lead_ns
-            completion, completed_at = plan.charge(request, queued, booked)
             if recorder is not None:
                 recorder.on_first_token(request.request_id,
                                         booked.first_token_ns)
-                recorder.on_completed(request.request_id, completed_at)
-            runtime.complete(request, ttft_ns=queued + booked.prefill_ns,
-                             completion_ns=completion,
-                             batch_size=batch_size,
-                             service_start_ns=launch, session=session)
+            runtime.complete(request, booked.first_token_ns,
+                             plan.charge(request, booked), batch_size,
+                             launch, session)
         wake = booked.end_ns

@@ -258,13 +258,12 @@ class ClusterRuntime(ServingRuntime):
     def _replica_queue(self) -> RoutedQueue:
         return RoutedQueue(self)
 
-    def complete(self, request: Request, ttft_ns: float, completion_ns: float,
-                 batch_size: int, service_start_ns: float,
+    def complete(self, request: Request, first_token_ns: float,
+                 completed_ns: float, batch_size: int,
+                 service_start_ns: float,
                  session: EngineSession) -> RequestOutcome:
-        outcome = super().complete(
-            request, ttft_ns=ttft_ns, completion_ns=completion_ns,
-            batch_size=batch_size, service_start_ns=service_start_ns,
-            session=session)
+        outcome = super().complete(request, first_token_ns, completed_ns,
+                                   batch_size, service_start_ns, session)
         self._load[session.replica] -= self._mass(request)
         self._outstanding -= 1
         return outcome

@@ -144,28 +144,22 @@ def continuous_batching_process(runtime: ServingRuntime,
                 + len(preempted))
 
     def retire(seq: ChunkedSequenceState, batch_size: int) -> None:
-        """A finished sequence returns its blocks and completes."""
+        """A finished sequence returns its blocks and completes; ``clock``
+        is its last token's time."""
         if kv is not None:
             kv.free(seq.request.request_id, clock)
-        if recorder is not None:
-            recorder.on_completed(seq.request.request_id, clock)
-        runtime.complete(seq.request,
-                         ttft_ns=seq.first_token_ns,
-                         completion_ns=seq.last_token_ns,
-                         batch_size=batch_size,
-                         service_start_ns=seq.admitted_ns,
-                         session=session)
+        runtime.complete(seq.request, seq.first_token_ns, clock, batch_size,
+                         seq.admitted_ns, session)
 
     def start_sequence(request: Request, admitted_ns: float,
                        batch_size: int) -> None:
         """Shared post-prefill bookkeeping: first token, retire or join."""
         seq = ChunkedSequenceState(
             request=request,
-            first_token_ns=clock - request.arrival_ns,
+            first_token_ns=clock,
             remaining=request.output_tokens - 1,
             context=request.prompt_len + 1,
             admitted_ns=admitted_ns,
-            last_token_ns=clock - request.arrival_ns,
         )
         if recorder is not None:
             recorder.on_first_token(request.request_id, clock)
@@ -491,7 +485,6 @@ def continuous_batching_process(runtime: ServingRuntime,
             for seq in active:
                 seq.context += count
                 seq.remaining -= count
-                seq.last_token_ns = clock - seq.request.arrival_ns
                 if seq.remaining <= 0:
                     finished.append(seq)
             for seq in finished:

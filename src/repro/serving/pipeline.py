@@ -166,5 +166,4 @@ class PipelineServingPolicy:
         return BatchPlan(
             stage_prefills(self.stages, runtime.latency, len(batch),
                            max(r.prompt_len for r in batch)),
-            lambda request, queued, booked: (
-                queued + (booked.end_ns - booked.launch_ns), booked.end_ns))
+            lambda request, booked: booked.end_ns)

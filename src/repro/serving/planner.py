@@ -423,14 +423,17 @@ class StepPlanner:
 @dataclass
 class ChunkedSequenceState:
     """Bookkeeping the continuous loop keeps per sequence it is decoding
-    (or holds parked: swapped out, or preempted for recompute)."""
+    (or holds parked: swapped out, or preempted for recompute).
+
+    ``first_token_ns`` and ``admitted_ns`` are serving-clock times; the
+    sequence's latencies are derived from them only when it completes
+    (:meth:`~repro.serving.runtime.ServingRuntime.complete`)."""
 
     request: Request
     first_token_ns: float
     remaining: int
     context: int
     admitted_ns: float
-    last_token_ns: float = 0.0
 
 
 __all__ = [

@@ -20,10 +20,14 @@ hoists the machinery all serving policies share onto
   (checkable by ``repro check schedule``), and the steps are recorded with
   the run recorder.
 * :class:`ServingRuntime` — owns the core, the queue, the sessions, and the
-  outcome list. ``run(policy_factory)`` spawns the feeder (the arrival
-  process) plus one policy process per replica, drives the simulation to
-  completion and checks that every request was served exactly once with
-  no KV block left behind; ``result()`` packs a :class:`ServingRunResult`.
+  outcome list. Both policy processes finish a request through
+  ``complete``, which derives its TTFT and completion latency as booked
+  time minus arrival. ``run(policy_factory)`` spawns the feeder (the
+  arrival process) plus one policy process per replica, drives the
+  simulation to completion and checks that every request was served
+  exactly once, that no KV block was left behind and that every outcome
+  equals its recorded span exactly; ``result()`` packs a
+  :class:`ServingRunResult`.
   :class:`~repro.serving.cluster.ClusterRuntime` is the same runtime with
   a router as its feeder and a routed queue per replica.
 * :func:`simulate_serving` — the one entry point: :func:`policy_process`
@@ -464,6 +468,13 @@ class KvReplicaStats:
 PolicyFactory = Callable[["ServingRuntime", EngineSession], Process]
 
 
+def _exactly(a: float, b: float) -> bool:
+    """``a == b`` with no tolerance, written in the ordering comparisons
+    that check rule C002 asks for: deliberate where both sides are the
+    same subtraction, as an outcome and its span are. NaN fails it."""
+    return a <= b <= a
+
+
 class ServingRuntime:
     """Owns the sim core, admission queue, and engine sessions of one run.
 
@@ -552,14 +563,24 @@ class ServingRuntime:
     def _feeder(self) -> Process:
         return arrival_process(self.queue)
 
-    def complete(self, request: Request, ttft_ns: float, completion_ns: float,
-                 batch_size: int, service_start_ns: float,
+    def complete(self, request: Request, first_token_ns: float,
+                 completed_ns: float, batch_size: int,
+                 service_start_ns: float,
                  session: EngineSession) -> RequestOutcome:
-        """Record one finished request against the replica that served it."""
+        """Record one finished request against the replica that served it.
+
+        ``first_token_ns`` and ``completed_ns`` are booked serving-clock
+        times. This is the one place a request's latencies are derived:
+        each is its booked time minus the request's arrival, the same
+        subtraction the recorder's span reads, so an outcome and its span
+        are one number (:meth:`run` checks that they are).
+        """
+        if self.recorder is not None:
+            self.recorder.on_completed(request.request_id, completed_ns)
         outcome = RequestOutcome(
             request=request,
-            ttft_ns=ttft_ns,
-            completion_ns=completion_ns,
+            ttft_ns=first_token_ns - request.arrival_ns,
+            completion_ns=completed_ns - request.arrival_ns,
             batch_size=batch_size,
             queue_ns=queue_delay_ns(request, service_start_ns),
             replica=session.replica,
@@ -572,7 +593,8 @@ class ServingRuntime:
     def run(self, policy_factory: PolicyFactory) -> list[RequestOutcome]:
         """Spawn the feeder plus one policy process per replica, drive the
         simulation until every request has been served, and check the run
-        conserved its requests and KV blocks."""
+        conserved its requests and KV blocks and that every outcome is its
+        recorded span (no tolerance)."""
         self.core.spawn(self._feeder())
         for session in self.sessions:
             self.core.spawn(policy_factory(self, session))
@@ -591,6 +613,19 @@ class ServingRuntime:
         served = [o.request.request_id for o in self.outcomes]
         if len(set(served)) != len(served):
             raise SimulationError("a request completed more than once")
+        spans = self.recorder.spans if self.recorder is not None else {}
+        for outcome in self.outcomes:
+            span = spans.get(outcome.request.request_id)
+            if span is None:
+                continue
+            first, done = span.first_token_ns, span.completed_ns
+            if (first is None or done is None
+                    or not _exactly(outcome.ttft_ns, first - span.arrival_ns)
+                    or not _exactly(outcome.completion_ns,
+                                    done - span.arrival_ns)):
+                raise SimulationError(
+                    f"request {outcome.request.request_id}'s outcome "
+                    f"disagrees with its recorded span")
         for session in self.sessions:
             if session.kv is None:
                 continue

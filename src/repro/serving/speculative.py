@@ -214,12 +214,10 @@ class SpeculativeServingPolicy:
         expected = self.config.expected_tokens_per_round
         rounds_ns = output_tokens / expected * per_round
 
-        def charge(request: Request, queued: float,
-                   booked: Booked) -> tuple[float, float]:
+        def charge(request: Request, booked: Booked) -> float:
             # A request needing fewer rounds than the batch's longest
             # finishes the missing rounds' cost before the last step ends.
             own = request.output_tokens / expected * per_round
-            return (queued + booked.prefill_ns + own,
-                    booked.end_ns - (rounds_ns - own))
+            return booked.end_ns - (rounds_ns - own)
 
         return BatchPlan(steps, charge)

@@ -5,7 +5,8 @@ all five policies. Its clock moves by exactly the steps it books, so no
 step overlaps the one before it, not even by an ulp, the compute stream
 ends exactly where the last step does, a chunked prefill cannot
 report the whole-prompt TTFT, and no request completes after its batch's
-last step ends; outcomes must not depend on the event queue's tie-break
+last step ends; every outcome, batched or continuous, is its recorded
+span exactly; outcomes must not depend on the event queue's tie-break
 order; and every policy resolves to one of two processes.
 """
 
@@ -26,6 +27,7 @@ from repro.serving.runtime import policy_process
 from repro.workloads import GPT2
 from tests.perf.test_step_bookkeeping_parity import fingerprint
 from tests.scenarios import (BATCHED_POLICIES, batched_policy, batched_run,
+                             chunked_run, cluster_run, pressured_run,
                              tiebreak_pair)
 
 PLATFORMS = ("GH200", "AMD+A100")
@@ -104,8 +106,56 @@ def test_steps_and_first_tokens_follow_the_booked_clock(name, platform,
         span = recorder.spans[outcome.request.request_id]
         steps = [s for s in recorder.steps if s.replica == outcome.replica]
         assert span.first_token_ns == _prefill_end(steps, span.admitted_ns)
-        assert outcome.ttft_ns == pytest.approx(
-            span.first_token_ns - outcome.request.arrival_ns, rel=1e-12)
+        assert outcome.ttft_ns == (
+            span.first_token_ns - outcome.request.arrival_ns)
+
+
+def _assert_outcomes_are_spans(recorder, outcomes):
+    """Every outcome is its recorded span, exactly: TTFT and completion
+    latency are the span's booked times minus its arrival."""
+    assert outcomes
+    for outcome in outcomes:
+        span = recorder.spans[outcome.request.request_id]
+        assert outcome.ttft_ns == span.first_token_ns - span.arrival_ns, (
+            outcome, span)
+        assert outcome.completion_ns == span.completed_ns - span.arrival_ns, (
+            outcome, span)
+
+
+def _span_cases():
+    for platform in PLATFORMS:
+        for name in BATCHED_POLICIES:
+            for chunk_tokens in (0, 64):
+                if name == "static" and chunk_tokens:
+                    continue
+                for replicas in (1, 2):
+                    yield pytest.param(
+                        name, platform, chunk_tokens, replicas,
+                        id=f"{name}-{platform}-{chunk_tokens}-x{replicas}")
+
+
+@pytest.mark.parametrize("name,platform,chunk_tokens,replicas",
+                         list(_span_cases()))
+def test_batched_outcomes_are_their_recorded_spans(name, platform,
+                                                   chunk_tokens, replicas,
+                                                   latencies):
+    recorder = RunRecorder()
+    _, run = batched_run(name, get_platform(platform), chunk_tokens,
+                         replicas=replicas, recorder=recorder,
+                         latency=latencies[platform])
+    _assert_outcomes_are_spans(recorder, run.outcomes)
+
+
+@pytest.mark.parametrize("serve", [
+    lambda recorder: chunked_run(get_platform("GH200"), recorder=recorder),
+    lambda recorder: pressured_run(get_platform("GH200"), KvPolicy.OFFLOAD,
+                                   recorder=recorder),
+    lambda recorder: cluster_run(get_platform("GH200"), recorder=recorder),
+], ids=["flat", "kv-gated", "cluster"])
+def test_continuous_outcomes_are_their_recorded_spans(serve):
+    recorder = RunRecorder()
+    _, run = serve(recorder)
+    _assert_outcomes_are_spans(recorder, run.outcomes)
 
 
 @pytest.mark.parametrize("name", BATCHED_POLICIES)

@@ -107,10 +107,12 @@ def test_every_request_served_once(latency, overloaded_stream):
 # Run-end conservation, flat and routed
 # ----------------------------------------------------------------------
 
-def _stub(skip=(), twice=(), hold_kv=False):
+def _stub(skip=(), twice=(), hold_kv=False, skew_ns=0.0):
     """A policy process that claims its queue once every request can have
     reached it, then completes each claimed request except those in
-    ``skip`` (those in ``twice`` twice), optionally keeping a KV block."""
+    ``skip`` (those in ``twice`` twice), optionally keeping a KV block.
+    Each request's span records its first token ``skew_ns`` before the
+    time its outcome is completed with."""
     def process(runtime, session):
         now = yield ("at", 1e9)
         for request in session.queue.claim(now, 1 << 30):
@@ -118,8 +120,11 @@ def _stub(skip=(), twice=(), hold_kv=False):
                 session.kv.try_allocate(request.request_id, 1, now)
             if request.request_id in skip:
                 continue
+            runtime.recorder.on_admitted(request.request_id,
+                                         request.arrival_ns, now)
+            runtime.recorder.on_first_token(request.request_id, now)
             for _ in range(2 if request.request_id in twice else 1):
-                runtime.complete(request, ttft_ns=1.0, completion_ns=2.0,
+                runtime.complete(request, now + skew_ns, now + 1.0,
                                  batch_size=1, service_start_ns=now,
                                  session=session)
     return process
@@ -139,11 +144,13 @@ def _unclaiming(runtime, session):
     pytest.param(_stub(hold_kv=True),
                  KvCacheConfig(policy=KvPolicy.RECOMPUTE, pool_gib=0.04),
                  "leaked", id="kv-leak"),
+    pytest.param(_stub(skew_ns=1e-6), None, "disagrees with its recorded",
+                 id="outcome-off-its-span"),
 ])
 def test_run_end_checks_catch_a_faulty_policy(runtime_cls, factory, kv,
                                               match, latency):
     runtime = runtime_cls(_requests([0.0, 1e3, 2e3]), GPT2, latency,
-                          replicas=1, kv=kv)
+                          recorder=RunRecorder(), replicas=1, kv=kv)
     with pytest.raises(SimulationError, match=match):
         runtime.run(factory)
 
