@@ -70,9 +70,23 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not 0 < value < math.inf:  # NaN fails too
+        raise ValueError(f"not positive and finite: {value}")
+    return value
+
+
+def _fraction(text: str) -> float:
+    value = float(text)
+    if not 0 < value <= 1:  # NaN fails too
+        raise ValueError(f"not in (0, 1]: {value}")
+    return value
+
+
 _INT_LIST = _comma_list(int, "integers")
 _POSITIVE_INT_LIST = _comma_list(_positive_int, "positive integers")
-_FLOAT_LIST = _comma_list(float, "numbers")
+_POSITIVE_FLOAT_LIST = _comma_list(_positive_float, "positive numbers")
 _KV_POLICY_LIST = _comma_list(
     KvPolicy, "KV policies (" + ", ".join(p.value for p in KvPolicy) + ")")
 
@@ -798,7 +812,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="paged KV-pool pressure policy (continuous "
                             "scenario only; 'none' reproduces the "
                             "pre-kvcache serving path exactly)")
-    serve.add_argument("--kv-pool-gib", type=float, default=None,
+    serve.add_argument("--kv-pool-gib", type=_positive_float, default=None,
                        help="KV pool size per replica in GiB (default: all "
                             "HBM left after weights and runtime reserve)")
     serve.add_argument("--host-cores", type=int, default=0,
@@ -834,7 +848,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="divide each cataloged host's cores by this "
                                 "(topology preserved) so the knee lands in "
                                 "a small sweep")
-    hostsweep.add_argument("--knee-fraction", type=float, default=0.5,
+    hostsweep.add_argument("--knee-fraction", type=_fraction, default=0.5,
                            help="a replica still pays off while it adds at "
                                 "least this fraction of single-replica "
                                 "tokens/s")
@@ -852,7 +866,7 @@ def build_parser() -> argparse.ArgumentParser:
     kvpressure.add_argument("--model", default="llama-3.2-1b")
     kvpressure.add_argument("--platforms", default="AMD+A100,GH200",
                             help="comma-separated platform names to compare")
-    kvpressure.add_argument("--pools", type=_FLOAT_LIST,
+    kvpressure.add_argument("--pools", type=_POSITIVE_FLOAT_LIST,
                             default="0.2,0.15,0.1",
                             help="comma-separated pool sizes (GiB/replica)")
     kvpressure.add_argument("--policies", type=_KV_POLICY_LIST,
@@ -866,7 +880,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="arrival stream duration (s)")
     kvpressure.add_argument("--seed", type=int, default=7)
     kvpressure.add_argument("--max-active", type=int, default=16)
-    kvpressure.add_argument("--slo-ms", type=float, default=200.0)
+    kvpressure.add_argument("--slo-ms", type=_positive_float, default=200.0)
     kvpressure.add_argument(
         "--mode", default="compile_reduce_overhead",
         choices=[m.value for m in ExecutionMode
@@ -972,7 +986,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_workload_args(timeline)
     _add_tp_args(timeline)
     timeline.add_argument("--width", type=int, default=100)
-    timeline.add_argument("--window-fraction", type=float, default=0.34,
+    timeline.add_argument("--window-fraction", type=_fraction, default=0.34,
                           help="fraction of the trace to show (default: "
                                "roughly the first iteration)")
     timeline.set_defaults(func=_cmd_timeline)

@@ -75,7 +75,7 @@ class KvCacheConfig:
     def __post_init__(self) -> None:
         if self.block_tokens <= 0:
             raise ConfigurationError("block_tokens must be positive")
-        if self.pool_gib is not None and self.pool_gib <= 0:
+        if self.pool_gib is not None and not self.pool_gib > 0:
             raise ConfigurationError("pool_gib must be positive")
 
     @property

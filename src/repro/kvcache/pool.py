@@ -60,7 +60,7 @@ def pool_bytes(config: ModelConfig, gpu: GpuSpec,
     the FP16 weights and :data:`RUNTIME_RESERVE_BYTES`.
     """
     if pool_gib is not None:
-        if pool_gib <= 0:
+        if not pool_gib > 0:
             raise ConfigurationError("pool_gib must be positive")
         return gib_to_bytes(pool_gib)
     free = (gib_to_bytes(gpu.memory_gib) - int(weights_bytes(config))

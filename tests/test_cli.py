@@ -175,6 +175,24 @@ def test_non_finite_rate_or_duration_is_a_configuration_error(
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["serve", "--kv-policy", "offload", "--kv-pool-gib", "nan"],
+    ["kvpressure", "--pools", "nan"],
+    ["kvpressure", "--slo-ms", "nan"],
+    ["hostsweep", "--knee-fraction", "nan"],
+    ["timeline", "--window-fraction", "nan"],
+], ids=" ".join)
+def test_nan_option_is_a_usage_error(capsys, deadline, argv):
+    """A NaN size, SLO or fraction fails its checked type at parse time
+    instead of raising deep in the run or printing nonsense."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert f"argument {argv[-2]}:" in err
+    assert "Traceback" not in err
+
+
 def test_serve_command_summary(capsys):
     code, out = run_cli(capsys, "serve", "--rate", "20", "--duration", "0.2",
                         "--prompt-len", "64", "--output-tokens", "3")
