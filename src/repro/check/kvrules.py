@@ -31,7 +31,7 @@ an exported trace file years after the run.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from repro.check.clusterrules import R003
 from repro.check.findings import Finding, Severity, register_rule
@@ -230,11 +230,3 @@ def check_kv_metadata(kv_meta: Mapping, where: str = "kv") -> list[Finding]:
         findings.extend(check_kv_events(
             replica_events, capacity, where=f"{where} replica {replica}"))
     return findings
-
-
-def kv_events_from_managers(managers: Iterable) -> list[KvCacheEvent]:
-    """Flatten per-replica manager logs (replay-order within each replica)."""
-    events: list[KvCacheEvent] = []
-    for manager in managers:
-        events.extend(manager.events)
-    return events

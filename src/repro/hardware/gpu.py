@@ -71,21 +71,6 @@ class GpuSpec:
             return 0.0
         return bytes_moved / (bytes_moved + self.ramp_bytes)
 
-    def effective_flops_per_ns(self, flops: float) -> float:
-        """Achievable FLOPs per nanosecond for a kernel with ``flops`` work."""
-        rate_per_s = self.fp16_tflops * TERA * self.sustain * self.compute_efficiency(flops)
-        return rate_per_s / GIGA  # per ns
-
-    def effective_bytes_per_ns(self, bytes_moved: float) -> float:
-        """Achievable bytes per nanosecond for a kernel moving ``bytes_moved``."""
-        rate_per_s = (
-            self.hbm_bandwidth_gbs
-            * GIGA
-            * self.bandwidth_sustain
-            * self.bandwidth_efficiency(bytes_moved)
-        )
-        return rate_per_s / GIGA
-
     def kernel_duration_ns(self, flops: float, bytes_moved: float,
                            floor_scale: float = 1.0) -> float:
         """Roofline duration of a kernel on this GPU, in nanoseconds.

@@ -12,7 +12,6 @@ Optional Gaussian jitter models run-to-run measurement noise.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 
@@ -82,8 +81,3 @@ def nullkernel_table(
 ) -> list[NullKernelResult]:
     """Produce Table V: one nullKernel row per platform."""
     return [measure_nullkernel(p, samples, jitter_fraction) for p in platforms]
-
-
-def launch_overhead_stddev(result: NullKernelResult, jitter_fraction: float) -> float:
-    """Expected std-dev of the averaged overhead given per-sample jitter."""
-    return result.launch_overhead_ns * jitter_fraction / math.sqrt(result.samples)

@@ -113,10 +113,6 @@ class IVFIndex:
     def __len__(self) -> int:
         return self._size
 
-    @property
-    def is_trained(self) -> bool:
-        return self._centroids is not None
-
     def train(self, vectors: np.ndarray) -> None:
         """Fit the coarse quantizer with a few k-means iterations."""
         matrix = _normalize(_as_matrix(vectors, self.dim))

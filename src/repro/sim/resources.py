@@ -177,10 +177,6 @@ class LinkResource:
     busy_ns: float = 0.0
     log: CausalityLog | None = None
 
-    def p2p_ns(self, num_bytes: float) -> float:
-        """Point-to-point transfer time across the link."""
-        return self.spec.transfer_ns(num_bytes)
-
     def allreduce_ns(self, message_bytes: float, world: int) -> float:
         """Duration of one ring all-reduce of ``message_bytes`` (full tensor
         size) across ``world`` devices."""

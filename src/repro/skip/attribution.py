@@ -31,10 +31,6 @@ class OperatorAttribution:
     def launches_per_invocation(self) -> float:
         return self.launches / self.invocations if self.invocations else 0.0
 
-    @property
-    def mean_kernel_ns(self) -> float:
-        return self.kernel_time_ns / self.launches if self.launches else 0.0
-
 
 @dataclass
 class AttributionReport:

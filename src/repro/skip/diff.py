@@ -30,10 +30,6 @@ class KernelDelta:
         return self.count_b - self.count_a
 
     @property
-    def duration_delta_ns(self) -> float:
-        return self.duration_b_ns - self.duration_a_ns
-
-    @property
     def status(self) -> str:
         if self.count_a == 0:
             return "added"

@@ -40,10 +40,6 @@ class KernelRooflinePoint:
         """FLOPs per byte of DRAM traffic."""
         return self.flops / self.bytes_moved if self.bytes_moved else float("inf")
 
-    @property
-    def achieved_tflops(self) -> float:
-        return self.flops / self.duration_ns / 1e3 if self.duration_ns else 0.0
-
 
 @dataclass
 class RooflineReport:

@@ -149,11 +149,6 @@ class Trace:
             or (k.correlation_id < 0 and mark.ts <= k.ts < mark.ts_end)
         ]
 
-    def operators_in_iteration(self, index: int) -> list[OperatorEvent]:
-        """Operators beginning inside iteration ``index``."""
-        mark = self._iteration(index)
-        return [o for o in self.operators if mark.ts <= o.ts < mark.ts_end]
-
     def _iteration(self, index: int) -> IterationMark:
         for mark in self.iterations:
             if mark.index == index:

@@ -84,10 +84,6 @@ class OperatorGraph:
     # ------------------------------------------------------------------
     # Aggregates
     # ------------------------------------------------------------------
-    @property
-    def kernel_launching_ops(self) -> list[Op]:
-        """Operators that launch at least one kernel."""
-        return [op for op in self.ops if op.launches_kernel]
 
     @property
     def total_flops(self) -> float:
