@@ -16,8 +16,8 @@ them directly:
 * **C003** — generator processes speak a fixed-verb protocol with
   :class:`repro.sim.SimCore`; in simulation modules, every ``yield``
   inside a ``*_process`` function must be a tuple literal whose first
-  element is ``"at"``, ``"join"``, ``"acquire"``, or ``"release"``, so a
-  malformed request fails the lint rather than a run.
+  element is ``"at"`` or ``"join"``, so a malformed request fails the
+  lint rather than a run.
 * **C004** — a simulation-module function named ``*_process`` that never
   yields is not a generator and would be driven to nothing by the core.
 * **C005** — a module-level import that nothing in the module reads is
@@ -66,7 +66,7 @@ _WALL_CLOCK_DATETIME = frozenset({"now", "utcnow", "today"})
 _TIMESTAMP_NAMES = frozenset({"ts", "ts_end", "now", "free_at"})
 
 #: Request verbs the simulation core understands (mirrors SimCore._handle).
-_REQUEST_VERBS = frozenset({"at", "join", "acquire", "release"})
+_REQUEST_VERBS = frozenset({"at", "join"})
 
 
 def _is_timestamp_name(node: ast.expr) -> str | None:
@@ -209,9 +209,7 @@ class _ModuleLinter(ast.NodeVisitor):
         self.findings.append(Finding(
             C003, Severity.ERROR, self._at(node),
             f"{func} yields a malformed scheduler request ({what}); "
-            f"processes must yield ('at', t), ('join', rdv, ready), "
-            f"('acquire', res, owner, blocks, ready), or "
-            f"('release', res, owner, ready)"))
+            f"processes must yield ('at', t) or ('join', rdv, ready)"))
 
 
 def _module_level(body: list[ast.stmt]) -> Iterator[ast.stmt]:

@@ -84,6 +84,13 @@ def _fraction(text: str) -> float:
     return value
 
 
+def _share(text: str) -> float:
+    value = float(text)
+    if not 0 <= value <= 1:  # NaN fails too
+        raise argparse.ArgumentTypeError(f"must be in [0, 1] (got {text})")
+    return value
+
+
 _INT_LIST = _comma_list(int, "integers")
 _POSITIVE_INT_LIST = _comma_list(_positive_int, "positive integers")
 _POSITIVE_FLOAT_LIST = _comma_list(_positive_float, "positive numbers")
@@ -343,9 +350,6 @@ def _serve_requests(args: argparse.Namespace) -> list:
     if not 0 < args.rate < math.inf:
         raise ConfigurationError(
             f"--rate must be positive and finite (got {args.rate:g})")
-    if not 0.0 <= args.prefix_share <= 1.0:
-        raise ConfigurationError(
-            f"--prefix-share must be in [0, 1] (got {args.prefix_share:g})")
     prefix = (PrefixSpec(share=args.prefix_share, prefix_len=args.prefix_len,
                          pool=args.prefix_pool)
               if args.prefix_share > 0 else None)
@@ -425,7 +429,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                               pin=args.pin))
     model = get_model(args.model)
     kv = _kv_config(args)
-    if args.prefix_share > 0 and 0.0 <= args.prefix_share <= 1.0:
+    if args.prefix_share > 0:
         from repro.kvcache import KvCacheConfig
 
         # COW prefix caching rides on the paged pool; with no pressure
@@ -729,7 +733,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     fusion = sub.add_parser("fusion", help="fusion recommendations")
     _add_workload_args(fusion)
-    fusion.add_argument("--threshold", type=float, default=1.0,
+    fusion.add_argument("--threshold", type=_fraction, default=1.0,
                         help="minimum proximity score")
     fusion.set_defaults(func=_cmd_fusion)
 
@@ -764,7 +768,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="mean arrival rate (req/s)")
     serve.add_argument("--duration", type=float, default=1.0,
                        help="arrival stream duration (s)")
-    serve.add_argument("--prefix-share", type=float, default=0.0,
+    serve.add_argument("--prefix-share", type=_share, default=0.0,
                        help="fraction of requests tagged with a shared "
                             "prefix (enables copy-on-write prefix caching "
                             "when positive)")
@@ -786,8 +790,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="let the cluster router spin up replicas to "
                             "this ceiling under backlog (0 = fixed pool; "
                             "needs a cluster --router)")
-    serve.add_argument("--prompt-len", type=int, default=128)
-    serve.add_argument("--output-tokens", type=int, default=16)
+    serve.add_argument("--prompt-len", type=_positive_int, default=128)
+    serve.add_argument("--output-tokens", type=_positive_int, default=16)
     serve.add_argument("--max-active", type=int, default=8,
                        help="max active sequences (continuous), batch size "
                             "(static), or bulk batch (priority)")
@@ -852,8 +856,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="a replica still pays off while it adds at "
                                 "least this fraction of single-replica "
                                 "tokens/s")
-    hostsweep.add_argument("--prompt-len", type=int, default=64)
-    hostsweep.add_argument("--output-tokens", type=int, default=16)
+    hostsweep.add_argument("--prompt-len", type=_positive_int, default=64)
+    hostsweep.add_argument("--output-tokens", type=_positive_int, default=16)
     hostsweep.add_argument("--requests", type=int, default=40,
                            help="burst size served by every cell")
     hostsweep.add_argument("--seed", type=int, default=11)
@@ -872,8 +876,8 @@ def build_parser() -> argparse.ArgumentParser:
     kvpressure.add_argument("--policies", type=_KV_POLICY_LIST,
                             default="recompute,offload",
                             help="comma-separated pressure policies")
-    kvpressure.add_argument("--prompt-len", type=int, default=1024)
-    kvpressure.add_argument("--output-tokens", type=int, default=128)
+    kvpressure.add_argument("--prompt-len", type=_positive_int, default=1024)
+    kvpressure.add_argument("--output-tokens", type=_positive_int, default=128)
     kvpressure.add_argument("--rate", type=float, default=40.0,
                             help="Poisson arrival rate (req/s)")
     kvpressure.add_argument("--duration", type=float, default=1.0,

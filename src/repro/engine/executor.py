@@ -351,39 +351,19 @@ def run(
         core = build_core_pp(tp, pp, causality=causality)
         core.spawn_all(pp_stage_processes(core, builder, stage_lowerings,
                                           platform, mode, config, pp))
-        core.run()
-        finished = builder.finish()
-        result = RunResult(
-            trace=None if tape else finished,
-            graph=graph,
-            lowered=lowered,
-            platform=platform,
-            mode=mode,
-            compile_report=report,
-            config=config,
-            tp=tp,
-            pp=pp,
-            core=core,
-            tape=finished if tape else None,
-        )
-        if recorder is not None:
-            for mark in finished.iterations:
-                recorder.record_step(StepKind.ENGINE, mark.ts,
-                                     mark.ts_end - mark.ts, graph.batch_size)
-        return result
-
-    core = build_core(tp, causality=causality)
-    if mode.uses_cuda_graph:
-        core.spawn(graph_replay_process(core, builder, lowered, platform,
-                                        config))
-    elif tp.enabled and tp.dispatch is DispatchMode.THREAD_PER_DEVICE:
-        core.spawn_all(per_device_launch_processes(
-            core, builder, lowered, platform, mode, config,
-            recorder=recorder))
     else:
-        core.spawn(single_thread_launch_process(
-            core, builder, lowered, platform, mode, config,
-            recorder=recorder))
+        core = build_core(tp, causality=causality)
+        if mode.uses_cuda_graph:
+            core.spawn(graph_replay_process(core, builder, lowered, platform,
+                                            config))
+        elif tp.enabled and tp.dispatch is DispatchMode.THREAD_PER_DEVICE:
+            core.spawn_all(per_device_launch_processes(
+                core, builder, lowered, platform, mode, config,
+                recorder=recorder))
+        else:
+            core.spawn(single_thread_launch_process(
+                core, builder, lowered, platform, mode, config,
+                recorder=recorder))
     core.run()
 
     finished = builder.finish()

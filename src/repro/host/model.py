@@ -68,7 +68,6 @@ class HostStats:
     remote_grants: int
     stall_ns: float
     busy_ns: float
-    reservations: int
 
     @property
     def busy_per_core_ns(self) -> float:
@@ -98,7 +97,6 @@ class HostModel:
         self.recorder: RunRecorder | None = None
         self.grants = 0
         self.remote_grants = 0
-        self.reservations = 0
         self.stall_ns = 0.0
 
     @classmethod
@@ -175,5 +173,4 @@ class HostModel:
             remote_grants=self.remote_grants,
             stall_ns=self.stall_ns,
             busy_ns=self.pool.busy_ns,
-            reservations=self.reservations,
         )

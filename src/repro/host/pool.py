@@ -10,41 +10,29 @@ replica's affine domain, and the difference between the grant's start and
 the request time is a real queueing stall the step pays on its critical
 path.
 
-Two access modes, mirroring :class:`repro.kvcache.KvCacheResource`:
-
-* **Synchronous booking** (:meth:`dispatch`) — policy processes book CPU
-  shares between yields. Booking is deterministic: cores are chosen by
-  ``(earliest start, lowest index)``, local domain first; a remote-domain
-  core is used only when it starts *strictly* earlier and the caller is
-  not pinned, and the booked CPU time is inflated by the host's
-  ``remote_penalty``. Per-core bookings are monotone in time, so grants on
-  one core can never overlap — rule N001 replays that invariant from the
-  exported trace.
-* **Blocking reservation** (``("acquire", pool, owner, cores, ready_ns)``
-  / ``("release", pool, owner, ready_ns)`` yield verbs) — exclusive
-  whole-core reservations with deterministic FIFO grants, for experiments
-  where the waiting and the freeing happen in different processes.
-  Reserved cores are excluded from booking until released; a run ending
-  with parked waiters is a deadlock, reported by :meth:`SimCore.run`
-  exactly like a starved KV acquisition.
+Policy processes book CPU shares synchronously, between yields
+(:meth:`CpuPool.dispatch`). Booking is deterministic: cores are chosen by
+``(earliest start, lowest index)``, local domain first; a remote-domain
+core is used only when it starts *strictly* earlier and the caller is not
+pinned, and the booked CPU time is inflated by the host's
+``remote_penalty``. Per-core bookings are monotone in time, so grants on
+one core can never overlap — rule N001 replays that invariant from the
+exported trace.
 
 With an attached causality log every booking records an ``occupy``
-interval on ``<pool>.core<i>`` and every reservation records
-``acquire``/``grant``/``free`` events, so ``repro check hb`` can certify
-grant-order determinism under adversarial tie-breaks.
+interval on ``<pool>.core<i>``, so ``repro check hb`` can certify that
+core choice never hinged on an event-queue tie.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Hashable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.errors import ConfigurationError, SimulationError
 
 if TYPE_CHECKING:
     from repro.sim.causality import CausalityLog
-    from repro.sim.core import Process
-    from repro.sim.queue import EventQueue
 
 
 @dataclass(slots=True)
@@ -85,18 +73,8 @@ class CoreGrant:
     remote: bool = False
 
 
-@dataclass(slots=True)
-class _Waiter:
-    """One parked reservation: who wants how many cores, since when."""
-
-    process: Process
-    owner: Hashable
-    cores: int
-    ready_ns: float
-
-
 class CpuPool:
-    """A host's cores, bound to a sim core's event queue."""
+    """A host's cores, booked in time by the processes of one sim core."""
 
     def __init__(self, cores: Sequence[CpuCore], name: str = "host",
                  remote_penalty: float = 1.0) -> None:
@@ -111,21 +89,12 @@ class CpuPool:
         self.cores: list[CpuCore] = list(cores)
         self.name = name
         self.remote_penalty = remote_penalty
-        self.waiters: list[_Waiter] = []
-        self._held: dict[Hashable, list[CpuCore]] = {}
-        self._held_count = 0
-        self._queue: EventQueue | None = None
         self._log: CausalityLog | None = None
 
     # -- introspection ---------------------------------------------------
     @property
     def capacity(self) -> int:
         return len(self.cores)
-
-    @property
-    def available(self) -> int:
-        """Cores not under an exclusive reservation."""
-        return len(self.cores) - self._held_count
 
     @property
     def busy_ns(self) -> float:
@@ -140,10 +109,8 @@ class CpuPool:
         return counts
 
     # -- core binding ----------------------------------------------------
-    def bind(self, queue: EventQueue,
-             causality: CausalityLog | None = None) -> None:
-        """Attach to a core's event queue (``SimCore.add_host_pool``)."""
-        self._queue = queue
+    def bind(self, causality: CausalityLog | None) -> None:
+        """Attach a core's causality log (``SimCore.add_host_pool``)."""
         self._log = causality
         if causality is not None:
             causality.resource(self.name, len(self.cores))
@@ -166,9 +133,8 @@ class CpuPool:
             raise SimulationError("cpu request time must be non-negative")
         local = self._best_core(ts_ns, domain, invert=False)
         if local is None and pinned:
-            where = "any domain" if domain is None else f"domain {domain}"
             raise SimulationError(
-                f"cpu pool {self.name}: no unreserved core in {where} "
+                f"cpu pool {self.name}: no core in domain {domain} "
                 f"for pinned owner {owner!r}")
         best, remote = local, False
         if domain is not None and not pinned:
@@ -177,10 +143,9 @@ class CpuPool:
                     local is None
                     or max(ts_ns, other.free_at) < max(ts_ns, local.free_at)):
                 best, remote = other, True
-        if best is None:
-            raise SimulationError(
-                f"cpu pool {self.name}: every core is reserved; "
-                f"cannot book dispatch work for owner {owner!r}")
+        # A pool has at least one core: an unpinned booking finds a local
+        # or a remote one, and a pinned one with none was refused above.
+        assert best is not None
         effective = cpu_ns * self.remote_penalty if remote else cpu_ns
         start = max(ts_ns, best.free_at)
         end = start + effective
@@ -195,125 +160,18 @@ class CpuPool:
 
     def _best_core(self, ts_ns: float, domain: int | None,
                    invert: bool) -> CpuCore | None:
-        """Earliest-starting unreserved core in (``invert``: outside of)
-        ``domain``; ties break on the lowest index. ``domain=None`` with
+        """Earliest-starting core in (``invert``: outside of) ``domain``;
+        ties break on the lowest index. ``domain=None`` with
         ``invert=False`` considers every core."""
         best: CpuCore | None = None
         best_start = 0.0
-        held = self._held_ids()
         for core in self.cores:
-            if core.index in held:
-                continue
             if domain is not None and (core.domain == domain) == invert:
                 continue
             start = ts_ns if core.free_at <= ts_ns else core.free_at
             if best is None or start < best_start:
                 best, best_start = core, start
         return best
-
-    def _held_ids(self) -> set[int]:
-        if not self._held:
-            return set()
-        return {core.index for cores in self._held.values() for core in cores}
-
-    # -- synchronous reservation side ------------------------------------
-    def try_acquire(self, owner: Hashable, cores: int,
-                    now: float = 0.0) -> bool:
-        """Reserve ``cores`` whole cores for ``owner`` now if enough are
-        free. ``now`` is only observational (the grant timestamp an
-        attached causality log records)."""
-        self._check_reservation(owner, cores)
-        if self.available < cores:
-            return False
-        self._reserve(owner, cores)
-        if self._log is not None:
-            self._log.grant(self._log.current_pid, self.name, owner,
-                            cores, now)
-        return True
-
-    def release(self, owner: Hashable, now: float) -> int:
-        """Release ``owner``'s reserved cores; wake eligible waiters."""
-        freed = self._unreserve(owner)
-        if freed > 0:
-            if self._log is not None:
-                self._log.free(self._log.current_pid, self.name, owner,
-                               freed, now)
-            self._wake(now)
-        return freed
-
-    # -- yield-protocol side (driven by SimCore._handle) -----------------
-    def acquire_request(self, process: Process, owner: Hashable,
-                        cores: int, ready_ns: float) -> None:
-        self._check_reservation(owner, cores)
-        if cores > len(self.cores):
-            raise SimulationError(
-                f"cpu pool {self.name}: acquire of {cores} cores can never "
-                f"be granted (capacity {len(self.cores)})")
-        if self._log is not None:
-            self._log.acquire(self._log.pid_of(process), self.name, owner,
-                              cores, ready_ns)
-        if not self.waiters and self.available >= cores:
-            self._reserve(owner, cores)
-            if self._log is not None:
-                self._log.grant(self._log.pid_of(process), self.name, owner,
-                                cores, ready_ns)
-            self._push(process, ready_ns)
-        else:
-            # FIFO: park behind earlier waiters even if this request would
-            # fit, so grant order never depends on request size.
-            self.waiters.append(_Waiter(process, owner, cores, ready_ns))
-
-    def release_request(self, process: Process, owner: Hashable,
-                        ready_ns: float) -> None:
-        freed = self._unreserve(owner)
-        if self._log is not None:
-            self._log.free(self._log.pid_of(process), self.name, owner,
-                           freed, ready_ns)
-        self._wake(ready_ns)
-        self._push(process, ready_ns)
-
-    # -- internals -------------------------------------------------------
-    def _check_reservation(self, owner: Hashable, cores: int) -> None:
-        if cores <= 0:
-            raise SimulationError("core reservations must be positive")
-        if owner in self._held:
-            raise SimulationError(
-                f"cpu pool {self.name}: owner {owner!r} already holds a "
-                f"reservation; release it first")
-
-    def _reserve(self, owner: Hashable, cores: int) -> None:
-        held = self._held_ids()
-        taken = [core for core in self.cores
-                 if core.index not in held][:cores]
-        if len(taken) < cores:
-            raise SimulationError(
-                f"cpu pool {self.name}: reservation bookkeeping drifted")
-        self._held[owner] = taken
-        self._held_count += cores
-
-    def _unreserve(self, owner: Hashable) -> int:
-        taken = self._held.pop(owner, None)
-        if taken is None:
-            return 0
-        self._held_count -= len(taken)
-        return len(taken)
-
-    def _wake(self, now: float) -> None:
-        while self.waiters and self.available >= self.waiters[0].cores:
-            waiter = self.waiters.pop(0)
-            self._reserve(waiter.owner, waiter.cores)
-            grant_at = max(now, waiter.ready_ns)
-            if self._log is not None:
-                self._log.grant(self._log.pid_of(waiter.process), self.name,
-                                waiter.owner, waiter.cores, grant_at)
-            self._push(waiter.process, grant_at)
-
-    def _push(self, process: Process, at_ns: float) -> None:
-        if self._queue is None:
-            raise SimulationError(
-                f"cpu pool {self.name} is not bound to a core; call "
-                f"SimCore.add_host_pool first")
-        self._queue.push(at_ns, process)
 
 
 def pool_from_domains(domains: Sequence[tuple[int, int]],

@@ -4,7 +4,8 @@ The serving runtime models compute and launch overhead; this package makes
 GPU memory the third first-class resource. A per-replica
 :class:`BlockPool` holds fixed-size KV blocks sized from the model's KV
 geometry; :class:`KvCacheResource` exposes the pool to
-:class:`repro.sim.SimCore` (blocking ``acquire``/``release`` yield verbs);
+:class:`repro.sim.SimCore` (synchronous ``try_acquire``/``release``
+between yields, seen by the causality log);
 :class:`KvManager` applies a pressure policy — preempt-and-recompute or
 CPU offload over the platform interconnect — and logs every pool event for
 the ``repro check`` K-rules. See ``docs/kvcache.md``.

@@ -1,70 +1,41 @@
-"""KvCacheResource — the block pool as a blocking simulated resource.
+"""KvCacheResource — the block pool as a simulated resource.
 
-Processes on :class:`repro.sim.SimCore` interact with the pool through two
-yield verbs (mirroring the core's ``("at", t)`` / ``("join", ...)``
-protocol):
-
-* ``("acquire", resource, owner, blocks, ready_ns)`` — suspend until the
-  pool can grant ``blocks`` to ``owner``; resumes at
-  ``max(ready_ns, grant time)``. Grants are FIFO: a large request at the
-  head of the wait list blocks later small ones, so acquisition order is
-  deterministic and starvation-free.
-* ``("release", resource, owner, ready_ns)`` — free every block ``owner``
-  holds, wake eligible waiters, and resume at ``ready_ns``.
-
-The serving layer's :class:`repro.kvcache.manager.KvManager` drives the same
-resource synchronously (try-acquire between yields) because a replica's
-policy process must keep stepping to create the frees it is waiting for;
-the blocking verbs are for multi-process experiments where the waiting and
-the freeing happen in different processes. A run that ends with waiters
-still parked is a deadlock, reported by :meth:`SimCore.run` exactly like an
-incomplete rendezvous.
+The serving layer's :class:`repro.kvcache.manager.KvManager` takes and
+frees blocks synchronously, between yields (:meth:`try_acquire` /
+:meth:`release`): a replica's policy process must keep stepping to create
+the frees it is waiting for, so it never blocks on the pool. Registered
+with a :class:`repro.sim.SimCore` that keeps a causality log, the resource
+records its capacity and every grant and free under the pid of the process
+that made it, so ``repro check hb`` can certify that block grants never
+hinged on an event-queue tie.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Hashable
 
-from repro.errors import SimulationError
 from repro.kvcache.pool import BlockPool
 
 if TYPE_CHECKING:
     from repro.sim.causality import CausalityLog
-    from repro.sim.core import Process
-    from repro.sim.queue import EventQueue
-
-
-@dataclass
-class _Waiter:
-    """One parked acquire: who wants how much, and since when."""
-
-    process: Process
-    owner: Hashable
-    blocks: int
-    ready_ns: float
 
 
 class KvCacheResource:
-    """A :class:`BlockPool` bound to a sim core's event queue."""
+    """A :class:`BlockPool` whose grants and frees a causality log sees."""
 
     def __init__(self, pool: BlockPool, name: str = "kv") -> None:
         self.pool = pool
         self.name = name
-        self.waiters: list[_Waiter] = []
-        self._queue: EventQueue | None = None
         self._log: CausalityLog | None = None
 
     # -- core binding ---------------------------------------------------
-    def bind(self, queue: EventQueue,
-             causality: CausalityLog | None = None) -> None:
-        """Attach to a core's event queue (``SimCore.add_kv_resource``)."""
-        self._queue = queue
+    def bind(self, causality: CausalityLog | None) -> None:
+        """Attach a core's causality log (``SimCore.add_kv_resource``)."""
         self._log = causality
         if causality is not None:
             causality.resource(self.name, self.pool.capacity_blocks)
 
-    # -- synchronous side (policy processes, between yields) ------------
+    # -- grants and frees (policy processes, between yields) ------------
     def try_acquire(self, owner: Hashable, blocks: int,
                     now: float = 0.0) -> bool:
         """Grant ``blocks`` to ``owner`` now if the pool has room.
@@ -81,59 +52,9 @@ class KvCacheResource:
         return False
 
     def release(self, owner: Hashable, now: float) -> int:
-        """Free ``owner``'s blocks and wake any newly-eligible waiters."""
+        """Free ``owner``'s blocks; returns how many were freed."""
         freed = self.pool.release(owner)
-        if freed > 0:
-            if self._log is not None:
-                self._log.free(self._log.current_pid, self.name, owner,
-                               freed, now)
-            self._wake(now)
+        if freed > 0 and self._log is not None:
+            self._log.free(self._log.current_pid, self.name, owner,
+                           freed, now)
         return freed
-
-    # -- yield-protocol side (driven by SimCore._handle) -----------------
-    def acquire_request(self, process: Process, owner: Hashable,
-                        blocks: int, ready_ns: float) -> None:
-        if blocks > self.pool.capacity_blocks:
-            raise SimulationError(
-                f"kv resource {self.name}: acquire of {blocks} blocks can "
-                f"never be granted (capacity {self.pool.capacity_blocks})")
-        if self._log is not None:
-            self._log.acquire(self._log.pid_of(process), self.name, owner,
-                              blocks, ready_ns)
-        if not self.waiters and self.pool.can_allocate(blocks):
-            self.pool.allocate(owner, blocks)
-            if self._log is not None:
-                self._log.grant(self._log.pid_of(process), self.name, owner,
-                                blocks, ready_ns)
-            self._push(process, ready_ns)
-        else:
-            # FIFO: park behind earlier waiters even if this request would
-            # fit, so grant order never depends on request size.
-            self.waiters.append(_Waiter(process, owner, blocks, ready_ns))
-
-    def release_request(self, process: Process, owner: Hashable,
-                        ready_ns: float) -> None:
-        freed = self.pool.release(owner)
-        if self._log is not None:
-            self._log.free(self._log.pid_of(process), self.name, owner,
-                           freed, ready_ns)
-        self._wake(ready_ns)
-        self._push(process, ready_ns)
-
-    # -- internals -------------------------------------------------------
-    def _wake(self, now: float) -> None:
-        while self.waiters and self.pool.can_allocate(self.waiters[0].blocks):
-            waiter = self.waiters.pop(0)
-            self.pool.allocate(waiter.owner, waiter.blocks)
-            grant_at = max(now, waiter.ready_ns)
-            if self._log is not None:
-                self._log.grant(self._log.pid_of(waiter.process), self.name,
-                                waiter.owner, waiter.blocks, grant_at)
-            self._push(waiter.process, grant_at)
-
-    def _push(self, process: Process, at_ns: float) -> None:
-        if self._queue is None:
-            raise SimulationError(
-                f"kv resource {self.name} is not bound to a core; call "
-                f"SimCore.add_kv_resource first")
-        self._queue.push(at_ns, process)

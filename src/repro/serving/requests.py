@@ -101,6 +101,13 @@ def poisson_requests(
     if not (0 < rate_per_s < math.inf and 0 < duration_s < math.inf):
         raise ConfigurationError(
             "rate and duration must be positive and finite")
+    # The clamp below keeps a jittered length positive; a non-positive base
+    # length is a bad input, not something to clamp.
+    if prompt_len <= 0 or output_tokens <= 0:
+        raise ConfigurationError(
+            "prompt_len and output_tokens must be positive")
+    if prompt_jitter < 0 or output_jitter < 0:
+        raise ConfigurationError("jitter must be non-negative")
     rng = random.Random(seed)
     requests: list[Request] = []
     clock_s = 0.0

@@ -3,8 +3,8 @@
 When a :class:`~repro.sim.core.SimCore` is constructed with
 ``causality=CausalityLog()``, it records every scheduling decision the run
 makes — process spawns, event-queue pops (with their tie-break metadata),
-suspensions, rendezvous joins/releases, KV ``acquire``/``release`` grants,
-and stream/link occupancy intervals — as a flat, ordered stream of
+suspensions, rendezvous joins/releases, KV block grants and frees, and
+stream/link/host-core occupancy intervals — as a flat, ordered stream of
 :class:`CausalityEvent` records. The log is the *input* to the
 happens-before race detector (:mod:`repro.check.hb`): from it the checker
 rebuilds the run's causal order with vector clocks and certifies that
@@ -31,14 +31,16 @@ Event vocabulary (``CausalityEvent.kind``):
 ``wake``    waiter ``pid`` of rendezvous ``key`` was rescheduled for
             ``time_ns`` (``src`` = the pid whose join completed the
             rendezvous)
-``acquire`` ``pid`` requested ``blocks`` KV blocks on resource ``key`` for
-            ``owner``
+``acquire`` ``pid`` requested ``blocks`` blocks on resource ``key`` for
+            ``owner`` and waits for the grant (the simulator's resources
+            grant synchronously and never write it; rule H003 reads it
+            from logs written elsewhere)
 ``grant``   resource ``key`` granted ``blocks`` to ``owner`` (process
             ``pid``) effective ``time_ns``
 ``free``    ``owner`` released ``blocks`` blocks on resource ``key`` at
             ``time_ns``
-``occupy``  resource ``key`` (a stream or the link) was occupied over
-            ``[time_ns, end_ns)`` by work issued from ``pid``
+``occupy``  resource ``key`` (a stream, the link or a host core) was
+            occupied over ``[time_ns, end_ns)`` by work issued from ``pid``
 ``resource`` declaration: resource ``key`` exists with ``blocks`` capacity
 ========== ==================================================================
 """
@@ -173,14 +175,9 @@ class CausalityLog:
         self.emit("wake", release_ns, self.pid_of(waiter),
                   src=self.current_pid, key=_key_str(key))
 
-    # -- resource events (emitted by KvCacheResource / stream / link) ----
+    # -- resource events (KvCacheResource, CpuPool, streams, the link) ---
     def resource(self, name: str, capacity_blocks: int) -> None:
         self.emit("resource", 0.0, key=name, blocks=capacity_blocks)
-
-    def acquire(self, pid: int, name: str, owner: Hashable, blocks: int,
-                ready_ns: float) -> None:
-        self.emit("acquire", ready_ns, pid, key=name,
-                  owner=_key_str(owner), blocks=blocks)
 
     def grant(self, pid: int, name: str, owner: Hashable, blocks: int,
               grant_ns: float) -> None:

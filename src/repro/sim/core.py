@@ -6,14 +6,12 @@ is resumed with the simulation time at which the request was granted:
 * ``("at", t)`` — suspend until absolute time ``t``;
 * ``("join", rendezvous, ready_ns)`` — rendezvous with the other parties of
   a collective; the process resumes once every party has joined, at the
-  maximum of all ``ready_ns`` values (the time the collective can start);
-* ``("acquire", resource, owner, blocks, ready_ns)`` — block until a
-  registered resource (a :class:`repro.kvcache.KvCacheResource` granting
-  KV blocks, or a :class:`repro.host.CpuPool` granting whole-core
-  reservations) can grant ``blocks`` units to ``owner`` (FIFO among
-  waiters);
-* ``("release", resource, owner, ready_ns)`` — free every unit ``owner``
-  holds on ``resource``, waking eligible waiters.
+  maximum of all ``ready_ns`` values (the time the collective can start).
+
+Shared resources (a :class:`repro.kvcache.KvCacheResource` granting KV
+blocks, a :class:`repro.host.CpuPool` booking core time) are used
+synchronously between yields; registering one with the core only attaches
+the causality log.
 
 A process that never yields simply runs to completion on its first
 scheduling slot — the single-dispatch-thread execution modes are exactly
@@ -108,8 +106,6 @@ class SimCore:
         self.cpu_threads: list[CpuThread] = []
         self.devices: list[GpuDevice] = []
         self.link: LinkResource | None = None
-        self.kv_resources: list[KvCacheResource] = []
-        self.host_pools: list[CpuPool] = []
         self.now = 0.0
         self.events_processed = 0
 
@@ -138,23 +134,15 @@ class SimCore:
         return link
 
     def add_kv_resource(self, resource: KvCacheResource) -> KvCacheResource:
-        """Register a KV block pool so processes can acquire/release it.
-
-        Binding gives the resource access to the event queue, which is how
-        a release performed by one process wakes the waiters of another.
-        """
-        resource.bind(self._queue, causality=self._causality)
-        self.kv_resources.append(resource)
+        """Register a KV block pool: an attached causality log records its
+        capacity and every grant and free."""
+        resource.bind(self._causality)
         return resource
 
     def add_host_pool(self, pool: CpuPool) -> CpuPool:
-        """Register a host CPU pool so processes can book and reserve
-        cores on it. Binding mirrors :meth:`add_kv_resource`: the pool
-        gets the event queue (reservation releases wake other processes'
-        waiters) and the causality log (bookings record ``occupy``
-        intervals on ``host.core<i>`` labels)."""
-        pool.bind(self._queue, causality=self._causality)
-        self.host_pools.append(pool)
+        """Register a host CPU pool: an attached causality log records
+        every booking as an ``occupy`` interval on ``host.core<i>``."""
+        pool.bind(self._causality)
         return pool
 
     def streams(self) -> list[StreamResource]:
@@ -238,24 +226,21 @@ class SimCore:
                     push(request[1], process)
                 else:
                     handle(process, request)
-        elif log is None:
-            while queue:
-                time_ns, process = queue.pop()
-                self.now = max(self.now, time_ns)
-                processed += 1
-                self._step(process, time_ns)
         else:
-            # Logging loop: identical scheduling to the generic loop, plus a
-            # causality record per pop (with the queue's tie-break sequence)
-            # and pid attribution for resources touched between yields.
+            # Generic loop: any queue, Python < 3.11, or a causality log,
+            # which records each pop (with the queue's tie-break sequence)
+            # and attributes resources touched between yields to the pid.
             while queue:
                 time_ns, tie, process = queue.pop_entry()
                 self.now = max(self.now, time_ns)
                 processed += 1
-                log.resume(process, time_ns, tie)
-                log.current_pid = log.pid_of(process)
-                self._step(process, time_ns)
-                log.current_pid = -1
+                if log is None:
+                    self._step(process, time_ns)
+                else:
+                    log.resume(process, time_ns, tie)
+                    log.current_pid = log.pid_of(process)
+                    self._step(process, time_ns)
+                    log.current_pid = -1
         self.events_processed += processed
         EVENTS_TOTAL += processed
         incomplete = [key for key, rdv in self._rendezvous.items()
@@ -263,12 +248,6 @@ class SimCore:
         if incomplete:
             raise SimulationError(
                 f"deadlock: rendezvous never completed: {incomplete[:3]}")
-        starved = [resource.name for resource in self.kv_resources
-                   if resource.waiters]
-        starved += [pool.name for pool in self.host_pools if pool.waiters]
-        if starved:
-            raise SimulationError(
-                f"deadlock: acquisitions never granted on: {starved[:3]}")
 
     def _step(self, process: Process, resume_ns: float) -> None:
         try:
@@ -311,15 +290,5 @@ class SimCore:
                         log.wake(waiter, rdv.key, release)
                 for waiter, _ in rdv.waiters:
                     self._queue.push(release, waiter)
-        elif kind == "acquire":
-            _, resource, owner, blocks, ready_ns = request
-            if log is not None:
-                log.suspend(process, ready_ns, "acquire")
-            resource.acquire_request(process, owner, blocks, ready_ns)
-        elif kind == "release":
-            _, resource, owner, ready_ns = request
-            if log is not None:
-                log.suspend(process, ready_ns, "release")
-            resource.release_request(process, owner, ready_ns)
         else:
             raise SimulationError(f"unknown process request kind: {kind!r}")

@@ -133,13 +133,16 @@ def test_non_timestamp_equality_allowed():
 # C003 / C004: process protocol
 # ----------------------------------------------------------------------
 def test_unknown_yield_verb_flagged_c003(tmp_path):
-    root = _package(tmp_path, {"sim/procs.py": (
-        "def bad_process(core):\n"
-        "    yield ('sleep', 10.0)\n"
-    )})
-    findings, _ = lint_path(root)
-    assert _rule_ids(findings) == {"C003"}
-    assert "'sleep'" in findings[0].message
+    # "acquire" and "release" were the verbs of the retired blocking
+    # resource protocol; the core now rejects them like any other.
+    for verb in ("sleep", "acquire", "release"):
+        root = _package(tmp_path / verb, {"sim/procs.py": (
+            "def bad_process(core):\n"
+            f"    yield ('{verb}', 10.0)\n"
+        )})
+        findings, _ = lint_path(root)
+        assert _rule_ids(findings) == {"C003"}
+        assert f"'{verb}'" in findings[0].message
 
 
 def test_bare_yield_flagged_c003(tmp_path):

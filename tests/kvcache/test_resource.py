@@ -1,8 +1,5 @@
-"""KvCacheResource: blocking acquire/release verbs on the sim core."""
+"""KvCacheResource: synchronous grants and frees on a registered pool."""
 
-import pytest
-
-from repro.errors import SimulationError
 from repro.kvcache import BlockPool, KvCacheResource
 from repro.sim import SimCore
 
@@ -14,111 +11,16 @@ def make_resource(core: SimCore, capacity: int) -> KvCacheResource:
 def test_acquire_grants_immediately_when_pool_has_room():
     core = SimCore()
     kv = make_resource(core, 4)
-    resumed = []
-
-    def process():
-        t = yield ("acquire", kv, "a", 3, 100.0)
-        resumed.append(t)
-
-    core.spawn(process())
-    core.run()
-    assert resumed == [100.0]
-    assert kv.pool.held("a") == 3
-
-
-def test_acquire_blocks_until_release():
-    core = SimCore()
-    kv = make_resource(core, 4)
-    order = []
-
-    def holder():
-        yield ("acquire", kv, "a", 3, 10.0)
-        order.append(("a-granted", 10.0))
-        yield ("at", 500.0)  # hold the blocks until t=500
-        t = yield ("release", kv, "a", 500.0)
-        order.append(("a-released", t))
-
-    def waiter():
-        t = yield ("acquire", kv, "b", 3, 20.0)
-        order.append(("b-granted", t))
-        yield ("release", kv, "b", t)
-
-    core.spawn(holder())
-    core.spawn(waiter(), at_ns=15.0)
-    core.run()
-    # b wants 3 of 4 blocks while a holds 3: parked until a's release at 500.
-    assert ("b-granted", 500.0) in order
-    assert kv.pool.allocated == 0
-
-
-def test_grants_are_fifo_even_when_later_requests_fit():
-    core = SimCore()
-    kv = make_resource(core, 4)
     granted = []
 
-    def holder():
-        yield ("acquire", kv, "h", 3, 0.0)
-        yield ("at", 1000.0)
-        yield ("release", kv, "h", 1000.0)
-
-    def big():
-        t = yield ("acquire", kv, "big", 3, 100.0)
-        granted.append(("big", t))
-        yield ("release", kv, "big", t + 1.0)
-
-    def small():
-        # One free block exists, but "small" arrived after "big": FIFO says
-        # it must not jump the queue.
-        t = yield ("acquire", kv, "small", 1, 200.0)
-        granted.append(("small", t))
-        yield ("release", kv, "small", t + 1.0)
-
-    core.spawn(holder())
-    core.spawn(big(), at_ns=100.0)
-    core.spawn(small(), at_ns=200.0)
-    core.run()
-    assert [name for name, _ in granted] == ["big", "small"]
-    # Neither jumped the queue: both waited for the holder's release.
-    assert all(t == 1000.0 for _, t in granted)
-
-
-def test_impossible_acquire_is_an_error():
-    core = SimCore()
-    kv = make_resource(core, 2)
-
     def process():
-        yield ("acquire", kv, "a", 3, 0.0)
+        t = yield ("at", 100.0)
+        granted.append(kv.try_acquire("a", 3, t))
 
     core.spawn(process())
-    with pytest.raises(SimulationError, match="never be granted"):
-        core.run()
-
-
-def test_starved_waiters_are_reported_as_deadlock():
-    core = SimCore()
-    kv = make_resource(core, 4)
-
-    def holder():
-        yield ("acquire", kv, "a", 3, 0.0)
-        # Never releases.
-
-    def waiter():
-        yield ("acquire", kv, "b", 3, 10.0)
-
-    core.spawn(holder())
-    core.spawn(waiter())
-    with pytest.raises(SimulationError, match="deadlock"):
-        core.run()
-
-
-def test_unbound_resource_refuses_requests():
-    kv = KvCacheResource(BlockPool(2))
-
-    def process():
-        yield  # pragma: no cover - never driven
-
-    with pytest.raises(SimulationError, match="not bound"):
-        kv.acquire_request(process(), "a", 1, 0.0)
+    core.run()
+    assert granted == [True]
+    assert kv.pool.held("a") == 3
 
 
 def test_sync_side_try_acquire_and_release():

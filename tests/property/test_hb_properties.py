@@ -121,18 +121,23 @@ def test_kv_interleavings_grant_without_lost_wakeups_or_leaks(holds):
     core = SimCore(causality=log)
     resource = core.add_kv_resource(
         KvCacheResource(BlockPool(capacity_blocks=4), name="kv"))
+    granted = []
 
     def holder(index, blocks, t_acquire, t_release):
         owner = f"seq-{index}"
-        yield ("acquire", resource, owner, blocks, t_acquire)
-        yield ("release", resource, owner, t_release)
+        t = yield ("at", t_acquire)
+        if resource.try_acquire(owner, blocks, t):
+            granted.append(owner)
+        t = yield ("at", t_release)
+        resource.release(owner, t)
 
     for index, (blocks, t_acquire, t_release) in enumerate(holds):
         core.spawn(holder(index, blocks, t_acquire, t_release))
     core.run()
     assert check_causality(log) == []
-    grants = sum(1 for e in log.events if e.kind == "grant")
-    assert grants == len(holds)
+    assert resource.pool.allocated == 0
+    grants = [e.owner for e in log.events if e.kind == "grant"]
+    assert grants == granted and granted
 
 
 # ----------------------------------------------------------------------

@@ -50,3 +50,12 @@ def test_invalid_stream_parameters():
         poisson_requests(0, 1)
     with pytest.raises(ConfigurationError):
         poisson_requests(1, 0)
+    # A non-positive base length is rejected, not clamped to 1 like a
+    # jittered one.
+    for lengths in ({"prompt_len": 0}, {"prompt_len": -5},
+                    {"output_tokens": 0}):
+        with pytest.raises(ConfigurationError, match="must be positive"):
+            poisson_requests(10, 1, **lengths)
+    for jitter in ({"prompt_jitter": -1}, {"output_jitter": -1}):
+        with pytest.raises(ConfigurationError, match="non-negative"):
+            poisson_requests(10, 1, **jitter)

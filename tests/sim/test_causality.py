@@ -108,11 +108,18 @@ def test_kv_resource_logs_acquire_grant_free():
     core.add_kv_resource(resource)
 
     def holder():
-        yield ("acquire", resource, "seq-a", 3, 10.0)
-        yield ("release", resource, "seq-a", 50.0)
+        t = yield ("at", 10.0)
+        assert resource.try_acquire("seq-a", 3, t)
+        t = yield ("at", 50.0)
+        resource.release("seq-a", t)
 
     def waiter():
-        yield ("acquire", resource, "seq-b", 2, 20.0)
+        t = yield ("at", 20.0)
+        # The holder's 3 of 4 blocks leave no room: refused, nothing logged.
+        assert not resource.try_acquire("seq-b", 2, t)
+        t = yield ("at", 60.0)
+        assert resource.try_acquire("seq-b", 2, t)
+        resource.release("seq-b", t)
 
     core.spawn(holder())
     core.spawn(waiter())
@@ -120,15 +127,17 @@ def test_kv_resource_logs_acquire_grant_free():
     assert [e.kind for e in log.events if e.pid < 0] == ["resource"]
     resource_event = log.events[0]
     assert (resource_event.key, resource_event.blocks) == ("kv0", 4)
+    assert not [e for e in log.events if e.kind == "acquire"]
     grants = [e for e in log.events if e.kind == "grant"]
     assert [(e.owner, e.blocks, e.time_ns) for e in grants] == [
-        ("seq-a", 3, 10.0), ("seq-b", 2, 50.0)]
+        ("seq-a", 3, 10.0), ("seq-b", 2, 60.0)]
     frees = [e for e in log.events if e.kind == "free"]
     assert [(e.owner, e.blocks, e.time_ns) for e in frees] == [
-        ("seq-a", 3, 50.0)]
-    # The blocked grant is performed by the releasing process (pid 0) on
-    # behalf of the waiter (pid 1): actor attribution the hb pass uses.
-    assert grants[1].pid == 1 and grants[1].src == 0
+        ("seq-a", 3, 50.0), ("seq-b", 2, 60.0)]
+    # Each grant and free is attributed to the process that made it, the
+    # pid the hb pass orders resource accesses by.
+    assert [(e.pid, e.src) for e in grants] == [(0, 0), (1, 1)]
+    assert [e.pid for e in frees] == [0, 1]
 
 
 def test_stream_and_link_occupancy_intervals():

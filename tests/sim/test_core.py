@@ -94,14 +94,17 @@ def test_incomplete_rendezvous_is_a_deadlock():
 
 
 def test_malformed_request_rejected():
-    core = SimCore()
+    # "acquire" was a verb of the retired blocking resource protocol.
+    for request in (("teleport", 5.0), ("acquire", None, "a", 1, 0.0)):
+        core = SimCore()
 
-    def bad():
-        yield ("teleport", 5.0)
+        def bad(request=request):
+            yield request
 
-    core.spawn(bad())
-    with pytest.raises(SimulationError):
-        core.run()
+        core.spawn(bad())
+        with pytest.raises(SimulationError,
+                           match="unknown process request kind"):
+            core.run()
 
 
 def test_non_yielding_process_runs_to_completion():

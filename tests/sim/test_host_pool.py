@@ -1,10 +1,9 @@
-"""CpuPool mechanics: booking, NUMA spill, reservations, FIFO wakes."""
+"""CpuPool mechanics: booking, NUMA spill, pinning."""
 
 import pytest
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.host.pool import CoreGrant, CpuCore, CpuPool, pool_from_domains
-from repro.sim.core import SimCore
 
 
 def _two_socket_pool(cores_per=2, penalty=1.5):
@@ -29,7 +28,7 @@ def test_pool_from_domains_numbers_cores_densely():
     assert [(c.index, c.domain) for c in pool.cores] == [
         (0, 0), (1, 0), (2, 1), (3, 1)]
     assert pool.domains() == {0: 2, 1: 2}
-    assert pool.capacity == pool.available == 4
+    assert pool.capacity == 4
 
 
 def test_dispatch_rejects_negative_share_and_time():
@@ -82,119 +81,20 @@ def test_pinned_booking_waits_for_its_domain():
     assert (pinned.core, pinned.start_ns) == (0, 100.0)
 
 
+def test_pinned_booking_into_an_empty_domain_is_refused():
+    pool = pool_from_domains([(0, 1)])
+    with pytest.raises(SimulationError, match="no core in domain 1"):
+        pool.dispatch("r0", ts_ns=0.0, cpu_ns=1.0, domain=1, pinned=True)
+    # Unpinned, the same booking spills to the only domain there is.
+    grant = pool.dispatch("r0", ts_ns=0.0, cpu_ns=1.0, domain=1)
+    assert grant.remote and grant.core == 0
+
+
 def test_domainless_booking_treats_every_core_as_local():
     pool = _two_socket_pool(cores_per=1)
     pool.dispatch("router", ts_ns=0.0, cpu_ns=50.0)
     second = pool.dispatch("router", ts_ns=1.0, cpu_ns=5.0)
     assert second.core == 1 and not second.remote
-
-
-# ----------------------------------------------------------------------
-# Reservations (synchronous side)
-# ----------------------------------------------------------------------
-def test_reserved_cores_are_excluded_from_booking():
-    pool = _two_socket_pool(cores_per=1)
-    assert pool.try_acquire("profiler", 1)
-    assert pool.available == 1
-    with pytest.raises(SimulationError, match="no unreserved core"):
-        pool.dispatch("r0", ts_ns=0.0, cpu_ns=1.0, domain=0, pinned=True)
-    # Unpinned work routes around the reservation onto the other socket.
-    grant = pool.dispatch("r0", ts_ns=0.0, cpu_ns=1.0, domain=0)
-    assert grant.remote and grant.core == 1
-    pool.release("profiler", now=5.0)
-    assert pool.available == 2
-
-
-def test_reserving_every_core_starves_booking_entirely():
-    pool = pool_from_domains([(0, 2)])
-    assert pool.try_acquire("profiler", 2)
-    with pytest.raises(SimulationError, match="every core is reserved"):
-        pool.dispatch("r0", ts_ns=0.0, cpu_ns=1.0)
-
-
-def test_try_acquire_rules():
-    pool = pool_from_domains([(0, 2)])
-    with pytest.raises(SimulationError):
-        pool.try_acquire("a", 0)
-    assert not pool.try_acquire("a", 3)
-    assert pool.try_acquire("a", 2)
-    with pytest.raises(SimulationError, match="already holds"):
-        pool.try_acquire("a", 1)
-    assert pool.release("a", now=1.0) == 2
-    assert pool.release("a", now=2.0) == 0  # idempotent
-
-
-# ----------------------------------------------------------------------
-# Reservations (yield protocol, driven by SimCore)
-# ----------------------------------------------------------------------
-def test_blocking_reservations_grant_fifo():
-    core = SimCore()
-    pool = core.add_host_pool(pool_from_domains([(0, 3)]))
-    grants: list[tuple[str, float]] = []
-
-    def holder():
-        yield ("acquire", pool, "big", 2, 0.0)
-        grants.append(("big", 0.0))
-        yield ("release", pool, "big", 30.0)
-
-    def small_then_large():
-        # Asks for 3 cores at t=10: must wait for the release at t=30.
-        yield ("acquire", pool, "huge", 3, 10.0)
-        grants.append(("huge", 30.0))
-        yield ("release", pool, "huge", 40.0)
-
-    def would_fit():
-        # One core *is* free at t=20, but FIFO parks this behind "huge"
-        # so grant order never depends on request size.
-        yield ("acquire", pool, "small", 1, 20.0)
-        grants.append(("small", 40.0))
-        yield ("release", pool, "small", 50.0)
-
-    core.spawn(holder())
-    core.spawn(small_then_large())
-    core.spawn(would_fit())
-    core.run()
-    assert [name for name, _ in grants] == ["big", "huge", "small"]
-    assert pool.available == 3 and not pool.waiters
-
-
-def test_unsatisfiable_acquire_is_rejected_up_front():
-    core = SimCore()
-    pool = core.add_host_pool(pool_from_domains([(0, 2)]))
-
-    def greedy():
-        yield ("acquire", pool, "greedy", 3, 0.0)
-
-    core.spawn(greedy())
-    with pytest.raises(SimulationError, match="can never be granted"):
-        core.run()
-
-
-def test_parked_waiter_at_run_end_is_a_deadlock():
-    core = SimCore()
-    pool = core.add_host_pool(pool_from_domains([(0, 1)]))
-
-    def holder():
-        yield ("acquire", pool, "a", 1, 0.0)
-        # Never releases.
-
-    def waiter():
-        yield ("acquire", pool, "b", 1, 5.0)
-
-    core.spawn(holder())
-    core.spawn(waiter())
-    with pytest.raises(SimulationError):
-        core.run()
-
-
-def test_unbound_pool_cannot_park_processes():
-    pool = pool_from_domains([(0, 1)])
-
-    def proc():
-        yield ("acquire", pool, "a", 1, 0.0)
-
-    with pytest.raises(SimulationError, match="not bound"):
-        pool.acquire_request(proc(), "a", 1, 0.0)
 
 
 def test_grant_is_immutable_record():

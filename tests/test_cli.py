@@ -181,6 +181,8 @@ def test_non_finite_rate_or_duration_is_a_configuration_error(
     ["kvpressure", "--slo-ms", "nan"],
     ["hostsweep", "--knee-fraction", "nan"],
     ["timeline", "--window-fraction", "nan"],
+    ["fusion", "--threshold", "nan"],
+    ["serve", "--prefix-share", "nan"],
 ], ids=" ".join)
 def test_nan_option_is_a_usage_error(capsys, deadline, argv):
     """A NaN size, SLO or fraction fails its checked type at parse time
@@ -190,6 +192,30 @@ def test_nan_option_is_a_usage_error(capsys, deadline, argv):
     err = capsys.readouterr().err
     assert exc.value.code == 2
     assert f"argument {argv[-2]}:" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["serve", "--output-tokens", "0", "--duration", "0.1"],
+    ["serve", "--prompt-len", "0", "--duration", "0.1"],
+    ["serve", "--prompt-len", "-5", "--duration", "0.1"],
+    ["kvpressure", "--output-tokens", "0"],
+    ["kvpressure", "--prompt-len", "0"],
+    ["hostsweep", "--output-tokens", "0"],
+    ["hostsweep", "--prompt-len", "0"],
+    ["fusion", "--threshold", "0"],
+    ["fusion", "--threshold", "1.5"],
+    ["serve", "--prefix-share", "-0.1"],
+], ids=" ".join)
+def test_out_of_range_option_is_a_usage_error(capsys, deadline, argv):
+    """A non-positive length, or a threshold or share outside its range,
+    fails its checked type at parse time; before, a zero or negative
+    length was clamped to 1 and the run exited 0."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert f"argument {argv[1]}:" in err
     assert "Traceback" not in err
 
 
@@ -415,11 +441,13 @@ def test_serve_rejects_nonpositive_rate(capsys):
 
 
 def test_serve_rejects_out_of_range_prefix_share(capsys):
-    code = main(["serve", "--rate", "20", "--duration", "0.1",
-                 "--prefix-share", "1.5"])
+    # The share's checked type refuses it at parse time (argparse's exit 2).
+    with pytest.raises(SystemExit) as exc:
+        main(["serve", "--rate", "20", "--duration", "0.1",
+              "--prefix-share", "1.5"])
     err = capsys.readouterr().err
-    assert code == 2
-    assert "--prefix-share must be in [0, 1]" in err
+    assert exc.value.code == 2
+    assert "argument --prefix-share: must be in [0, 1]" in err
 
 
 def test_serve_autoscale_needs_cluster_router(capsys):
