@@ -115,8 +115,9 @@ def schedules_from_lowering(lowered: list[LoweredOp],
     All devices execute the same op stream (TP devices are symmetric), so
     each device's schedule is the kernel stream with collectives keyed by
     their program position — the same rendezvous keys
-    :func:`repro.engine.processes._device_dispatch_process` derives — plus
-    the end-of-iteration barrier.
+    :func:`repro.engine.processes._op_walk` derives for the threads of
+    :func:`repro.engine.processes.per_device_launch_processes` — plus the
+    end-of-iteration barrier.
     """
     world = max(1, tp.degree)
     schedules = []
@@ -168,13 +169,13 @@ def schedules_from_pp(stage_lowerings: list[list[LoweredOp]],
                       tp_degree: int = 1) -> list[DeviceSchedule]:
     """The per-device schedules a pipeline-parallel engine run performs.
 
-    Mirrors :func:`repro.engine.pp._pp_stage_process`: stage ``s`` owns
+    Mirrors :func:`repro.engine.pp.pp_stage_processes`: stage ``s`` owns
     devices ``[s*tp_degree, (s+1)*tp_degree)``; each microbatch joins the
     upstream handoff (except stage 0), issues the stage's kernel stream,
     and joins the downstream handoff (except the last stage); every device
     joins the iteration-end barrier. Within-stage TP collectives appear as
-    plain kernel issues — a single dispatch thread drives all of a stage's
-    shards, so no rendezvous happens for them at run time.
+    plain kernel issues — a stage's one dispatch thread owns all of its
+    shards, so the op walk joins no rendezvous for them at run time.
     """
     stages = len(stage_lowerings)
     schedules: list[DeviceSchedule] = []

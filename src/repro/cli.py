@@ -70,6 +70,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"negative: {value}")
+    return value
+
+
 def _positive_float(text: str) -> float:
     value = float(text)
     if not 0 < value < math.inf:  # NaN fails too
@@ -777,7 +784,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--prefix-pool", type=int, default=4,
                        help="distinct shared prefixes tagged requests draw "
                             "from")
-    serve.add_argument("--sessions", type=int, default=0,
+    serve.add_argument("--sessions", type=_non_negative_int, default=0,
                        help="distinct session tags to spread over the "
                             "stream (0 = untagged)")
     serve.add_argument("--router", default="shared",
@@ -858,7 +865,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 "tokens/s")
     hostsweep.add_argument("--prompt-len", type=_positive_int, default=64)
     hostsweep.add_argument("--output-tokens", type=_positive_int, default=16)
-    hostsweep.add_argument("--requests", type=int, default=40,
+    hostsweep.add_argument("--requests", type=_positive_int, default=40,
                            help="burst size served by every cell")
     hostsweep.add_argument("--seed", type=int, default=11)
     hostsweep.add_argument("--max-active", type=int, default=4)

@@ -238,9 +238,10 @@ def run(
         config: Engine constants.
         fusion_plan: Required for ``PROXIMITY_FUSED`` mode — the chains to
             fuse (from SKIP's recommender).
-        recorder: Optional observability hook; samples per-launch queue
-            occupancy and launch delay during execution and records one
-            ``ENGINE`` step per measured iteration.
+        recorder: Optional observability hook; samples queue occupancy
+            and launch delay for every kernel launch of a launch-mode run
+            (each dispatch thread, each stage) and records one ``ENGINE``
+            step per measured iteration.
         tp: Tensor-parallel configuration (``None`` = single device).
         pp: Pipeline-parallel configuration (``None`` = single stage). At
             ``stages == 1`` the run takes the untouched single-core path
@@ -350,7 +351,8 @@ def run(
             stage_lowerings = partition_lowered(lowered, pp.stages)
         core = build_core_pp(tp, pp, causality=causality)
         core.spawn_all(pp_stage_processes(core, builder, stage_lowerings,
-                                          platform, mode, config, pp))
+                                          platform, mode, config, pp,
+                                          recorder=recorder))
     else:
         core = build_core(tp, causality=causality)
         if mode.uses_cuda_graph:

@@ -29,14 +29,14 @@ from dataclasses import dataclass, field, replace
 from repro.engine.cache import CACHE_ENTRIES
 from repro.engine.lowering import KernelTask, LoweredOp
 from repro.engine.modes import ExecutionMode
-from repro.engine.processes import _op_plans
+from repro.engine.processes import _op_walk, _synchronize
 from repro.engine.tp import TP_DISABLED, TPConfig
 from repro.errors import ConfigurationError
 from repro.hardware.interconnect import InterconnectSpec, NVLINK4_P2P
 from repro.hardware.platform import Platform
+from repro.obs.recorder import RunRecorder
 from repro.sim.causality import CausalityLog
 from repro.sim.core import Process, SimCore
-from repro.trace.events import DEVICE_SYNCHRONIZE
 
 
 @dataclass(frozen=True)
@@ -265,146 +265,67 @@ def pp_stage_processes(
     mode: ExecutionMode,
     config,
     pp: PPConfig,
+    recorder: RunRecorder | None = None,
 ) -> list[Process]:
     """One launch-mode dispatch process per pipeline stage.
 
     Stage ``s`` owns ``core.cpu_threads[s]`` and the device slice
-    ``[s*tpd, (s+1)*tpd)``; microbatches flow through the inter-stage
-    rendezvous described in the module docstring. The first stage opens
-    iteration marks, the last stage closes them, so recorded inference
-    latency is the true pipeline latency including fill and drain.
+    ``[s*tpd, (s+1)*tpd)``, so its thread drives all of the stage's TP
+    shards and their all-reduces need no rendezvous. Microbatches flow
+    through the inter-stage rendezvous described in the module docstring.
+    The first stage opens iteration marks, the last stage closes them, so
+    recorded inference latency is the true pipeline latency including fill
+    and drain.
     """
     stages = len(stage_lowerings)
-    boundary = [stage_boundary_bytes(stage) for stage in stage_lowerings]
-    return [
-        _pp_stage_process(core, builder, stage_lowerings, platform, mode,
-                          config, pp, boundary, stage_index)
-        for stage_index in range(stages)
-    ]
-
-
-def _pp_stage_process(
-    core: SimCore,
-    builder,
-    stage_lowerings: list[list[LoweredOp]],
-    platform: Platform,
-    mode: ExecutionMode,
-    config,
-    pp: PPConfig,
-    boundary: list[float],
-    stage_index: int,
-) -> Process:
-    stages = len(stage_lowerings)
     tp_world = len(core.devices) // stages
-    devices = core.devices[stage_index * tp_world:
-                           (stage_index + 1) * tp_world]
-    streams = [device.compute_stream for device in devices]
-    stream0 = streams[0]
-    thread = core.cpu_threads[stage_index]
-    tid = thread.tid
-    first = stage_index == 0
-    last = stage_index == stages - 1
-    launch_cpu = platform.launch_call_cpu_ns
-    launch_latency = platform.launch_latency_ns
-    gap = config.stream_kernel_gap_ns
-    queue_depth = config.launch_queue_depth
-    child_frac = config.child_dispatch_fraction
-    send_ns = (0.0 if last
-               else pp.link.transfer_ns(boundary[stage_index]
-                                        / pp.microbatches))
-    plans = _op_plans(
-        microbatch_lowered(stage_lowerings[stage_index], pp.microbatches),
-        core, platform, mode, config, tp_world)
-    cpu = 0.0
-    launched = 0
-    total = config.warmup_iterations + config.iterations
-    for iteration in range(total):
-        measured = iteration >= config.warmup_iterations
-        if measured and first:
-            builder.begin_iteration(cpu)
-        for microbatch in range(pp.microbatches):
-            if not first:
-                # Staged queue (recv): wait for upstream activations.
-                rdv = core.rendezvous(
-                    ("pp.act", stage_index - 1, stage_index, iteration,
-                     microbatch), 2)
-                cpu = yield ("join", rdv, cpu)
-            for aten_name, dispatch, epilogue, pre, child_name, kernels \
-                    in plans:
-                parent = builder.begin_operator(aten_name, cpu, tid=tid)
-                child = None
-                if child_name is not None:
-                    cpu += pre * (1.0 - child_frac)
-                    child = builder.begin_operator(child_name, cpu, tid=tid)
-                    cpu += pre * child_frac
-                else:
-                    cpu += pre
-                thread.occupy(dispatch)
-                for kernel, duration, is_collective in kernels:
-                    backlog_index = launched - queue_depth
-                    if backlog_index >= 0:
-                        cpu = max(cpu, stream0.nth_start(backlog_index))
-                    if is_collective:
-                        # Within-stage TP all-reduce: one thread drives all
-                        # of this stage's shards (single-thread dispatch).
-                        calls = []
-                        for _ in streams:
-                            calls.append(cpu)
-                            cpu += launch_cpu
-                            thread.occupy(launch_cpu)
-                        start_at = max(
-                            stream.earliest_start(
-                                calls[di] + launch_latency, gap)
-                            for di, stream in enumerate(streams))
-                        for di, stream in enumerate(streams):
-                            start, _end = stream.submit(start_at, duration,
-                                                        gap_ns=gap)
-                            builder.launch_kernel(
-                                calls[di], launch_cpu, kernel.name, start,
-                                duration, stream=stream.stream_id,
-                                device=stream.device, tid=tid,
-                                flops=kernel.flops,
-                                bytes_moved=kernel.bytes_moved)
-                        core.link.record(duration, start_at)
-                    else:
-                        for stream in streams:
-                            call_ts = cpu
-                            arrival = call_ts + launch_latency
-                            start, _end = stream.submit(arrival, duration,
-                                                        gap_ns=gap)
-                            builder.launch_kernel(
-                                call_ts, launch_cpu, kernel.name, start,
-                                duration, stream=stream.stream_id,
-                                device=stream.device, tid=tid,
-                                flops=kernel.flops,
-                                bytes_moved=kernel.bytes_moved)
-                            cpu += launch_cpu
-                            thread.occupy(launch_cpu)
-                    launched += 1
-                if child is not None:
-                    builder.end_operator(child, cpu)
-                cpu += epilogue
-                builder.end_operator(parent, cpu)
-            if not last:
-                # Staged queue (send): activations are ready when this
-                # microbatch's kernels drain plus the link transfer; the
-                # downstream stage resumes at max(ready, its own clock).
-                ready = max(stream.free_at for stream in streams) + send_ns
-                rdv = core.rendezvous(
-                    ("pp.act", stage_index, stage_index + 1, iteration,
-                     microbatch), 2)
-                cpu = yield ("join", rdv, max(cpu, ready))
-        # Per-stage synchronize; the last stage closes the iteration mark
-        # *before* the barrier so marks never interleave across iterations.
-        wait = max(0.0, max(stream.free_at for stream in streams) - cpu)
-        builder.runtime_call(DEVICE_SYNCHRONIZE, cpu,
-                             config.sync_call_ns + wait, tid=tid)
-        cpu += config.sync_call_ns + wait
-        if measured and last:
-            builder.end_iteration(cpu)
-        barrier = core.rendezvous(("pp.iteration-end", iteration), stages)
-        cpu = yield ("join", barrier, cpu)
-        cpu += config.inter_iteration_gap_ns
+
+    def stage_process(stage_index: int) -> Process:
+        streams = core.streams()[stage_index * tp_world:
+                                 (stage_index + 1) * tp_world]
+        thread = core.cpu_threads[stage_index]
+        first = stage_index == 0
+        last = stage_index == stages - 1
+        stage = stage_lowerings[stage_index]
+        send_ns = (0.0 if last
+                   else pp.link.transfer_ns(stage_boundary_bytes(stage)
+                                            / pp.microbatches))
+        walk = _op_walk(core, builder,
+                        microbatch_lowered(stage, pp.microbatches), platform,
+                        mode, config, recorder, thread, streams, streams)
+        cpu = 0.0
+        for iteration in range(config.warmup_iterations + config.iterations):
+            measured = iteration >= config.warmup_iterations
+            if measured and first:
+                builder.begin_iteration(cpu)
+            for microbatch in range(pp.microbatches):
+                if not first:
+                    # Staged queue (recv): wait for upstream activations.
+                    rdv = core.rendezvous(
+                        ("pp.act", stage_index - 1, stage_index, iteration,
+                         microbatch), 2)
+                    cpu = yield ("join", rdv, cpu)
+                cpu = yield from walk(iteration, cpu)
+                if not last:
+                    # Staged queue (send): activations are ready when this
+                    # microbatch's kernels drain plus the link transfer; the
+                    # downstream stage resumes at max(ready, its own clock).
+                    ready = max(stream.free_at for stream in streams) + send_ns
+                    rdv = core.rendezvous(
+                        ("pp.act", stage_index, stage_index + 1, iteration,
+                         microbatch), 2)
+                    cpu = yield ("join", rdv, max(cpu, ready))
+            # Per-stage synchronize; the last stage closes the iteration
+            # mark *before* the barrier so marks never interleave across
+            # iterations.
+            cpu = _synchronize(builder, streams, cpu, config, thread.tid)
+            if measured and last:
+                builder.end_iteration(cpu)
+            barrier = core.rendezvous(("pp.iteration-end", iteration), stages)
+            cpu = yield ("join", barrier, cpu)
+            cpu += config.inter_iteration_gap_ns
+
+    return [stage_process(index) for index in range(stages)]
 
 
 __all__ = [

@@ -10,10 +10,11 @@ computes them without a :class:`~repro.sim.SimCore`, a
 
 The pass builds the compact graph (head, layer 0, tail), lowers and plans
 each op once, and walks head + layer 0 × ``count`` + tail. Every float is
-computed by the same expression, in the same order, as
-:func:`~repro.engine.processes.single_thread_launch_process`,
+computed by the same expression, in the same order, as the launch-mode
+op walk :func:`~repro.engine.processes._op_walk` (driven by
+:func:`~repro.engine.processes.single_thread_launch_process`),
 :meth:`~repro.sim.resources.StreamResource.submit`,
-:func:`~repro.engine.processes._end_iteration_sync` and
+:func:`~repro.engine.processes._synchronize` and
 :func:`~repro.skip.metrics.metrics_from_tape`, so the result is
 bit-identical to ``metrics_from_tape(run(..., tape=True).tape)``; the
 fast-path parity suite locks that, and each of those four points back

@@ -1,21 +1,30 @@
 """Execution modes as processes on the simulation core.
 
 The engine's launch-per-kernel and CUDA-graph modes are written as
-generator processes scheduled by :class:`repro.sim.SimCore`. Three process
-shapes exist:
+generator processes scheduled by :class:`repro.sim.SimCore`.
 
-* **Single dispatch thread** (launch mode): one CPU process walks the op
-  stream and issues one ``cudaLaunchKernel`` per device per kernel — the
+Launch mode has one op walk, :func:`_op_walk`: a dispatch thread runs each
+op's prologue, launches every kernel on each stream it owns (one
+``cudaLaunchKernel`` per stream, held back by the bounded launch queue of
+its first stream) and runs the op's epilogue. Three drivers run that walk
+and differ only at iteration boundaries:
+
+* **Single dispatch thread**: one CPU process owns every device — the
   PyTorch-default topology, where launch overhead compounds with the TP
-  degree. At TP=1 this process performs exactly the floating-point
-  operations of the legacy single-device executor, in the same order, so
-  its traces are bit-identical to the legacy ones (frozen as digests).
-* **Per-device dispatch threads** (launch mode): one CPU process per device
-  (trace ``tid`` = 1 + device), each launching only to its own device.
-  Processes meet at collectives and at an end-of-iteration barrier via the
-  core's rendezvous.
-* **Graph replay** (one process): replays the captured kernel chain on every
-  device; per-device arrival chaining, collectives joined across devices.
+  degree. At TP=1 it performs exactly the floating-point operations of the
+  legacy single-device executor, in the same order, so its traces are
+  bit-identical to the legacy ones (frozen as digests).
+* **Per-device dispatch threads**: one CPU process per device (trace
+  ``tid`` = 1 + device), each owning only its own device. Processes meet at
+  collectives and at an end-of-iteration barrier via the core's rendezvous.
+* **Pipeline stages** (:mod:`repro.engine.pp`): one CPU process per stage,
+  owning the stage's devices, with microbatch handoffs between stages.
+
+Each driver ends an iteration with :func:`_synchronize`.
+
+**Graph replay** (one process) is the other mode: it replays the captured
+kernel chain on every device; per-device arrival chaining, collectives
+joined across devices.
 
 Collective kernels (``KernelTask.is_collective``) price their duration with
 the link's ring all-reduce model and start simultaneously on every device at
@@ -24,14 +33,14 @@ the earliest instant all streams can take them.
 
 from __future__ import annotations
 
-from typing import Hashable
+from collections.abc import Callable, Generator
 
 from repro.engine.lowering import KernelTask, LoweredOp
 from repro.engine.modes import ExecutionMode
 from repro.hardware.platform import Platform
 from repro.obs.recorder import RunRecorder
 from repro.sim.core import Process, SimCore
-from repro.sim.resources import StreamResource
+from repro.sim.resources import CpuThread, StreamResource
 from repro.trace.builder import TraceBuilder
 from repro.trace.events import DEVICE_SYNCHRONIZE, GRAPH_LAUNCH
 from repro.workloads.ops import OpKind
@@ -108,29 +117,123 @@ def _op_plans(lowered, core, platform, mode, config, world):
     return plans
 
 
-def _end_iteration_sync(builder: TraceBuilder, streams: list[StreamResource],
-                        cpu: float, config, measured: bool = True,
-                        tid: int | None = None) -> float:
-    """Emit the end-of-iteration synchronize and advance the CPU clock.
+def _synchronize(builder: TraceBuilder, streams: list[StreamResource],
+                 cpu: float, config, tid: int) -> float:
+    """Emit a device synchronize and return the CPU clock after it.
 
-    Waits for every stream the dispatching thread feeds. Warm-up iterations
-    (``measured=False``) synchronize like real ones but leave no iteration
-    mark, so analyses skip them. :func:`repro.engine.pricing.price_step`
-    repeats this for one stream; the two must change together.
+    Waits for every stream the dispatching thread feeds; the caller then
+    closes the iteration mark and adds the inter-iteration gap where its
+    topology puts them. :func:`repro.engine.pricing.price_step` repeats this
+    for one stream; the two must change together.
     """
-    free = max(stream.free_at for stream in streams)
-    wait = max(0.0, free - cpu)
+    wait = max(0.0, max(stream.free_at for stream in streams) - cpu)
     builder.runtime_call(DEVICE_SYNCHRONIZE, cpu, config.sync_call_ns + wait,
                          tid=tid)
-    cpu += config.sync_call_ns + wait
-    if measured:
-        builder.end_iteration(cpu)
-    return cpu + config.inter_iteration_gap_ns
+    return cpu + (config.sync_call_ns + wait)
 
 
 # ---------------------------------------------------------------------------
-# Launch-per-kernel execution, single dispatch thread
+# Launch-per-kernel execution: one op walk, three drivers
 # ---------------------------------------------------------------------------
+
+def _op_walk(core: SimCore, builder: TraceBuilder, lowered: list[LoweredOp],
+             platform: Platform, mode: ExecutionMode, config,
+             recorder: RunRecorder | None, thread: CpuThread,
+             streams: list[StreamResource], group: list[StreamResource]
+             ) -> Callable[[int, float], Generator[tuple, float, float]]:
+    """One dispatch thread's launch-mode walk over the op stream.
+
+    ``thread`` dispatches every op and launches each kernel on every stream
+    in ``streams``, the devices it owns. ``group`` is the streams a
+    collective spans. When it holds streams the thread does not own, the
+    threads that own them meet at an ``("allreduce", iteration, op_index,
+    kernel_index)`` rendezvous, and only the owner of ``group[0]`` records
+    the link occupancy.
+
+    Returns ``walk(iteration, cpu)``: a generator that runs the op stream
+    once from CPU time ``cpu`` and returns the clock after the last op.
+    :func:`repro.engine.pricing.price_step` repeats this walk's timing for
+    one stream; the two must change together.
+    """
+    plans = _op_plans(lowered, core, platform, mode, config, len(group))
+    peers = len(group) // len(streams)
+    records_link = streams[0] is group[0]
+    # The rendezvous key suffix of each collective, in walk order.
+    positions = [(op_index, kernel_index)
+                 for op_index, (*_, kernels) in enumerate(plans)
+                 for kernel_index, (_, _, is_collective) in enumerate(kernels)
+                 if is_collective] if peers > 1 else []
+    width = len(streams)
+    stream0 = streams[0]
+    tid = thread.tid
+    # Hot-loop hoists: platform costs are @property lookups and the plan
+    # arithmetic is iteration-invariant (see _op_plans).
+    launch_cpu = platform.launch_call_cpu_ns
+    launch_latency = platform.launch_latency_ns
+    gap = config.stream_kernel_gap_ns
+    queue_depth = config.launch_queue_depth
+    child_frac = config.child_dispatch_fraction
+
+    def walk(iteration: int,
+             cpu: float) -> Generator[tuple, float, float]:
+        collective_keys = iter(positions)
+        for aten_name, dispatch, epilogue, pre, child_name, kernels in plans:
+            parent = builder.begin_operator(aten_name, cpu, tid=tid)
+            child = None
+            if child_name is not None:
+                cpu += pre * (1.0 - child_frac)
+                child = builder.begin_operator(child_name, cpu, tid=tid)
+                cpu += pre * child_frac
+            else:
+                cpu += pre
+            # The op's CPU time, booked once: its dispatch and one launch
+            # call per kernel per owned stream.
+            thread.occupy(dispatch + launch_cpu * (width * len(kernels)))
+
+            for kernel, duration, is_collective in kernels:
+                # Bounded launch queue: the CPU cannot run more than
+                # `launch_queue_depth` launches ahead of kernel starts.
+                backlog_index = stream0.kernel_count - queue_depth
+                if backlog_index >= 0:
+                    cpu = max(cpu, stream0.nth_start(backlog_index))
+                if is_collective:
+                    # Every stream starts it at once, when the last can.
+                    call_ts = cpu
+                    ready = []
+                    for stream in streams:
+                        ready.append(stream.earliest_start(
+                            call_ts + launch_latency, gap))
+                        call_ts += launch_cpu
+                    start_at = max(ready)
+                    if peers > 1:
+                        rdv = core.rendezvous(
+                            ("allreduce", iteration, *next(collective_keys)),
+                            peers)
+                        start_at = yield ("join", rdv, start_at)
+                for stream in streams:
+                    start, _end = stream.submit(
+                        start_at if is_collective else cpu + launch_latency,
+                        duration, gap_ns=gap)
+                    builder.launch_kernel(
+                        cpu, launch_cpu, kernel.name, start, duration,
+                        stream=stream.stream_id, device=stream.device,
+                        tid=tid, flops=kernel.flops,
+                        bytes_moved=kernel.bytes_moved)
+                    if recorder is not None:
+                        recorder.observe_launch_delay(start - cpu)
+                        recorder.observe_launch_queue(stream.pending_at(cpu))
+                    cpu += launch_cpu
+                if is_collective and records_link:
+                    core.link.record(duration, start_at)
+
+            if child is not None:
+                builder.end_operator(child, cpu)
+            cpu += epilogue
+            builder.end_operator(parent, cpu)
+        return cpu
+
+    return walk
+
 
 def single_thread_launch_process(
     core: SimCore,
@@ -141,101 +244,24 @@ def single_thread_launch_process(
     config,
     recorder: RunRecorder | None = None,
 ) -> Process:
-    """One CPU thread dispatches ops and launches to every device in turn.
-
-    :func:`repro.engine.pricing.price_step` repeats this loop's timing for
-    one device; the two must change together.
-    """
+    """One CPU thread dispatches ops and launches to every device in turn."""
     streams = core.streams()
-    world = len(streams)
     thread = core.cpu_threads[0]
-    stream0 = streams[0]
-    # Hot-loop hoists: platform costs are @property lookups and the plan
-    # arithmetic is iteration-invariant (see _op_plans).
-    launch_cpu = platform.launch_call_cpu_ns
-    launch_latency = platform.launch_latency_ns
-    gap = config.stream_kernel_gap_ns
-    queue_depth = config.launch_queue_depth
-    child_frac = config.child_dispatch_fraction
-    plans = _op_plans(lowered, core, platform, mode, config, world)
+    walk = _op_walk(core, builder, lowered, platform, mode, config, recorder,
+                    thread, streams, streams)
     cpu = 0.0
-    launched = 0
-    total = config.warmup_iterations + config.iterations
-    for iteration in range(total):
+    for iteration in range(config.warmup_iterations + config.iterations):
+        # Warm-up iterations run like measured ones but leave no iteration
+        # mark, so analyses skip them.
         measured = iteration >= config.warmup_iterations
         if measured:
             builder.begin_iteration(cpu)
-        for aten_name, dispatch, epilogue, pre, child_name, kernels in plans:
-            parent = builder.begin_operator(aten_name, cpu)
-            child = None
-            if child_name is not None:
-                cpu += pre * (1.0 - child_frac)
-                child = builder.begin_operator(child_name, cpu)
-                cpu += pre * child_frac
-            else:
-                cpu += pre
-            thread.occupy(dispatch)
+        cpu = yield from walk(iteration, cpu)
+        cpu = _synchronize(builder, streams, cpu, config, thread.tid)
+        if measured:
+            builder.end_iteration(cpu)
+        cpu = yield ("at", cpu + config.inter_iteration_gap_ns)
 
-            for kernel, duration, is_collective in kernels:
-                # Bounded launch queue: the CPU cannot run more than
-                # `launch_queue_depth` launches ahead of kernel starts.
-                backlog_index = launched - queue_depth
-                if backlog_index >= 0:
-                    cpu = max(cpu, stream0.nth_start(backlog_index))
-                if is_collective:
-                    calls = []
-                    for _ in streams:
-                        calls.append(cpu)
-                        cpu += launch_cpu
-                        thread.occupy(launch_cpu)
-                    start_at = max(
-                        stream.earliest_start(calls[di] + launch_latency, gap)
-                        for di, stream in enumerate(streams))
-                    for di, stream in enumerate(streams):
-                        start, _end = stream.submit(start_at, duration,
-                                                    gap_ns=gap)
-                        builder.launch_kernel(
-                            calls[di], launch_cpu,
-                            kernel.name, start, duration,
-                            stream=stream.stream_id, device=stream.device,
-                            flops=kernel.flops, bytes_moved=kernel.bytes_moved)
-                        if recorder is not None:
-                            recorder.observe_launch_delay(start - calls[di])
-                            recorder.observe_launch_queue(
-                                stream.pending_at(calls[di]))
-                    core.link.record(duration, start_at)
-                else:
-                    for stream in streams:
-                        call_ts = cpu
-                        arrival = call_ts + launch_latency
-                        start, _end = stream.submit(arrival, duration,
-                                                    gap_ns=gap)
-                        builder.launch_kernel(
-                            call_ts, launch_cpu,
-                            kernel.name, start, duration,
-                            stream=stream.stream_id, device=stream.device,
-                            flops=kernel.flops, bytes_moved=kernel.bytes_moved)
-                        if recorder is not None:
-                            recorder.observe_launch_delay(start - call_ts)
-                            recorder.observe_launch_queue(
-                                stream.pending_at(call_ts))
-                        cpu += launch_cpu
-                        thread.occupy(launch_cpu)
-                launched += 1
-
-            if child is not None:
-                builder.end_operator(child, cpu)
-            cpu += epilogue
-            builder.end_operator(parent, cpu)
-
-        cpu = _end_iteration_sync(builder, streams, cpu, config,
-                                  measured=measured)
-        cpu = yield ("at", cpu)
-
-
-# ---------------------------------------------------------------------------
-# Launch-per-kernel execution, one dispatch thread per device
-# ---------------------------------------------------------------------------
 
 def per_device_launch_processes(
     core: SimCore,
@@ -245,118 +271,38 @@ def per_device_launch_processes(
     mode: ExecutionMode,
     config,
     recorder: RunRecorder | None = None,
-    tenant: Hashable = None,
 ) -> list[Process]:
     """One dispatch process per device; rendezvous at collectives/barriers.
 
-    ``tenant`` namespaces the rendezvous keys, so two independent engine
-    process groups (two models, two replicas) can share one
-    :class:`~repro.sim.core.SimCore` without their collectives colliding.
-    The default (``None``) keeps the historical keys, so single-tenant runs
-    are bit-identical to before the parameter existed.
+    Device ``d``'s process owns ``core.cpu_threads[d]`` and that device's
+    stream. Device 0's process opens and closes the iteration marks.
     """
-    world = len(core.devices)
-    return [
-        _device_dispatch_process(
-            core, builder, lowered, platform, mode, config,
-            recorder if device_index == 0 else None, device_index, world,
-            tenant=tenant)
-        for device_index in range(world)
-    ]
+    group = core.streams()
 
+    def device_process(device_index: int) -> Process:
+        streams = group[device_index:device_index + 1]
+        thread = core.cpu_threads[device_index]
+        leader = device_index == 0
+        walk = _op_walk(core, builder, lowered, platform, mode, config,
+                        recorder, thread, streams, group)
+        cpu = 0.0
+        for iteration in range(config.warmup_iterations + config.iterations):
+            measured = iteration >= config.warmup_iterations
+            if measured and leader:
+                builder.begin_iteration(cpu)
+            cpu = yield from walk(iteration, cpu)
+            # Per-device synchronize, then an iteration barrier so all
+            # threads enter the next iteration together (mirroring a
+            # framework-level step boundary).
+            cpu = _synchronize(builder, streams, cpu, config, thread.tid)
+            barrier = core.rendezvous(("iteration-end", iteration),
+                                      len(group))
+            cpu = yield ("join", barrier, cpu)
+            if measured and leader:
+                builder.end_iteration(cpu)
+            cpu += config.inter_iteration_gap_ns
 
-def _device_dispatch_process(
-    core: SimCore,
-    builder: TraceBuilder,
-    lowered: list[LoweredOp],
-    platform: Platform,
-    mode: ExecutionMode,
-    config,
-    recorder: RunRecorder | None,
-    device_index: int,
-    world: int,
-    tenant: Hashable = None,
-) -> Process:
-    def rendezvous_key(*key: Hashable) -> tuple[Hashable, ...]:
-        return key if tenant is None else (tenant, *key)
-
-    stream = core.devices[device_index].compute_stream
-    thread = core.cpu_threads[device_index]
-    tid = thread.tid
-    leader = device_index == 0
-    launch_cpu = platform.launch_call_cpu_ns
-    launch_latency = platform.launch_latency_ns
-    gap = config.stream_kernel_gap_ns
-    queue_depth = config.launch_queue_depth
-    child_frac = config.child_dispatch_fraction
-    plans = _op_plans(lowered, core, platform, mode, config, world)
-    cpu = 0.0
-    launched = 0
-    total = config.warmup_iterations + config.iterations
-    for iteration in range(total):
-        measured = iteration >= config.warmup_iterations
-        if measured and leader:
-            builder.begin_iteration(cpu)
-        for op_index, plan in enumerate(plans):
-            aten_name, dispatch, epilogue, pre, child_name, kernels = plan
-            parent = builder.begin_operator(aten_name, cpu, tid=tid)
-            child = None
-            if child_name is not None:
-                cpu += pre * (1.0 - child_frac)
-                child = builder.begin_operator(child_name, cpu, tid=tid)
-                cpu += pre * child_frac
-            else:
-                cpu += pre
-            thread.occupy(dispatch)
-
-            for kernel_index, (kernel, duration, is_collective) in enumerate(
-                    kernels):
-                backlog_index = launched - queue_depth
-                if backlog_index >= 0:
-                    cpu = max(cpu, stream.nth_start(backlog_index))
-                call_ts = cpu
-                arrival = call_ts + launch_latency
-                if is_collective:
-                    ready = stream.earliest_start(arrival, gap)
-                    rdv = core.rendezvous(
-                        rendezvous_key("allreduce", iteration, op_index,
-                                       kernel_index), world)
-                    start_at = yield ("join", rdv, ready)
-                    start, _end = stream.submit(start_at, duration, gap_ns=gap)
-                    if leader:
-                        core.link.record(duration, start)
-                else:
-                    start, _end = stream.submit(arrival, duration, gap_ns=gap)
-                builder.launch_kernel(
-                    call_ts, launch_cpu, kernel.name,
-                    start, duration, stream=stream.stream_id,
-                    device=stream.device, tid=tid,
-                    flops=kernel.flops, bytes_moved=kernel.bytes_moved)
-                if recorder is not None:
-                    recorder.observe_launch_delay(start - call_ts)
-                    recorder.observe_launch_queue(stream.pending_at(call_ts))
-                cpu += launch_cpu
-                thread.occupy(launch_cpu)
-                launched += 1
-
-            if child is not None:
-                builder.end_operator(child, cpu)
-            cpu += epilogue
-            builder.end_operator(parent, cpu)
-
-        # Per-device synchronize, then an iteration barrier so all threads
-        # enter the next iteration together (mirroring a framework-level
-        # step boundary).
-        wait = max(0.0, stream.free_at - cpu)
-        builder.runtime_call(DEVICE_SYNCHRONIZE, cpu,
-                             config.sync_call_ns + wait, tid=tid)
-        cpu += config.sync_call_ns + wait
-        barrier = core.rendezvous(rendezvous_key("iteration-end", iteration),
-                                  world)
-        cpu = yield ("join", barrier, cpu)
-        if measured and leader:
-            builder.end_iteration(cpu)
-        cpu += config.inter_iteration_gap_ns
+    return [device_process(index) for index in range(len(group))]
 
 
 # ---------------------------------------------------------------------------
@@ -426,6 +372,7 @@ def graph_replay_process(
                         flops=kernel.flops, bytes_moved=kernel.bytes_moved)
                     arrivals[di] = end + kernel_gap
         builder.end_operator(parent, cpu)
-        cpu = _end_iteration_sync(builder, streams, cpu, config,
-                                  measured=measured)
-        cpu = yield ("at", cpu)
+        cpu = _synchronize(builder, streams, cpu, config, thread.tid)
+        if measured:
+            builder.end_iteration(cpu)
+        cpu = yield ("at", cpu + config.inter_iteration_gap_ns)

@@ -4,7 +4,7 @@ import signal
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -206,17 +206,28 @@ def test_nan_option_is_a_usage_error(capsys, deadline, argv):
     ["fusion", "--threshold", "0"],
     ["fusion", "--threshold", "1.5"],
     ["serve", "--prefix-share", "-0.1"],
+    ["serve", "--sessions", "-1", "--duration", "0.1"],
+    ["hostsweep", "--requests", "0"],
 ], ids=" ".join)
 def test_out_of_range_option_is_a_usage_error(capsys, deadline, argv):
-    """A non-positive length, or a threshold or share outside its range,
-    fails its checked type at parse time; before, a zero or negative
-    length was clamped to 1 and the run exited 0."""
+    """A non-positive length, a negative session count, an empty hostsweep
+    burst, or a threshold or share outside its range, fails its checked
+    type at parse time; before, a zero or negative length was clamped to 1
+    and the run exited 0, a negative session count raised a ``randrange``
+    traceback, and an empty burst failed on a rate and duration that
+    ``hostsweep`` has no option for."""
     with pytest.raises(SystemExit) as exc:
         main(argv)
     err = capsys.readouterr().err
     assert exc.value.code == 2
     assert f"argument {argv[1]}:" in err
     assert "Traceback" not in err
+
+
+def test_zero_sessions_is_the_valid_default():
+    args = build_parser().parse_args(["serve", "--sessions", "0"])
+    assert args.sessions == 0 == build_parser().parse_args(
+        ["serve"]).sessions
 
 
 def test_serve_command_summary(capsys):
