@@ -413,10 +413,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         raise ConfigurationError(
             "--autoscale-max needs a cluster router; pass e.g. "
             "--router least-loaded")
-    if args.host_cores < 0:
-        raise ConfigurationError(
-            f"--host-cores must be non-negative (got {args.host_cores}); "
-            f"0 models an unlimited host")
     host = None
     if args.host_cores or args.numa is not None or args.pin:
         from repro.host import HostConfig, HostModel
@@ -517,17 +513,20 @@ def _cmd_serve(args: argparse.Namespace) -> int:
               f"  swaps={stats.swap_out_events}+{stats.swap_in_events}"
               f" ({format_ns(stats.swap_ns)}){prefix}")
     if args.replicas > 1:
+        headers = ["replica", "requests", "tokens", "steps", "tokens/s",
+                   "util"]
         rows = [[f"r{stats.replica}", str(stats.requests),
                  str(stats.output_tokens), str(stats.steps),
                  f"{stats.throughput_tokens_per_s:.0f}",
-                 f"{100 * stats.utilization:.1f}%",
-                 f"{100 * stats.cpu_utilization:.1f}%"]
+                 f"{100 * stats.utilization:.1f}%"]
                 for stats in result.replicas]
+        if host is not None:
+            # Booked dispatch CPU: a host-free run books none.
+            headers.append("cpu")
+            for row, stats in zip(rows, result.replicas):
+                row.append(f"{100 * stats.cpu_utilization:.1f}%")
         print()
-        print(render_table(
-            ["replica", "requests", "tokens", "steps", "tokens/s", "util",
-             "cpu"],
-            rows, title="per-replica scale-out"))
+        print(render_table(headers, rows, title="per-replica scale-out"))
     if args.timeline:
         print()
         print(render_serving_timeline(recorder,
@@ -826,12 +825,13 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--kv-pool-gib", type=_positive_float, default=None,
                        help="KV pool size per replica in GiB (default: all "
                             "HBM left after weights and runtime reserve)")
-    serve.add_argument("--host-cores", type=int, default=0,
+    serve.add_argument("--host-cores", type=_non_negative_int, default=0,
                        help="finite host CPU: total dispatch cores shared "
                             "by every replica and the router (0 = "
                             "unlimited, the historical model; per-domain "
                             "budget on per-GPU-domain hosts like GH200)")
-    serve.add_argument("--numa", type=int, default=None, metavar="DOMAIN",
+    serve.add_argument("--numa", type=_non_negative_int, default=None,
+                       metavar="DOMAIN",
                        help="force every replica's dispatch affinity to "
                             "this NUMA domain (default: each replica's "
                             "GPU-attached domain; needs --host-cores)")

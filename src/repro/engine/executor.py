@@ -1,10 +1,10 @@
 """Execution engine entry point, built on the discrete-event core.
 
 Simulates eager (and compiled) LLM inference on a coupled platform. The
-engine constructs a :class:`repro.sim.SimCore` topology — CPU dispatch
-thread(s), ``tp.degree`` GPU devices with in-order streams, and a GPU-GPU
-interconnect link — and runs the execution mode as one or more processes on
-it (:mod:`repro.engine.processes`). It emits a PyTorch-Profiler-style trace
+engine constructs a :class:`repro.sim.SimCore` topology — ``tp.degree`` GPU
+devices with in-order streams and a GPU-GPU interconnect link — and runs the
+execution mode as one or more CPU dispatch processes on it
+(:mod:`repro.engine.processes`). It emits a PyTorch-Profiler-style trace
 that SKIP consumes — the same contract the paper has between PyTorch
 Profiler and SKIP.
 
@@ -29,6 +29,7 @@ frozen in ``tests/golden/data/legacy_engine_digests.json``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Literal, overload
 
@@ -116,12 +117,18 @@ class EngineConfig:
             raise ConfigurationError("dispatch_epilogue_fraction must be in [0, 1)")
         if not (0 <= self.child_dispatch_fraction < 1):
             raise ConfigurationError("child_dispatch_fraction must be in [0, 1)")
-        # A negative boundary cost would start an iteration inside the last
-        # op of the one before it.
-        if not self.inter_iteration_gap_ns >= 0:
-            raise ConfigurationError("inter_iteration_gap_ns must be non-negative")
-        if not self.sync_call_ns >= 0:
-            raise ConfigurationError("sync_call_ns must be non-negative")
+        # A negative cost would run the clock backwards (an iteration
+        # starting inside the one before it); NaN or infinity would poison
+        # every timestamp after it. The comparisons fail on NaN.
+        for name in ("compiled_guard_ns", "graph_replay_dispatch_ns",
+                     "graph_replay_kernel_gap_ns", "stream_kernel_gap_ns",
+                     "inter_iteration_gap_ns", "sync_call_ns"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ConfigurationError(
+                    f"{name} must be finite and non-negative")
+        if not 0 < self.graph_kernel_floor_scale < math.inf:
+            raise ConfigurationError(
+                "graph_kernel_floor_scale must be finite and positive")
 
 
 DEFAULT_CONFIG = EngineConfig()
@@ -159,13 +166,9 @@ class RunResult:
 
 def build_core(tp: TPConfig,
                causality: CausalityLog | None = None) -> SimCore:
-    """Construct the simulation topology for a TP configuration."""
+    """Construct the simulation topology for a TP configuration: its
+    devices and link."""
     core = SimCore(causality=causality)
-    threads = (tp.degree if tp.enabled
-               and tp.dispatch is DispatchMode.THREAD_PER_DEVICE else 1)
-    for index in range(threads):
-        core.add_cpu_thread(
-            name="dispatch" if threads == 1 else f"dispatch-{index}")
     for _ in range(tp.degree):
         core.add_device()
     core.set_link(LinkResource(spec=tp.link))

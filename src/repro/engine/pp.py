@@ -216,16 +216,12 @@ def build_core_pp(tp: TPConfig, pp: PPConfig,
                   causality: CausalityLog | None = None) -> SimCore:
     """Construct the tp × pp simulation topology.
 
-    One dispatch thread per stage (each stage drives its own devices
-    single-thread style), ``tp.degree`` devices per stage in stage-major
-    order, and the TP link for within-stage collectives.
+    ``tp.degree`` devices per stage in stage-major order, and the TP link
+    for within-stage collectives.
     """
     from repro.sim.resources import LinkResource
 
     core = SimCore(causality=causality)
-    for stage in range(pp.stages):
-        core.add_cpu_thread(name=f"dispatch-stage{stage}"
-                            if pp.stages > 1 else "dispatch")
     for _ in range(tp.degree * pp.stages):
         core.add_device()
     core.set_link(LinkResource(spec=tp.link))
@@ -269,7 +265,7 @@ def pp_stage_processes(
 ) -> list[Process]:
     """One launch-mode dispatch process per pipeline stage.
 
-    Stage ``s`` owns ``core.cpu_threads[s]`` and the device slice
+    Stage ``s`` is trace thread ``1 + s`` and owns the device slice
     ``[s*tpd, (s+1)*tpd)``, so its thread drives all of the stage's TP
     shards and their all-reduces need no rendezvous. Microbatches flow
     through the inter-stage rendezvous described in the module docstring.
@@ -283,7 +279,7 @@ def pp_stage_processes(
     def stage_process(stage_index: int) -> Process:
         streams = core.streams()[stage_index * tp_world:
                                  (stage_index + 1) * tp_world]
-        thread = core.cpu_threads[stage_index]
+        tid = 1 + stage_index
         first = stage_index == 0
         last = stage_index == stages - 1
         stage = stage_lowerings[stage_index]
@@ -292,7 +288,7 @@ def pp_stage_processes(
                                             / pp.microbatches))
         walk = _op_walk(core, builder,
                         microbatch_lowered(stage, pp.microbatches), platform,
-                        mode, config, recorder, thread, streams, streams)
+                        mode, config, recorder, tid, streams, streams)
         cpu = 0.0
         for iteration in range(config.warmup_iterations + config.iterations):
             measured = iteration >= config.warmup_iterations
@@ -318,7 +314,7 @@ def pp_stage_processes(
             # Per-stage synchronize; the last stage closes the iteration
             # mark *before* the barrier so marks never interleave across
             # iterations.
-            cpu = _synchronize(builder, streams, cpu, config, thread.tid)
+            cpu = _synchronize(builder, streams, cpu, config, tid)
             if measured and last:
                 builder.end_iteration(cpu)
             barrier = core.rendezvous(("pp.iteration-end", iteration), stages)

@@ -40,7 +40,7 @@ from repro.engine.modes import ExecutionMode
 from repro.hardware.platform import Platform
 from repro.obs.recorder import RunRecorder
 from repro.sim.core import Process, SimCore
-from repro.sim.resources import CpuThread, StreamResource
+from repro.sim.resources import StreamResource
 from repro.trace.builder import TraceBuilder
 from repro.trace.events import DEVICE_SYNCHRONIZE, GRAPH_LAUNCH
 from repro.workloads.ops import OpKind
@@ -138,17 +138,17 @@ def _synchronize(builder: TraceBuilder, streams: list[StreamResource],
 
 def _op_walk(core: SimCore, builder: TraceBuilder, lowered: list[LoweredOp],
              platform: Platform, mode: ExecutionMode, config,
-             recorder: RunRecorder | None, thread: CpuThread,
+             recorder: RunRecorder | None, tid: int,
              streams: list[StreamResource], group: list[StreamResource]
              ) -> Callable[[int, float], Generator[tuple, float, float]]:
     """One dispatch thread's launch-mode walk over the op stream.
 
-    ``thread`` dispatches every op and launches each kernel on every stream
-    in ``streams``, the devices it owns. ``group`` is the streams a
-    collective spans. When it holds streams the thread does not own, the
-    threads that own them meet at an ``("allreduce", iteration, op_index,
-    kernel_index)`` rendezvous, and only the owner of ``group[0]`` records
-    the link occupancy.
+    The thread with trace ``tid`` dispatches every op and launches each
+    kernel on every stream in ``streams``, the devices it owns. ``group``
+    is the streams a collective spans. When it holds streams the thread
+    does not own, the threads that own them meet at an ``("allreduce",
+    iteration, op_index, kernel_index)`` rendezvous, and only the owner of
+    ``group[0]`` records the link occupancy.
 
     Returns ``walk(iteration, cpu)``: a generator that runs the op stream
     once from CPU time ``cpu`` and returns the clock after the last op.
@@ -163,9 +163,7 @@ def _op_walk(core: SimCore, builder: TraceBuilder, lowered: list[LoweredOp],
                  for op_index, (*_, kernels) in enumerate(plans)
                  for kernel_index, (_, _, is_collective) in enumerate(kernels)
                  if is_collective] if peers > 1 else []
-    width = len(streams)
     stream0 = streams[0]
-    tid = thread.tid
     # Hot-loop hoists: platform costs are @property lookups and the plan
     # arithmetic is iteration-invariant (see _op_plans).
     launch_cpu = platform.launch_call_cpu_ns
@@ -186,9 +184,6 @@ def _op_walk(core: SimCore, builder: TraceBuilder, lowered: list[LoweredOp],
                 cpu += pre * child_frac
             else:
                 cpu += pre
-            # The op's CPU time, booked once: its dispatch and one launch
-            # call per kernel per owned stream.
-            thread.occupy(dispatch + launch_cpu * (width * len(kernels)))
 
             for kernel, duration, is_collective in kernels:
                 # Bounded launch queue: the CPU cannot run more than
@@ -246,9 +241,8 @@ def single_thread_launch_process(
 ) -> Process:
     """One CPU thread dispatches ops and launches to every device in turn."""
     streams = core.streams()
-    thread = core.cpu_threads[0]
     walk = _op_walk(core, builder, lowered, platform, mode, config, recorder,
-                    thread, streams, streams)
+                    1, streams, streams)
     cpu = 0.0
     for iteration in range(config.warmup_iterations + config.iterations):
         # Warm-up iterations run like measured ones but leave no iteration
@@ -257,7 +251,7 @@ def single_thread_launch_process(
         if measured:
             builder.begin_iteration(cpu)
         cpu = yield from walk(iteration, cpu)
-        cpu = _synchronize(builder, streams, cpu, config, thread.tid)
+        cpu = _synchronize(builder, streams, cpu, config, 1)
         if measured:
             builder.end_iteration(cpu)
         cpu = yield ("at", cpu + config.inter_iteration_gap_ns)
@@ -274,17 +268,18 @@ def per_device_launch_processes(
 ) -> list[Process]:
     """One dispatch process per device; rendezvous at collectives/barriers.
 
-    Device ``d``'s process owns ``core.cpu_threads[d]`` and that device's
-    stream. Device 0's process opens and closes the iteration marks.
+    Device ``d``'s process is trace thread ``1 + d`` and owns that
+    device's stream. Device 0's process opens and closes the iteration
+    marks.
     """
     group = core.streams()
 
     def device_process(device_index: int) -> Process:
         streams = group[device_index:device_index + 1]
-        thread = core.cpu_threads[device_index]
+        tid = 1 + device_index
         leader = device_index == 0
         walk = _op_walk(core, builder, lowered, platform, mode, config,
-                        recorder, thread, streams, group)
+                        recorder, tid, streams, group)
         cpu = 0.0
         for iteration in range(config.warmup_iterations + config.iterations):
             measured = iteration >= config.warmup_iterations
@@ -294,7 +289,7 @@ def per_device_launch_processes(
             # Per-device synchronize, then an iteration barrier so all
             # threads enter the next iteration together (mirroring a
             # framework-level step boundary).
-            cpu = _synchronize(builder, streams, cpu, config, thread.tid)
+            cpu = _synchronize(builder, streams, cpu, config, tid)
             barrier = core.rendezvous(("iteration-end", iteration),
                                       len(group))
             cpu = yield ("join", barrier, cpu)
@@ -319,7 +314,6 @@ def graph_replay_process(
     """Replay the captured kernel chain on every device."""
     streams = core.streams()
     world = len(streams)
-    thread = core.cpu_threads[0]
     launch_cpu = platform.launch_call_cpu_ns
     launch_latency = platform.launch_latency_ns
     kernel_gap = config.graph_replay_kernel_gap_ns
@@ -342,13 +336,11 @@ def graph_replay_process(
             builder.begin_iteration(cpu)
         parent = builder.begin_operator("cuda_graph::replay", cpu)
         cpu += replay_dispatch
-        thread.occupy(replay_dispatch)
         arrivals = []
         for _ in streams:
             call_ts = cpu
             builder.runtime_call(GRAPH_LAUNCH, call_ts, launch_cpu)
             cpu += launch_cpu
-            thread.occupy(launch_cpu)
             arrivals.append(call_ts + launch_latency)
         for kernel, duration, is_collective in plan:
             if is_collective:
@@ -372,7 +364,7 @@ def graph_replay_process(
                         flops=kernel.flops, bytes_moved=kernel.bytes_moved)
                     arrivals[di] = end + kernel_gap
         builder.end_operator(parent, cpu)
-        cpu = _synchronize(builder, streams, cpu, config, thread.tid)
+        cpu = _synchronize(builder, streams, cpu, config, 1)
         if measured:
             builder.end_iteration(cpu)
         cpu = yield ("at", cpu + config.inter_iteration_gap_ns)

@@ -1,9 +1,9 @@
 """CpuPool — host cores as a finite, contended simulation resource.
 
-Every serving replica used to get a private, infinite
-:class:`~repro.sim.resources.CpuThread`: dispatch CPU was free, so "how
-many replicas per host?" had no answer. ``CpuPool`` closes that hole. It
-models the host's physical cores (grouped into NUMA domains, see
+``CpuPool`` is the simulator's one CPU resource. Without it dispatch CPU
+is free (a process's clock is all the CPU model there is), so "how many
+replicas per host?" has no answer; with it, serving replicas and the
+cluster router book their dispatch time on shared cores. It models the host's physical cores (grouped into NUMA domains, see
 :class:`repro.hardware.host.HostSpec`) and hands out *time-booked grants*:
 a step's CPU share is scheduled onto the earliest-free core of the
 replica's affine domain, and the difference between the grant's start and

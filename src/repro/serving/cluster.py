@@ -15,7 +15,8 @@ reaches a replica differs:
 * The router process is the runtime's feeder in place of the open-loop
   arrival process. It claims each request from the runtime's
   :class:`~repro.serving.runtime.AdmissionQueue` at its arrival, charges
-  one CPU dispatch decision on a dedicated router thread, and pushes the
+  one CPU dispatch decision to ``router_busy_ns`` (and, with a host
+  model, books it on the host pool), and pushes the
   request to the replica the configured :class:`RouterPolicy` picks
   (round-robin, least-loaded, session-affinity, or
   prefill/decode-disaggregated pools).
@@ -239,7 +240,6 @@ class ClusterRuntime(ServingRuntime):
         super().__init__(requests, model, latency, recorder=recorder,
                          replicas=replicas, kv=kv, queue=queue,
                          causality=causality, host=host)
-        self.router_thread = self.core.add_cpu_thread(name="router")
         # Disaggregated pools split the *initial* replicas; autoscaled
         # ones join the decode pool (decode capacity is what backlogs).
         self._prefill_count = max(1, replicas // 2)
@@ -323,7 +323,6 @@ class ClusterRuntime(ServingRuntime):
             return
         spinup_ns = (scale.spinup_dispatch_ops
                      * self.latency.platform.launch_call_cpu_ns)
-        self.router_thread.occupy(spinup_ns)
         self.router_busy_ns += spinup_ns
         if self.host is not None:
             # Spin-up dispatch burns real cores: the booking delays
@@ -350,7 +349,6 @@ class ClusterRuntime(ServingRuntime):
                 clock = yield ("at", request.arrival_ns)
             self._maybe_scale(clock)
             replica = self._pick(request)
-            self.router_thread.occupy(self.route_cost_ns)
             self.router_busy_ns += self.route_cost_ns
             if self.host is not None:
                 self.host.dispatch("router", clock, self.route_cost_ns,

@@ -11,11 +11,12 @@ hoists the machinery all serving policies share onto
   (e.g. priority classes).
 * :func:`arrival_process` — injects each request into the queue at its
   ``arrival_ns``; pure bookkeeping, the open-loop load generator.
-* :class:`EngineSession` — one engine replica's resources: a CPU dispatch
-  thread plus one GPU device per tensor-parallel shard, and the queue its
-  policy process claims from. ``execute`` (one step) and
-  ``execute_steps`` (a decode window's steps) are where a policy's steps
-  touch simulated hardware: each step occupies the thread, submits one
+* :class:`EngineSession` — one engine replica's resources: one GPU device
+  per tensor-parallel shard, and the queue its policy process claims
+  from. ``execute`` (one step) and ``execute_steps`` (a decode window's
+  steps) are where a policy's steps touch simulated hardware: with a host
+  model each step books its dispatch CPU on the host's
+  :class:`~repro.host.CpuPool` (the one CPU model), then it submits one
   kernel per device stream and appends to the replica's device schedules
   (checkable by ``repro check schedule``), and the steps are recorded with
   the run recorder.
@@ -62,7 +63,7 @@ from repro.serving.requests import Request, RequestOutcome, queue_delay_ns
 from repro.sim.causality import CausalityLog
 from repro.sim.core import Process, SimCore
 from repro.sim.queue import EventQueue
-from repro.sim.resources import CpuThread, GpuDevice
+from repro.sim.resources import GpuDevice
 from repro.workloads.config import ModelConfig
 
 if TYPE_CHECKING:
@@ -226,7 +227,7 @@ _KERNEL_ITEMS = {kind: ("kernel", f"serving::{kind.value}")
 
 @dataclass
 class EngineSession:
-    """One engine replica: a CPU dispatch thread plus its TP shard devices.
+    """One engine replica: its TP shard devices and its admission queue.
 
     ``queue`` is what the replica's policy process claims from: the
     runtime's shared :class:`AdmissionQueue` in a flat run, or the
@@ -241,7 +242,6 @@ class EngineSession:
     """
 
     replica: int
-    thread: CpuThread
     devices: list[GpuDevice]
     queue: AdmissionQueue
     recorder: RunRecorder | None = None
@@ -252,6 +252,9 @@ class EngineSession:
     #: NUMA domain this replica's dispatch is affine to (host runs only).
     numa_domain: int | None = None
     schedule_items: dict[int, list[tuple]] = field(default_factory=dict)
+    #: Dispatch CPU this replica's steps booked on the host pool (the sum
+    #: of their grants' ``cpu_ns``; 0 without a host model).
+    cpu_busy_ns: float = 0.0
     steps: int = 0
     requests: int = 0
     output_tokens: int = 0
@@ -273,10 +276,9 @@ class EngineSession:
                 cpu_ns: float = 0.0) -> float:
         """Run one policy step on this replica's simulated hardware.
 
-        Occupies the dispatch thread for the step, submits one covering
-        kernel per shard's compute stream (steps on a replica are issued in
-        time order, so each submission starts exactly at ``ts_ns``), and
-        appends the issue to every shard's checkable schedule. Multi-shard
+        Submits one covering kernel per shard's compute stream (steps on a
+        replica are issued in time order, so each submission starts
+        exactly at ``ts_ns``), and appends the issue to every shard's checkable schedule. Multi-shard
         steps also record a rendezvous joining all shards, mirroring how
         tensor-parallel execution keeps devices in lockstep.
 
@@ -313,10 +315,10 @@ class EngineSession:
 
         Each of ``steps`` gives a step's duration, dispatch CPU share and
         recorded shape. Step ``j`` is requested at ``clocks[j]``; it books
-        its own host grant (with a host model), occupies the thread,
-        submits to every shard's stream and appends its schedule items,
-        in step order, exactly as one :meth:`execute` per step would. The
-        steps are then recorded with one :meth:`RunRecorder.record_steps`.
+        its own host grant (with a host model), submits to every shard's
+        stream and appends its schedule items, in step order, exactly as
+        one :meth:`execute` per step would. The steps are then recorded
+        with one :meth:`RunRecorder.record_steps`.
 
         Returns the clock readings ``[ts_ns, c_1, ..., c_k]``: step ``j``
         runs from ``clocks[j]`` to ``clocks[j + 1]``, each reading the
@@ -367,7 +369,7 @@ class EngineSession:
 
     def _step_hardware(self, ts_ns: float, dur_ns: float, cpu_ns: float,
                        item: tuple[str, str]) -> tuple[float, float]:
-        """One step on the hardware: host grant, thread, streams, schedule
+        """One step on the hardware: host grant, streams, schedule
         (``item`` is appended to every shard's schedule).
 
         Returns the step's ``(start_ns, span_ns)``; without a host model
@@ -375,14 +377,12 @@ class EngineSession:
         """
         start_ns = ts_ns
         span_ns = dur_ns
-        if self.host is None:
-            self.thread.occupy(dur_ns)
-        else:
+        if self.host is not None:
             grant = self.host.dispatch(f"replica{self.replica}", ts_ns,
                                        cpu_ns, domain=self.numa_domain)
             start_ns = grant.start_ns
             span_ns = dur_ns + (grant.cpu_ns - cpu_ns)
-            self.thread.occupy(span_ns)
+            self.cpu_busy_ns += grant.cpu_ns
         for device in self.devices:
             device.compute_stream.submit(start_ns, span_ns)
             items = self.schedule_items[device.index]
@@ -418,8 +418,8 @@ class ReplicaStats:
     steps: int
     busy_ns: float
     span_ns: float
-    #: Dispatch-thread occupancy (CpuThread.busy_ns) — the CPU side of the
-    #: replica, surfaced in the `repro serve` summary and timeline lanes.
+    #: Dispatch CPU the replica's steps booked on the host pool (0 on a
+    #: host-free run), surfaced in the `repro serve` per-replica table.
     cpu_busy_ns: float = 0.0
 
     @property
@@ -436,7 +436,7 @@ class ReplicaStats:
 
     @property
     def cpu_utilization(self) -> float:
-        """Dispatch-thread busy fraction over the replica's span."""
+        """Booked dispatch-CPU fraction over the replica's span."""
         if self.span_ns <= 0:
             return 0.0
         return self.cpu_busy_ns / self.span_ns
@@ -530,10 +530,9 @@ class ServingRuntime:
         return len(self.sessions)
 
     def add_replica(self) -> EngineSession:
-        """Build one more replica: its dispatch thread, its shard devices,
-        its KV pool (when ``kv`` sets a pressure policy) and its queue."""
+        """Build one more replica: its shard devices, its KV pool (when
+        ``kv`` sets a pressure policy) and its queue."""
         replica = len(self.sessions)
-        thread = self.core.add_cpu_thread(name=f"serve{replica}")
         devices = [self.core.add_device(replica=replica)
                    for _ in range(self.devices_per_replica)]
         manager = None
@@ -550,7 +549,7 @@ class ServingRuntime:
                                          self.kv_config.block_tokens)
         host = self.host
         session = EngineSession(
-            replica=replica, thread=thread, devices=devices,
+            replica=replica, devices=devices,
             queue=self._replica_queue(), recorder=self.recorder,
             kv=manager, host=host,
             numa_domain=host.domain_for(replica) if host is not None else None)
@@ -655,7 +654,7 @@ class ServingRuntime:
             steps=s.steps,
             busy_ns=s.busy_ns,
             span_ns=s.span_ns,
-            cpu_busy_ns=s.thread.busy_ns,
+            cpu_busy_ns=s.cpu_busy_ns,
         ) for s in self.sessions]
 
     def kv_stats(self) -> list[KvReplicaStats]:
@@ -782,8 +781,8 @@ def simulate_serving(
             stream for the priority scheduler (tags travel with the queue).
         policy: Any serving policy object; defaults to continuous batching.
         replicas: Engine replicas sharing the one admission queue. Each gets
-            its own CPU thread and TP-shard devices; requests go to whichever
-            replica claims them first.
+            its own policy process and TP-shard devices; requests go to
+            whichever replica claims them first.
         kv: KV-cache settings. ``None`` or policy ``NONE`` builds no pool
             and reproduces pre-kvcache outcomes bit-identically; a pressure
             policy (``RECOMPUTE``/``OFFLOAD``) requires continuous batching

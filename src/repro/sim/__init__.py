@@ -1,8 +1,8 @@
 """Discrete-event simulation core.
 
 ``repro.sim`` is the substrate the execution engine runs on: a deterministic
-event queue (:mod:`repro.sim.queue`), named resources — CPU dispatch threads,
-GPU devices with in-order streams, GPU<->GPU interconnect links
+event queue (:mod:`repro.sim.queue`), named resources — GPU devices with
+in-order streams and GPU<->GPU interconnect links
 (:mod:`repro.sim.resources`) — and a process scheduler with rendezvous
 synchronization for collectives (:mod:`repro.sim.core`).
 
@@ -22,17 +22,11 @@ default) is bit-identical to pre-causality behavior.
 from repro.sim.causality import CausalityEvent, CausalityLog
 from repro.sim.core import Rendezvous, SimCore
 from repro.sim.queue import EventQueue, PerturbedEventQueue, ReferenceEventQueue
-from repro.sim.resources import (
-    CpuThread,
-    GpuDevice,
-    LinkResource,
-    StreamResource,
-)
+from repro.sim.resources import GpuDevice, LinkResource, StreamResource
 
 __all__ = [
     "CausalityEvent",
     "CausalityLog",
-    "CpuThread",
     "EventQueue",
     "GpuDevice",
     "LinkResource",

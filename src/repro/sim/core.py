@@ -34,7 +34,7 @@ if TYPE_CHECKING:  # avoids a cycle: repro.kvcache builds on this module.
 from repro.errors import SimulationError
 from repro.sim.causality import CausalityLog
 from repro.sim.queue import EventQueue
-from repro.sim.resources import CpuThread, GpuDevice, LinkResource, StreamResource
+from repro.sim.resources import GpuDevice, LinkResource, StreamResource
 
 Process = Generator[tuple, float, None]
 
@@ -103,7 +103,6 @@ class SimCore:
         # on its fast path with zero behavioral or allocation change.
         self._causality = causality
         self._rendezvous: dict[Hashable, Rendezvous] = {}
-        self.cpu_threads: list[CpuThread] = []
         self.devices: list[GpuDevice] = []
         self.link: LinkResource | None = None
         self.now = 0.0
@@ -112,11 +111,6 @@ class SimCore:
     # ------------------------------------------------------------------
     # Topology construction
     # ------------------------------------------------------------------
-    def add_cpu_thread(self, name: str = "dispatch") -> CpuThread:
-        thread = CpuThread(tid=1 + len(self.cpu_threads), name=name)
-        self.cpu_threads.append(thread)
-        return thread
-
     def add_device(self, streams: int = 1, replica: int = 0) -> GpuDevice:
         index = len(self.devices)
         device = GpuDevice(index=index, streams=[

@@ -1,4 +1,4 @@
-"""Named simulation resources: CPU threads, GPU devices/streams, links.
+"""Named simulation resources: GPU devices/streams and links.
 
 ``StreamResource`` is the in-order CUDA stream model (formerly
 ``repro.engine.gpu_stream.GpuStream``, folded in here): a kernel starts at
@@ -112,25 +112,6 @@ class StreamResource:
 
 
 @dataclass(slots=True)
-class CpuThread:
-    """One CPU dispatch thread.
-
-    The thread's clock lives inside its process; the resource records
-    identity (trace ``tid``) and lifetime statistics.
-    """
-
-    tid: int = 1
-    name: str = "dispatch"
-    busy_ns: float = 0.0
-
-    def occupy(self, duration_ns: float) -> None:
-        """Account ``duration_ns`` of CPU-thread occupancy."""
-        if duration_ns < 0:
-            raise SimulationError("occupancy must be non-negative")
-        self.busy_ns += duration_ns
-
-
-@dataclass(slots=True)
 class GpuDevice:
     """One GPU with one or more in-order streams.
 
@@ -152,15 +133,6 @@ class GpuDevice:
     def compute_stream(self) -> StreamResource:
         return self.streams[0]
 
-    @property
-    def free_at(self) -> float:
-        """Time the device finishes all submitted work, across streams."""
-        return max(stream.free_at for stream in self.streams)
-
-    @property
-    def busy_ns(self) -> float:
-        return sum(stream.busy_ns for stream in self.streams)
-
 
 @dataclass(slots=True)
 class LinkResource:
@@ -173,8 +145,6 @@ class LinkResource:
     """
 
     spec: InterconnectSpec
-    transfers: int = 0
-    busy_ns: float = 0.0
     log: CausalityLog | None = None
 
     def allreduce_ns(self, message_bytes: float, world: int) -> float:
@@ -193,15 +163,13 @@ class LinkResource:
 
     def record(self, duration_ns: float,
                start_ns: float | None = None) -> None:
-        """Account one collective/transfer occupancy on the link.
+        """Record one collective/transfer occupancy on the link.
 
-        Callers that know when the transfer begins pass ``start_ns`` so an
-        attached causality log can record the occupancy *interval*; the
-        aggregate accounting is identical either way.
+        A negative duration is refused. Callers that know when the transfer
+        begins pass ``start_ns`` so an attached causality log can record
+        the occupancy *interval*.
         """
         if duration_ns < 0:
             raise SimulationError("link occupancy must be non-negative")
-        self.transfers += 1
-        self.busy_ns += duration_ns
         if self.log is not None and start_ns is not None:
             self.log.occupy("link", start_ns, start_ns + duration_ns)

@@ -464,7 +464,12 @@ def test_priced_run_is_the_pricing_pass():
 
 
 def test_priced_run_raises_what_the_stream_raises():
-    config = EngineConfig(stream_kernel_gap_ns=-1.0)
+    with pytest.raises(ConfigurationError, match="stream_kernel_gap_ns"):
+        EngineConfig(stream_kernel_gap_ns=-1.0)
+    # Forced past the config's guard, both paths still refuse the gap
+    # with the stream's own check, which price_step repeats.
+    config = EngineConfig()
+    object.__setattr__(config, "stream_kernel_gap_ns", -1.0)
     with pytest.raises(SimulationError, match="gap must be non-negative"):
         _tape_metrics(GPT2, INTEL_H100, 1, Phase.PREFILL, 8,
                       ExecutionMode.EAGER, config)

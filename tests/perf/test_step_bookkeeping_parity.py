@@ -299,7 +299,8 @@ def schedule_fingerprint(run) -> str:
     steps did to the hardware: the checkable schedule items (kernels and
     the per-step TP ``join`` items, in order), each compute stream's
     ``busy_ns``, ``free_at``, ``start_times`` and ``kernel_count``, the
-    dispatch thread's ``busy_ns`` and the step count.
+    first shard's compute ``busy_ns`` once more (the hashes were frozen
+    with the per-step span sum in that slot) and the step count.
     """
     state = [
         (session.replica,
@@ -308,7 +309,7 @@ def schedule_fingerprint(run) -> str:
            list(stream.start_times), stream.kernel_count)
           for device in session.devices
           for stream in device.streams],
-         session.thread.busy_ns,
+         session.devices[0].compute_stream.busy_ns,
          session.steps)
         for session in run.sessions
     ]

@@ -1,9 +1,14 @@
 """Property-based tests for the execution engine on random operator graphs."""
 
+import dataclasses
+import math
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import EngineConfig, run
+from repro.errors import ConfigurationError
 from repro.hardware import GH200, INTEL_H100
 from repro.skip import DependencyGraph, compute_metrics
 from repro.workloads import ops
@@ -11,6 +16,10 @@ from repro.workloads.graph import OperatorGraph, Phase
 from repro.workloads.ops import OpKind
 
 FAST = EngineConfig(iterations=1)
+
+#: Every float field of EngineConfig: costs, gaps, fractions and a scale.
+FLOAT_FIELDS = [f.name for f in dataclasses.fields(EngineConfig)
+                if f.type == "float"]
 
 
 @st.composite
@@ -92,3 +101,19 @@ def test_grace_never_dispatches_faster(graph):
     intel_cpu = max(o.ts_end for o in intel.trace.operators)
     gh200_cpu = max(o.ts_end for o in gh200.trace.operators)
     assert gh200_cpu >= intel_cpu - 1e-6
+
+
+def test_default_engine_config_constructs():
+    assert len(FLOAT_FIELDS) == 9
+    EngineConfig()
+
+
+@given(name=st.sampled_from(FLOAT_FIELDS),
+       value=st.one_of(st.sampled_from([math.nan, math.inf, -math.inf]),
+                       st.floats(max_value=0.0, exclude_max=True)))
+@settings(max_examples=100, deadline=None)
+def test_engine_config_refuses_a_bad_float(name, value):
+    """NaN, an infinity or a negative value fails at construction, not
+    deep inside a run."""
+    with pytest.raises(ConfigurationError, match=name):
+        EngineConfig(**{name: value})

@@ -130,11 +130,23 @@ def test_numa_override_funnels_every_grant_to_one_domain(stream, latency):
 
 
 def test_per_replica_cpu_utilization_reflects_booked_time(stream, latency):
+    recorder = RunRecorder()
     host = HostModel.for_platform(AMD, replicas=4,
                                   config=HostConfig(cores=4))
-    result = _cluster(stream, latency, host=host)
-    assert all(0.0 <= s.cpu_utilization <= 1.0 for s in result.replicas)
-    assert any(s.cpu_busy_ns > 0.0 for s in result.replicas)
+    result = _cluster(stream, latency, host=host, recorder=recorder)
+    for stats in result.replicas:
+        booked = 0.0
+        for grant in recorder.host_grants:
+            if grant["owner"] == f"replica{stats.replica}":
+                booked += grant["cpu_ns"]
+        assert booked > 0.0
+        assert stats.cpu_busy_ns == booked  # the same sum, exactly
+        assert stats.cpu_utilization == booked / stats.span_ns
+        assert 0.0 < stats.cpu_utilization <= 1.0
+    # A host-free serve books no CPU, whatever its GPU utilization.
+    for stats in _cluster(stream, latency).replicas:
+        assert stats.utilization > 0.0
+        assert stats.cpu_busy_ns == 0.0 == stats.cpu_utilization
 
 
 def test_host_stats_account_for_every_booking(stream, latency):

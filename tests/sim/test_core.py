@@ -12,9 +12,6 @@ from repro.hardware.interconnect import NVLINK4_P2P
 
 def test_topology_construction():
     core = SimCore()
-    t0 = core.add_cpu_thread()
-    t1 = core.add_cpu_thread("dispatch-1")
-    assert (t0.tid, t1.tid) == (1, 2)
     core.add_device()
     core.add_device(streams=2)
     assert [d.index for d in core.devices] == [0, 1]

@@ -1,10 +1,10 @@
-"""Stream, thread, device, and link resource models."""
+"""Stream, device, and link resource models."""
 
 import pytest
 
 from repro.errors import SimulationError
 from repro.hardware.interconnect import NVLINK4_P2P, InterconnectSpec
-from repro.sim import CpuThread, GpuDevice, LinkResource, StreamResource
+from repro.sim import GpuDevice, LinkResource, StreamResource
 
 
 # ----------------------------------------------------------------------
@@ -62,31 +62,13 @@ def test_invalid_submissions_rejected():
 
 
 # ----------------------------------------------------------------------
-# CpuThread / GpuDevice
+# GpuDevice
 # ----------------------------------------------------------------------
-def test_cpu_thread_occupancy():
-    thread = CpuThread(tid=3, name="dispatch-2")
-    thread.occupy(100.0)
-    thread.occupy(50.0)
-    assert thread.busy_ns == 150.0
-    with pytest.raises(SimulationError):
-        thread.occupy(-1.0)
-
-
 def test_device_defaults_to_one_compute_stream():
     device = GpuDevice(index=2)
     assert len(device.streams) == 1
     assert device.compute_stream.stream_id == 7
     assert device.compute_stream.device == 2
-
-
-def test_device_aggregates_across_streams():
-    device = GpuDevice(index=0, streams=[
-        StreamResource(stream_id=7), StreamResource(stream_id=8)])
-    device.streams[0].submit(0.0, 100.0)
-    device.streams[1].submit(0.0, 300.0)
-    assert device.free_at == 300.0
-    assert device.busy_ns == 400.0
 
 
 # ----------------------------------------------------------------------
@@ -117,9 +99,5 @@ def test_allreduce_invalid_inputs_rejected():
 
 def test_link_records_occupancy():
     link = LinkResource(spec=NVLINK4_P2P)
-    link.record(100.0)
-    link.record(50.0)
-    assert link.transfers == 2
-    assert link.busy_ns == 150.0
     with pytest.raises(SimulationError):
         link.record(-1.0)

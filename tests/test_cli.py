@@ -208,11 +208,13 @@ def test_nan_option_is_a_usage_error(capsys, deadline, argv):
     ["serve", "--prefix-share", "-0.1"],
     ["serve", "--sessions", "-1", "--duration", "0.1"],
     ["hostsweep", "--requests", "0"],
+    ["serve", "--host-cores", "-1"],
+    ["serve", "--numa", "-1", "--host-cores", "2"],
 ], ids=" ".join)
 def test_out_of_range_option_is_a_usage_error(capsys, deadline, argv):
-    """A non-positive length, a negative session count, an empty hostsweep
-    burst, or a threshold or share outside its range, fails its checked
-    type at parse time; before, a zero or negative length was clamped to 1
+    """A non-positive length, a negative session count, host core count or
+    NUMA domain, an empty hostsweep burst, or a threshold or share outside
+    its range, fails its checked type at parse time; before, a zero or negative length was clamped to 1
     and the run exited 0, a negative session count raised a ``randrange``
     traceback, and an empty burst failed on a rate and duration that
     ``hostsweep`` has no option for."""
@@ -429,6 +431,31 @@ def test_serve_cluster_command(capsys):
     assert "router" in out and "least-loaded" in out and "routed" in out
     assert "prefix hits=" in out
     assert "per-replica scale-out" in out
+
+
+def _replica_table_header(out):
+    return next(line.split() for line in out.splitlines()
+                if line.startswith("replica "))
+
+
+def test_serve_replica_table_shows_booked_cpu_with_a_host(capsys):
+    code, out = run_cli(capsys, "serve", "--replicas", "4",
+                        "--host-cores", "2", "--rate", "300",
+                        "--duration", "0.05")
+    assert code == 0
+    assert _replica_table_header(out) == [
+        "replica", "requests", "tokens", "steps", "tokens/s", "util", "cpu"]
+    # r0's booked CPU share, not a copy of its GPU utilization (69.5%).
+    rows = [line.split() for line in out.splitlines()]
+    assert ["r0", "8", "128", "22", "769", "69.5%", "68.9%"] in rows
+
+
+def test_serve_replica_table_has_no_cpu_column_without_a_host(capsys):
+    code, out = run_cli(capsys, "serve", "--replicas", "2", "--rate", "300",
+                        "--duration", "0.05")
+    assert code == 0
+    assert _replica_table_header(out) == [
+        "replica", "requests", "tokens", "steps", "tokens/s", "util"]
 
 
 def test_serve_cluster_emit_trace_is_checkable(capsys, tmp_path):
