@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from repro.check.findings import Finding, Severity, register_rule
 from repro.errors import ReproError
@@ -188,52 +189,78 @@ def lint_trace(trace: Trace) -> list[Finding]:
     return findings
 
 
-def _independent_iteration_metrics(
-        trace: Trace, ts: float, ts_end: float) -> dict[str, float] | None:
-    """Eq. 2-5 for one iteration, recomputed with a plain sweep.
+def _independent_sweep(
+        trace: Trace) -> Callable[[float, float], dict[str, float] | None]:
+    """Eq. 2-5 per iteration, recomputed with a plain sweep.
 
     Deliberately shares no code with :mod:`repro.skip.metrics`: launches are
     matched to kernels by correlation id directly, roots are recovered with
     a per-thread interval sweep, and the identities come straight from the
-    paper's equations.
+    paper's equations. The matching, the root sweep and a ts-sorted index
+    of each event kind are built once per trace. The returned function
+    cuts one iteration ``[ts, ts_end)`` out by bisection, back in trace
+    order, and gives its identities, or ``None`` when it has no kernels or
+    no operators.
     """
     kernels_by_corr = {k.correlation_id: k for k in trace.kernels
                        if k.correlation_id >= 0}
     matched = []
     for call in trace.runtime_calls:
-        if (call.name == LAUNCH_KERNEL and call.correlation_id >= 0
-                and ts <= call.ts < ts_end):
+        if call.name == LAUNCH_KERNEL and call.correlation_id >= 0:
             kernel = kernels_by_corr.get(call.correlation_id)
             if kernel is not None:
                 matched.append((call, kernel))
-    kernels = [k for _, k in matched]
-    kernels += [k for k in trace.kernels
-                if k.correlation_id < 0 and ts <= k.ts < ts_end]
-    if not kernels:
-        return None
+    matched_in = _window(matched, lambda pair: pair[0].ts)
+    replayed_in = _window([k for k in trace.kernels if k.correlation_id < 0],
+                          lambda k: k.ts)
 
     # Top-level operators: per thread, an operator is a root when it begins
-    # at or after the previous root's end (operators nest properly).
+    # at or after the previous root's end (operators nest properly). The
+    # sweep visits operators in ts order, so the roots are ts-sorted.
     roots = []
     open_end: dict[int, float] = {}
     for op in sorted(trace.operators, key=lambda o: (o.ts, -o.dur, o.seq)):
         if op.ts >= open_end.get(op.tid, -math.inf):
             roots.append(op)
             open_end[op.tid] = op.ts_end
-    window_roots = [o for o in roots if ts <= o.ts < ts_end]
-    if not window_roots:
-        return None
+    root_begins = [o.ts for o in roots]
 
-    gpu_busy = sum(k.dur for k in kernels)
-    latency = (max(k.ts_end for k in kernels)
-               - min(o.ts for o in window_roots))
-    return {
-        "tklqt_ns": sum(k.ts - call.ts for call, k in matched),
-        "akd_ns": gpu_busy / len(kernels),
-        "inference_latency_ns": latency,
-        "gpu_idle_ns": latency - gpu_busy,
-        "kernel_launches": float(len(kernels)),
-    }
+    def iteration_metrics(ts: float, ts_end: float) -> dict[str, float] | None:
+        window_matched = matched_in(ts, ts_end)
+        kernels = [k for _, k in window_matched] + replayed_in(ts, ts_end)
+        if not kernels:
+            return None
+        window_roots = roots[bisect_left(root_begins, ts):
+                             bisect_left(root_begins, ts_end)]
+        if not window_roots:
+            return None
+
+        gpu_busy = sum(k.dur for k in kernels)
+        latency = (max(k.ts_end for k in kernels)
+                   - min(o.ts for o in window_roots))
+        return {
+            "tklqt_ns": sum(k.ts - call.ts for call, k in window_matched),
+            "akd_ns": gpu_busy / len(kernels),
+            "inference_latency_ns": latency,
+            "gpu_idle_ns": latency - gpu_busy,
+            "kernel_launches": float(len(kernels)),
+        }
+
+    return iteration_metrics
+
+
+def _window(items: list, begin_of: Callable[[Any], float]
+            ) -> Callable[[float, float], list]:
+    """``cut(ts, ts_end)``: the items beginning in ``[ts, ts_end)``, in
+    their order in ``items``."""
+    order = sorted(range(len(items)), key=lambda i: begin_of(items[i]))
+    begins = [begin_of(items[i]) for i in order]
+
+    def cut(ts: float, ts_end: float) -> list:
+        picked = order[bisect_left(begins, ts):bisect_left(begins, ts_end)]
+        return [items[i] for i in sorted(picked)]
+
+    return cut
 
 
 def _check_metric_identities(trace: Trace) -> list[Finding]:
@@ -249,9 +276,10 @@ def _check_metric_identities(trace: Trace) -> list[Finding]:
                         f"SKIP metrics could not be computed: {exc}")]
 
     findings = []
+    sweep = _independent_sweep(trace)
     for iteration in metrics.iterations:
         mark = next(m for m in trace.iterations if m.index == iteration.index)
-        independent = _independent_iteration_metrics(trace, mark.ts, mark.ts_end)
+        independent = sweep(mark.ts, mark.ts_end)
         if independent is None:
             findings.append(Finding(
                 T010, Severity.ERROR, f"iteration {iteration.index}",

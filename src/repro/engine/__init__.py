@@ -22,7 +22,6 @@ from repro.engine.pp import (
     PP_STAGE_CACHE,
     PPConfig,
     ParallelConfig,
-    build_core_pp,
     partition_lowered,
     stage_boundary_bytes,
     validate_pp,
@@ -58,7 +57,6 @@ __all__ = [
     "TPConfig",
     "apply_fusion_plan",
     "build_core",
-    "build_core_pp",
     "partition_lowered",
     "stage_boundary_bytes",
     "validate_pp",

@@ -42,7 +42,6 @@ from repro.engine.pp import (
     PP_DISABLED,
     PP_STAGE_CACHE,
     PPConfig,
-    build_core_pp,
     partition_lowered,
     pp_stage_processes,
     validate_pp,
@@ -164,12 +163,16 @@ class RunResult:
         return [k for lo in self.lowered for k in lo.kernels]
 
 
-def build_core(tp: TPConfig,
+def build_core(tp: TPConfig, pp: PPConfig | None = None,
                causality: CausalityLog | None = None) -> SimCore:
-    """Construct the simulation topology for a TP configuration: its
-    devices and link."""
+    """Construct the tp × pp simulation topology.
+
+    ``tp.degree`` devices per pipeline stage in stage-major order, and the
+    TP link for within-stage collectives.
+    """
+    pp = pp or PP_DISABLED
     core = SimCore(causality=causality)
-    for _ in range(tp.degree):
+    for _ in range(tp.degree * pp.stages):
         core.add_device()
     core.set_link(LinkResource(spec=tp.link))
     return core
@@ -352,7 +355,7 @@ def run(
                 (*key_shape, mode, tp.degree, pp.stages), lowered, pp.stages)
         else:
             stage_lowerings = partition_lowered(lowered, pp.stages)
-        core = build_core_pp(tp, pp, causality=causality)
+        core = build_core(tp, pp, causality=causality)
         core.spawn_all(pp_stage_processes(core, builder, stage_lowerings,
                                           platform, mode, config, pp,
                                           recorder=recorder))

@@ -35,7 +35,6 @@ from repro.errors import ConfigurationError
 from repro.hardware.interconnect import InterconnectSpec, NVLINK4_P2P
 from repro.hardware.platform import Platform
 from repro.obs.recorder import RunRecorder
-from repro.sim.causality import CausalityLog
 from repro.sim.core import Process, SimCore
 
 
@@ -209,24 +208,8 @@ PP_STAGE_CACHE = PPStageCache()
 
 
 # ---------------------------------------------------------------------------
-# Simulation topology + stage processes
+# Stage processes
 # ---------------------------------------------------------------------------
-
-def build_core_pp(tp: TPConfig, pp: PPConfig,
-                  causality: CausalityLog | None = None) -> SimCore:
-    """Construct the tp × pp simulation topology.
-
-    ``tp.degree`` devices per stage in stage-major order, and the TP link
-    for within-stage collectives.
-    """
-    from repro.sim.resources import LinkResource
-
-    core = SimCore(causality=causality)
-    for _ in range(tp.degree * pp.stages):
-        core.add_device()
-    core.set_link(LinkResource(spec=tp.link))
-    return core
-
 
 def _microbatch_kernel(kernel: KernelTask, microbatches: int) -> KernelTask:
     """One microbatch's share of a kernel: all work terms divide."""
@@ -330,7 +313,6 @@ __all__ = [
     "PPConfig",
     "PPStageCache",
     "ParallelConfig",
-    "build_core_pp",
     "microbatch_lowered",
     "partition_lowered",
     "pp_stage_processes",

@@ -159,14 +159,6 @@ class DependencyGraph:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def launches_in(self, ts: float, ts_end: float) -> list[LaunchRecord]:
-        """Launch records whose call begins within [ts, ts_end)."""
-        return [r for r in self.launches if ts <= r.call.ts < ts_end]
-
-    def roots_in(self, ts: float, ts_end: float) -> list[OpNode]:
-        """Top-level operators beginning within [ts, ts_end)."""
-        return [n for n in self.roots if ts <= n.event.ts < ts_end]
-
     def operator_count(self) -> int:
         """Total operators in the forest (all depths)."""
         return sum(1 for root in self.roots for _ in root.iter_subtree())

@@ -9,17 +9,28 @@ All metrics are computed per profiled iteration and averaged:
 * **CPU idle** — IL minus CPU busy time (top-level operator durations).
 * **Top-k kernels** — the most frequently launched kernels with their
   aggregate duration and offload tax.
+
+:func:`metrics_from_tape` is the one implementation. It reads the flat
+records of a :class:`~repro.trace.tape.TraceTape`, which an engine run
+writes directly (``run(..., tape=True)``) and :func:`compute_metrics`
+builds from a :class:`~repro.trace.trace.Trace` with
+:meth:`~repro.trace.tape.TraceTape.from_trace`.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import chain
 
 from repro.errors import AnalysisError
-from repro.skip.depgraph import DependencyGraph
-from repro.trace.tape import TraceTape
+from repro.trace.tape import (
+    G_DEVICE, G_DUR, G_ID, G_NAME, G_TS,
+    L_CALL_ID, L_CALL_TS, L_DEVICE, L_DUR, L_NAME, L_TS,
+    OP_DUR, OP_ID, OP_SEQ, OP_TID, OP_TS,
+    TraceTape,
+)
 from repro.trace.trace import Trace
 
 
@@ -152,131 +163,34 @@ class SkipMetrics:
         raise AnalysisError(f"no kernels from device {index} in this trace")
 
 
-def compute_metrics(trace: Trace,
-                    graph: DependencyGraph | None = None) -> SkipMetrics:
+def compute_metrics(trace: Trace) -> SkipMetrics:
     """Compute SKIP metrics from a trace.
 
     The trace must contain at least one iteration mark; the engine always
     emits them, and imported Chrome traces carry ``ProfilerStep`` annotations.
 
     Raises:
+        TraceError: when a launch call has no matching kernel.
         AnalysisError: when the trace has no iterations or an iteration has
-            no kernels.
+            no kernels or no operators.
     """
-    if graph is None:
-        graph = DependencyGraph.from_trace(trace)
-    if not trace.iterations:
-        raise AnalysisError("trace has no iteration marks; cannot compute metrics")
-
-    per_iteration: list[IterationMetrics] = []
-    name_stats: dict[str, list[float]] = defaultdict(lambda: [0, 0.0, 0.0])
-    # device -> [tklqt, busy, launches], accumulated across iterations.
-    # Kept separate from the aggregate sums above so adding the per-device
-    # breakdown cannot perturb the aggregate floating-point results.
-    device_stats: dict[int, list[float]] = defaultdict(lambda: [0.0, 0.0, 0])
-
-    for mark in trace.iterations:
-        launches = graph.launches_in(mark.ts, mark.ts_end)
-        graph_kernels = [k for k in graph.graph_kernels
-                         if mark.ts <= k.ts < mark.ts_end]
-        kernels = [r.kernel for r in launches] + graph_kernels
-        if not kernels:
-            raise AnalysisError(f"iteration {mark.index} launched no kernels")
-
-        tklqt = sum(r.launch_and_queue_ns for r in launches)
-        gpu_busy = sum(k.dur for k in kernels)
-        akd = gpu_busy / len(kernels)
-
-        roots = graph.roots_in(mark.ts, mark.ts_end)
-        if not roots:
-            raise AnalysisError(f"iteration {mark.index} has no operators")
-        first_parent_ts = min(r.event.ts for r in roots)
-        last_kernel_end = max(k.ts_end for k in kernels)
-        il = last_kernel_end - first_parent_ts
-
-        cpu_busy = sum(r.event.dur for r in roots)
-        min_overhead = (min(r.launch_and_queue_ns for r in launches)
-                        if launches else 0.0)
-
-        per_iteration.append(IterationMetrics(
-            index=mark.index,
-            tklqt_ns=tklqt,
-            akd_ns=akd,
-            inference_latency_ns=il,
-            gpu_idle_ns=il - gpu_busy,
-            cpu_idle_ns=max(0.0, il - cpu_busy),
-            cpu_busy_ns=cpu_busy,
-            gpu_busy_ns=gpu_busy,
-            kernel_launches=len(kernels),
-            min_launch_overhead_ns=min_overhead,
-        ))
-
-        for record in launches:
-            stats = name_stats[record.kernel.name]
-            stats[0] += 1
-            stats[1] += record.kernel.dur
-            stats[2] += record.launch_and_queue_ns
-        for kernel in graph_kernels:
-            stats = name_stats[kernel.name]
-            stats[0] += 1
-            stats[1] += kernel.dur
-
-        for record in launches:
-            stats = device_stats[record.kernel.device]
-            stats[0] += record.launch_and_queue_ns
-            stats[1] += record.kernel.dur
-            stats[2] += 1
-        for kernel in graph_kernels:
-            stats = device_stats[kernel.device]
-            stats[1] += kernel.dur
-            stats[2] += 1
-
-    aggregates = [
-        KernelAggregate(name, int(count), total_dur, total_lq)
-        for name, (count, total_dur, total_lq) in name_stats.items()
-    ]
-    aggregates.sort(key=lambda a: (-a.count, -a.total_duration_ns, a.name))
-
-    n_iterations = len(per_iteration)
-    mean_il = (sum(it.inference_latency_ns for it in per_iteration)
-               / n_iterations)
-    device_metrics = [
-        DeviceMetrics(
-            device=device,
-            tklqt_ns=tklqt / n_iterations,
-            akd_ns=busy / count if count else 0.0,
-            gpu_busy_ns=busy / n_iterations,
-            gpu_idle_ns=mean_il - busy / n_iterations,
-            kernel_launches=count / n_iterations,
-        )
-        for device, (tklqt, busy, count) in sorted(device_stats.items())
-    ]
-
-    # The full per-name population is kept (it is small — tens of distinct
-    # names); top_k() slices on demand and diffing needs all of it.
-    return SkipMetrics(iterations=per_iteration, top_kernels=aggregates,
-                       devices=device_metrics)
+    return metrics_from_tape(TraceTape.from_trace(trace))
 
 
 def metrics_from_tape(tape: TraceTape) -> SkipMetrics:
     """Compute SKIP metrics from a :class:`~repro.trace.tape.TraceTape`.
 
-    Bit-identical to ``compute_metrics(trace)`` on the equivalent full
-    trace: every sort key, iteration order, and floating-point summation
-    order below mirrors :func:`compute_metrics` plus the parts of
-    :meth:`~repro.skip.depgraph.DependencyGraph.from_trace` it consumes.
-    The fast-path parity suite locks the equivalence.
+    Launches are sorted by launch-call begin and event id, graph-replayed
+    kernels by begin and event id, and each thread's top-level operators by
+    begin, once; each iteration ``[ts, ts_end)`` is then cut out of them by
+    bisection. Every float sum iterates in that order, so a tape run and the
+    equivalent full trace give bit-identical metrics; the fast-path parity
+    suite locks the equivalence.
 
     Raises:
         AnalysisError: when the tape has no iterations or an iteration has
             no kernels or no operators.
     """
-    from repro.trace.tape import (
-        G_DEVICE, G_DUR, G_ID, G_NAME, G_TS,
-        L_CALL_ID, L_CALL_TS, L_DEVICE, L_DUR, L_NAME, L_TS,
-        OP_DUR, OP_ID, OP_SEQ, OP_TID, OP_TS,
-    )
-
     if not tape.iterations:
         raise AnalysisError("trace has no iteration marks; cannot compute metrics")
 
@@ -285,14 +199,17 @@ def metrics_from_tape(tape: TraceTape) -> SkipMetrics:
     # calls are absent from the tape but cannot change which operators are
     # roots (they never push the containment stack and the pop scan is
     # monotone in ts), nor the roots' order (roots come only from operator
-    # records, in per-tid scan order).
+    # records, in per-tid scan order). Each thread's roots begin in
+    # non-decreasing ts order, so an iteration's roots are one slice per
+    # thread, concatenated in thread order.
     ops = sorted(tape.ops, key=lambda r: (r[OP_TS], r[OP_SEQ], r[OP_ID]))
     threads: dict[int, list[list]] = {}
     for record in ops:
         threads.setdefault(record[OP_TID], []).append(record)
-    roots: list[list] = []
+    thread_roots: list[tuple[list[list], list[float]]] = []
     for tid_events in threads.values():
         tid_events.sort(key=lambda r: (r[OP_TS], -r[OP_DUR], r[OP_ID]))
+        roots: list[list] = []
         stack: list[list] = []
         for record in tid_events:
             ts = record[OP_TS]
@@ -301,32 +218,41 @@ def metrics_from_tape(tape: TraceTape) -> SkipMetrics:
             if not stack:
                 roots.append(record)
             stack.append(record)
+        thread_roots.append((roots, [r[OP_TS] for r in roots]))
 
     launches = sorted(tape.launches,
                       key=lambda r: (r[L_CALL_TS], r[L_CALL_ID]))
+    launch_ts = [r[L_CALL_TS] for r in launches]
     graph_kernels = sorted(tape.graph_kernels,
                            key=lambda k: (k[G_TS], k[G_ID]))
+    graph_ts = [k[G_TS] for k in graph_kernels]
 
     per_iteration: list[IterationMetrics] = []
     name_stats: dict[str, list[float]] = defaultdict(lambda: [0, 0.0, 0.0])
+    # device -> [tklqt, busy, launches], accumulated across iterations.
+    # Kept separate from the aggregate sums above so adding the per-device
+    # breakdown cannot perturb the aggregate floating-point results.
     device_stats: dict[int, list[float]] = defaultdict(lambda: [0.0, 0.0, 0])
 
     for mark in tape.iterations:
         ts0, ts1 = mark.ts, mark.ts_end
-        marked = [r for r in launches if ts0 <= r[L_CALL_TS] < ts1]
-        marked_graph = [k for k in graph_kernels if ts0 <= k[G_TS] < ts1]
+        marked = launches[bisect_left(launch_ts, ts0):
+                          bisect_left(launch_ts, ts1)]
+        marked_graph = graph_kernels[bisect_left(graph_ts, ts0):
+                                     bisect_left(graph_ts, ts1)]
         n_kernels = len(marked) + len(marked_graph)
         if not n_kernels:
             raise AnalysisError(f"iteration {mark.index} launched no kernels")
 
         tklqt = sum(r[L_TS] - r[L_CALL_TS] for r in marked)
-        # One chained sum over launches-then-graph-kernels, matching the
-        # concatenated-list sum in compute_metrics term for term.
+        # One chained sum over launches-then-graph-kernels.
         gpu_busy = sum(chain((r[L_DUR] for r in marked),
                              (k[G_DUR] for k in marked_graph)))
         akd = gpu_busy / n_kernels
 
-        roots_in = [r for r in roots if ts0 <= r[OP_TS] < ts1]
+        roots_in = [r for roots, starts in thread_roots
+                    for r in roots[bisect_left(starts, ts0):
+                                   bisect_left(starts, ts1)]]
         if not roots_in:
             raise AnalysisError(f"iteration {mark.index} has no operators")
         first_parent_ts = min(r[OP_TS] for r in roots_in)
@@ -392,5 +318,7 @@ def metrics_from_tape(tape: TraceTape) -> SkipMetrics:
         for device, (tklqt, busy, count) in sorted(device_stats.items())
     ]
 
+    # The full per-name population is kept (it is small — tens of distinct
+    # names); top_k() slices on demand and diffing needs all of it.
     return SkipMetrics(iterations=per_iteration, top_kernels=aggregates,
                        devices=device_metrics)

@@ -160,8 +160,7 @@ class SkipProfiler:
     @staticmethod
     def analyze(trace: Trace, run_result: RunResult | None = None) -> ProfileResult:
         """Analyze an existing trace (simulated or imported)."""
-        depgraph = DependencyGraph.from_trace(trace)
-        result = ProfileResult(compute_metrics(trace, depgraph), trace.metadata)
-        result.trace, result.depgraph = trace, depgraph
+        result = ProfileResult(compute_metrics(trace), trace.metadata)
+        result.trace = trace
         result.run_result = run_result
         return result

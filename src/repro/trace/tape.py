@@ -1,4 +1,4 @@
-"""TraceTape — the engine's allocation-free fast path for metrics-only runs.
+"""TraceTape — the flat record form SKIP metrics are computed from.
 
 Sweeps and serving latency lookups run thousands of engine simulations and
 keep nothing but the :class:`~repro.skip.metrics.SkipMetrics` of each.
@@ -10,13 +10,16 @@ is most of their wall time.
 :class:`TapeBuilder` is a drop-in substitute for
 :class:`~repro.trace.builder.TraceBuilder` (the execution processes call it
 through the identical method surface) that records flat tuples instead of
-event objects. The resulting :class:`TraceTape` carries exactly the
-information SKIP metrics consume; ``repro.skip.metrics.metrics_from_tape``
-computes metrics from it **bit-identically** to
-``compute_metrics(trace)`` on the equivalent full trace.
+event objects. :meth:`TraceTape.from_trace` turns an existing trace
+(simulated or imported) into the same records. The resulting
+:class:`TraceTape` carries exactly the information SKIP metrics consume,
+and ``repro.skip.metrics.metrics_from_tape`` is the one implementation of
+them: ``compute_metrics(trace)`` is ``metrics_from_tape`` over
+``TraceTape.from_trace(trace)``.
 
-Bit-identity rests on two invariants, both locked by the fast-path parity
-suite (``tests/perf/test_fastpath_parity.py``):
+A tape run's metrics are **bit-identical** to those of the equivalent full
+trace because of two invariants, both locked by the fast-path parity suite
+(``tests/perf/test_fastpath_parity.py``):
 
 * **Id parity.** ``TraceBuilder`` draws event ids from a global counter in
   a fixed pattern (operator: one id; ``launch_kernel``: call id then kernel
@@ -38,7 +41,7 @@ from __future__ import annotations
 
 from repro.errors import TraceError
 from repro.trace.events import LAUNCH_KERNEL
-from repro.trace.trace import IterationMark
+from repro.trace.trace import IterationMark, Trace
 
 #: Operator record layout: [ts, dur, tid, seq, event_id] (dur patched by
 #: ``end_operator``).
@@ -66,6 +69,34 @@ class TraceTape:
 
     def __len__(self) -> int:
         return len(self.ops) + len(self.launches) + len(self.graph_kernels)
+
+    @classmethod
+    def from_trace(cls, trace: Trace) -> "TraceTape":
+        """The tape records of a trace: its operators, its launch calls
+        paired with their kernels, its graph-replayed kernels and its
+        iteration marks.
+
+        Raises:
+            TraceError: when a launch call has no matching kernel, or two
+                kernels share a correlation id.
+        """
+        tape = cls(trace.metadata)
+        tape.ops = [[op.ts, op.dur, op.tid, op.seq, op.event_id]
+                    for op in trace.operators]
+        kernels = trace.kernels_by_correlation()
+        for call in trace.runtime_calls:
+            if not call.is_launch or call.correlation_id < 0:
+                continue  # graph launch; its kernels are recorded below
+            kernel = kernels.get(call.correlation_id)
+            if kernel is None:
+                raise TraceError(
+                    f"launch correlation {call.correlation_id} has no kernel")
+            tape.launches.append((call.ts, call.event_id, kernel.name,
+                                  kernel.ts, kernel.dur, kernel.device))
+        tape.graph_kernels = [(k.ts, k.event_id, k.name, k.dur, k.device)
+                              for k in trace.kernels if k.correlation_id < 0]
+        tape.iterations = list(trace.iterations)
+        return tape
 
 
 class TapeBuilder:

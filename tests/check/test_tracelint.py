@@ -6,13 +6,24 @@ pins exactly one rule to exactly one corruption.
 """
 
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
 
 from repro.check import lint_chrome_text
+from repro.check.tracelint import _independent_sweep
+from repro.engine import (
+    DispatchMode, EngineConfig, ExecutionMode, TPConfig, run,
+)
 from repro.errors import AnalysisError
-from repro.trace import chrome
-from repro.trace.events import LAUNCH_KERNEL
+from repro.hardware import AMD_A100
+from repro.trace import Trace, chrome
+from repro.trace.events import (
+    KernelEvent, LAUNCH_KERNEL, OperatorEvent, RuntimeEvent,
+)
+from repro.workloads import GPT2
+from tests.property.test_metrics_properties import sorted_traces
 
 
 def _rule_ids(findings):
@@ -217,3 +228,103 @@ def test_identities_skipped_when_structure_is_broken(payload):
     mutated["traceEvents"].remove(kernel)
     findings, _ = _lint(mutated)
     assert "T010" not in _rule_ids(findings)
+
+
+# ----------------------------------------------------------------------
+# T010's one-pass sweep against its per-iteration form
+# ----------------------------------------------------------------------
+def reference_iteration_metrics(trace, ts, ts_end):
+    """Eq. 2-5 for one iteration, filtered out of the whole trace."""
+    kernels_by_corr = {k.correlation_id: k for k in trace.kernels
+                       if k.correlation_id >= 0}
+    matched = []
+    for call in trace.runtime_calls:
+        if (call.name == LAUNCH_KERNEL and call.correlation_id >= 0
+                and ts <= call.ts < ts_end):
+            kernel = kernels_by_corr.get(call.correlation_id)
+            if kernel is not None:
+                matched.append((call, kernel))
+    kernels = [k for _, k in matched]
+    kernels += [k for k in trace.kernels
+                if k.correlation_id < 0 and ts <= k.ts < ts_end]
+    if not kernels:
+        return None
+
+    roots = []
+    open_end = {}
+    for op in sorted(trace.operators, key=lambda o: (o.ts, -o.dur, o.seq)):
+        if op.ts >= open_end.get(op.tid, -math.inf):
+            roots.append(op)
+            open_end[op.tid] = op.ts_end
+    window_roots = [o for o in roots if ts <= o.ts < ts_end]
+    if not window_roots:
+        return None
+
+    gpu_busy = sum(k.dur for k in kernels)
+    latency = (max(k.ts_end for k in kernels)
+               - min(o.ts for o in window_roots))
+    return {
+        "tklqt_ns": sum(k.ts - call.ts for call, k in matched),
+        "akd_ns": gpu_busy / len(kernels),
+        "inference_latency_ns": latency,
+        "gpu_idle_ns": latency - gpu_busy,
+        "kernel_launches": float(len(kernels)),
+    }
+
+
+def assert_sweep_matches_reference(trace):
+    """Every iteration's identities equal the reference, float bits
+    included; returns how many iterations were compared."""
+    sweep = _independent_sweep(trace)
+    for mark in trace.iterations:
+        expected = reference_iteration_metrics(trace, mark.ts, mark.ts_end)
+        assert repr(sweep(mark.ts, mark.ts_end)) == repr(expected), mark
+    return len(trace.iterations)
+
+
+def _reversed_lists(trace):
+    """The same events, stored newest first (as an unsorted trace may)."""
+    return Trace(operators=trace.operators[::-1],
+                 runtime_calls=trace.runtime_calls[::-1],
+                 kernels=trace.kernels[::-1],
+                 iterations=list(trace.iterations))
+
+
+@pytest.mark.parametrize("kwargs", [
+    pytest.param({}, id="tp2-single-thread"),
+    pytest.param({"tp": TPConfig(degree=2,
+                                 dispatch=DispatchMode.THREAD_PER_DEVICE)},
+                 id="tp2-per-device"),
+    pytest.param({"mode": ExecutionMode.COMPILE_REDUCE_OVERHEAD},
+                 id="graph-replay"),
+])
+def test_independent_sweep_matches_per_iteration_form(kwargs):
+    kwargs = {"tp": TPConfig(degree=2), **kwargs}
+    trace = run(GPT2, AMD_A100, seq_len=64, config=EngineConfig(iterations=3),
+                **kwargs).trace
+    trace = chrome.loads(chrome.dumps(trace))
+    assert assert_sweep_matches_reference(trace) == 3
+    # Cut windows are put back in storage order, not begin order.
+    assert_sweep_matches_reference(_reversed_lists(trace))
+
+
+@given(trace=sorted_traces)
+@settings(max_examples=60, deadline=None)
+def test_independent_sweep_matches_on_iteration_boundaries(trace):
+    # Launches, roots and replayed kernels sit exactly on iteration ends.
+    assert_sweep_matches_reference(trace)
+    assert_sweep_matches_reference(_reversed_lists(trace))
+
+
+def test_independent_sweep_leaves_a_root_at_ts_end_to_the_next_iteration():
+    trace = Trace()
+    trace.add(RuntimeEvent(LAUNCH_KERNEL, 2.0, 1.0, tid=1, correlation_id=0))
+    trace.add(KernelEvent("k", 4.0, 3.0, correlation_id=0))
+    trace.add(OperatorEvent("aten::op", 10.0, 5.0, tid=1, seq=0))
+    trace.mark_iteration(0.0, 10.0)
+    trace.mark_iteration(10.0, 20.0)
+    trace.sort()
+    sweep = _independent_sweep(trace)
+    assert sweep(0.0, 10.0) is None  # kernels but no operator of its own
+    assert sweep(10.0, 20.0) is None  # an operator but no kernels
+    assert assert_sweep_matches_reference(trace) == 2

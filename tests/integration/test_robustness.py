@@ -60,7 +60,7 @@ def test_kernel_before_its_launch_is_a_trace_error():
     # negative t_l rather than crashing (real clock-skewed traces do this).
     graph = DependencyGraph.from_trace(trace)
     assert graph.launches[0].launch_and_queue_ns == -3.0
-    metrics = compute_metrics(trace, graph)
+    metrics = compute_metrics(trace)
     assert metrics.tklqt_ns == -3.0
 
 

@@ -45,8 +45,8 @@ def serving_trace_file(tmp_path_factory):
 
 def test_skip_pipeline_runs_on_serving_trace(serving_trace_file):
     trace = chrome.load(serving_trace_file)
-    graph = DependencyGraph.from_trace(trace)
-    metrics = compute_metrics(trace, graph)
+    assert DependencyGraph.from_trace(trace).launches
+    metrics = compute_metrics(trace)
     assert metrics.tklqt_ns > 0
     assert metrics.akd_ns > 0
     assert metrics.kernel_launches > 0

@@ -20,7 +20,6 @@ from repro.engine.executor import build_core, run
 from repro.engine.lowering import lower_graph, lower_op
 from repro.engine.pp import (
     PPConfig,
-    build_core_pp,
     microbatch_lowered,
     partition_lowered,
 )
@@ -311,7 +310,7 @@ def _plan_inputs(mode, tp, pp):
         return [lowered], build_core(tp), tp.degree
     stages = [microbatch_lowered(stage, pp.microbatches)
               for stage in partition_lowered(lowered, pp.stages)]
-    return stages, build_core_pp(tp, pp), tp.degree
+    return stages, build_core(tp, pp), tp.degree
 
 
 PLAN_CONFIGS = [

@@ -63,7 +63,7 @@ def test_tape_segments_match_trace_segments(kwargs):
 def test_lazy_trace_reproduces_the_tape_profile(kwargs):
     result = SkipProfiler(INTEL_H100).profile(GPT2, seq_len=256, **kwargs())
     assert "trace" not in vars(result)
-    assert compute_metrics(result.trace, result.depgraph) == result.metrics
+    assert compute_metrics(result.trace) == result.metrics
     assert result.recommend_fusions() == analyze_trace(result.trace)
     assert result.trace.metadata == result.metadata
     assert result.run_result.trace is result.trace

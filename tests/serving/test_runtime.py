@@ -22,6 +22,7 @@ from repro.serving import (
 )
 from repro.workloads import GPT2
 from tests import scenarios
+from tests.check.test_tracelint import assert_sweep_matches_reference
 
 
 @pytest.fixture(scope="module")
@@ -213,18 +214,24 @@ def test_serving_schedules_check_clean(tp2_run):
     assert not report.findings
 
 
-def test_multi_replica_trace_lints_clean(tp2_run):
+@pytest.fixture(scope="module")
+def tp2_export(tp2_run):
+    """The 2-replica TP=2 run as one Chrome-exportable trace."""
     result, recorder, latency_tp = tp2_run
-    trace = recording_to_trace(recorder, latency_tp, GPT2,
-                               devices_per_replica=result.devices_per_replica)
-    assert lint_trace(trace) == []
+    return recording_to_trace(recorder, latency_tp, GPT2,
+                              devices_per_replica=result.devices_per_replica)
 
 
-def test_trace_schedules_cover_all_devices(tp2_run):
-    result, recorder, latency_tp = tp2_run
-    trace = recording_to_trace(recorder, latency_tp, GPT2,
-                               devices_per_replica=result.devices_per_replica)
-    schedules = schedules_from_trace(trace)
+def test_multi_replica_trace_lints_clean(tp2_export):
+    assert lint_trace(tp2_export) == []
+
+
+def test_lint_sweep_matches_its_per_iteration_form(tp2_export):
+    assert assert_sweep_matches_reference(tp2_export) == 54
+
+
+def test_trace_schedules_cover_all_devices(tp2_export):
+    schedules = schedules_from_trace(tp2_export)
     # 2 replicas x TP=2 devices, offset into disjoint device ids.
     assert [s.device for s in schedules] == [0, 1, 2, 3]
     assert all(s.items for s in schedules)

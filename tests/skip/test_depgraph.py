@@ -58,15 +58,6 @@ def test_operator_count_matches_trace(bert_graph):
     assert bert_graph.operator_count() == len(bert_graph.trace.operators)
 
 
-def test_windowed_queries(bert_graph):
-    begin, end = bert_graph.trace.span
-    mid = (begin + end) / 2
-    first_half = bert_graph.launches_in(begin, mid)
-    second_half = bert_graph.launches_in(mid, end + 1)
-    assert len(first_half) + len(second_half) == len(bert_graph.launches)
-    assert bert_graph.roots_in(begin, end + 1)
-
-
 def test_graph_kernels_tracked_separately():
     result = run(GPT2, INTEL_H100, batch_size=1, seq_len=128,
                  mode=ExecutionMode.COMPILE_REDUCE_OVERHEAD, config=FAST)

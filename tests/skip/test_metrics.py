@@ -2,12 +2,19 @@
 
 import pytest
 
-from repro.engine import EngineConfig, ExecutionMode, run
+from repro.engine import (
+    DispatchMode, EngineConfig, ExecutionMode, PPConfig, TPConfig, run,
+)
 from repro.errors import AnalysisError
-from repro.hardware import INTEL_H100
-from repro.skip import compute_metrics
-from repro.trace import TraceBuilder, Trace
+from repro.hardware import AMD_A100, GH200, INTEL_H100
+from repro.obs import RunRecorder, recording_to_trace
+from repro.serving import (
+    ContinuousBatchPolicy, LatencyModel, poisson_requests, simulate_serving,
+)
+from repro.skip import SkipProfiler, compute_metrics
+from repro.trace import TraceBuilder, Trace, chrome
 from repro.workloads import BERT_BASE, GPT2
+from tests.property.test_metrics_properties import assert_bit_identical
 
 FAST = EngineConfig(iterations=1)
 
@@ -114,3 +121,50 @@ def test_iteration_without_kernels_raises():
     builder.end_iteration(6.0)
     with pytest.raises(AnalysisError):
         compute_metrics(builder.finish())
+
+
+# ----------------------------------------------------------------------
+# The tape-form cut against the per-iteration reference, bit for bit
+# ----------------------------------------------------------------------
+TOPOLOGIES = {
+    "tp1": {},
+    "tp2": {"tp": TPConfig(degree=2)},
+    "tp2-per-device": {
+        "tp": TPConfig(degree=2, dispatch=DispatchMode.THREAD_PER_DEVICE)},
+    "pp2": {"pp": PPConfig(stages=2, microbatches=2)},
+    "pp2-tp2": {"pp": PPConfig(stages=2, microbatches=2),
+                "tp": TPConfig(degree=2)},
+}
+
+
+@pytest.mark.parametrize("topology", TOPOLOGIES)
+@pytest.mark.parametrize("platform", [GH200, AMD_A100, INTEL_H100],
+                         ids=lambda p: p.name)
+def test_engine_traces_match_the_reference(platform, topology):
+    kwargs = TOPOLOGIES[topology]
+    plan = SkipProfiler(platform).profile(GPT2, seq_len=64).fusion_plan()
+    for mode in ExecutionMode:
+        if "pp" in kwargs and mode.uses_cuda_graph:
+            continue  # pipeline stages launch kernel by kernel
+        fusion_plan = plan if mode is ExecutionMode.PROXIMITY_FUSED else None
+        trace = run(GPT2, platform, seq_len=64, mode=mode,
+                    config=EngineConfig(iterations=2),
+                    fusion_plan=fusion_plan, **kwargs).trace
+        assert_bit_identical(trace)
+        assert_bit_identical(chrome.loads(chrome.dumps(trace)))
+
+
+def test_multi_replica_serve_export_matches_the_reference():
+    latency = LatencyModel(INTEL_H100, tp=TPConfig(degree=2))
+    recorder = RunRecorder()
+    stream = poisson_requests(rate_per_s=40, duration_s=0.25, prompt_len=64,
+                              output_tokens=4, seed=3)
+    result = simulate_serving(stream, GPT2, latency,
+                              policy=ContinuousBatchPolicy(max_active=4),
+                              replicas=2, recorder=recorder)
+    trace = recording_to_trace(recorder, latency, GPT2,
+                               devices_per_replica=result.devices_per_replica)
+    assert len(trace.iterations) > 10
+    assert len({op.tid for op in trace.operators}) == 2
+    assert_bit_identical(trace)
+    assert_bit_identical(chrome.loads(chrome.dumps(trace)))
