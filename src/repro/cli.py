@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from typing import Callable, Sequence
 
@@ -571,20 +572,19 @@ def _cmd_hostsweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_skip_analyze(args: argparse.Namespace) -> int:
-    from repro.skip import analyze_trace, classify_metrics, compute_metrics
     from repro.skip.report import metrics_report, top_kernels_report
     from repro.trace import chrome
 
-    trace = chrome.load(args.trace)
-    metrics = compute_metrics(trace)
-    source = trace.metadata.get("source", "chrome trace")
+    result = SkipProfiler.analyze(chrome.load(args.trace))
+    metrics = result.metrics
+    source = result.metadata.get("source", "chrome trace")
     print(metrics_report(metrics, f"SKIP metrics for {args.trace} ({source})"))
-    print(f"classification             : {classify_metrics(metrics).value}")
+    print(f"classification             : {result.boundedness.value}")
     print()
     print(top_kernels_report(metrics, args.top))
     if args.fusion:
         print()
-        print(fusion_report(analyze_trace(trace)))
+        print(fusion_report(result.recommend_fusions()))
     return 0
 
 
@@ -1011,13 +1011,24 @@ def main(argv: Sequence[str] | None = None) -> int:
     Configuration mistakes (unknown model, invalid TP degree, bad trace
     file, ...) surface as one-line ``error: ...`` messages on stderr with
     exit code 2, not tracebacks; tracebacks are reserved for actual bugs.
+    A reader that closes the output pipe early (``| head``) ends the
+    command quietly with exit code 1.
     """
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # Point stdout at devnull so the interpreter's exit-time flush of
+        # the unwritten rest cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
 
 
 if __name__ == "__main__":

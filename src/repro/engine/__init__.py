@@ -8,7 +8,7 @@ from repro.engine.executor import (
     build_core,
     run,
 )
-from repro.engine.fusion_apply import FusionPlan, apply_fusion_plan, launches_saved
+from repro.engine.fusion_apply import FusionPlan, apply_fusion_plan
 from repro.engine.lowering import (
     KernelTask,
     LoweredOp,
@@ -62,7 +62,6 @@ __all__ = [
     "validate_pp",
     "compile_time",
     "kernel_count",
-    "launches_saved",
     "lower_graph",
     "lower_op",
     "run",

@@ -35,7 +35,7 @@ from typing import Literal, overload
 
 from repro.engine.cache import LOWERING_CACHE
 from repro.engine.compiler import CompileReport, apply_inductor_fusion, compile_time
-from repro.engine.fusion_apply import FusionPlan, fused_kernel_name
+from repro.engine.fusion_apply import FusionPlan, apply_fusion_plan
 from repro.engine.lowering import KernelTask, LoweredOp, lower_graph
 from repro.engine.modes import ExecutionMode
 from repro.engine.pp import (
@@ -320,7 +320,7 @@ def run(
     if mode is ExecutionMode.PROXIMITY_FUSED:
         if fusion_plan is None:
             raise ConfigurationError("PROXIMITY_FUSED mode requires a fusion_plan")
-        lowered = _apply_plan_to_lowered(lowered, fusion_plan)
+        lowered = apply_fusion_plan(lowered, fusion_plan)
     elif fusion_plan is not None:
         raise ConfigurationError(f"fusion_plan is only valid in PROXIMITY_FUSED mode, not {mode}")
 
@@ -393,58 +393,3 @@ def run(
             recorder.record_step(StepKind.ENGINE, mark.ts,
                                  mark.ts_end - mark.ts, graph.batch_size)
     return result
-
-
-# ---------------------------------------------------------------------------
-# Proximity-fusion plan application at op granularity
-# ---------------------------------------------------------------------------
-
-def _apply_plan_to_lowered(lowered: list[LoweredOp],
-                           plan: FusionPlan) -> list[LoweredOp]:
-    """Rewrite the lowering so recommended chains launch once.
-
-    Matching runs over the flat kernel stream (chains cross operator
-    boundaries); a fused kernel is attributed to the operator contributing
-    its first member, and later members' operators keep their dispatch but
-    lose the launches — exactly the paper's "fusion saves launches only"
-    accounting. Collective kernels never fuse: an all-reduce synchronizes
-    devices and cannot merge into a single-device kernel.
-    """
-    flat: list[tuple[int, KernelTask]] = []
-    for op_index, lowered_op in enumerate(lowered):
-        for kernel in lowered_op.kernels:
-            flat.append((op_index, kernel))
-
-    by_length = sorted(plan.chains, key=len, reverse=True)
-    names = [k.name for _, k in flat]
-    new_kernels: dict[int, list[KernelTask]] = {i: [] for i in range(len(lowered))}
-    fused_id = 0
-    i = 0
-    while i < len(flat):
-        matched = None
-        for chain in by_length:
-            length = len(chain)
-            if (i + length <= len(names)
-                    and tuple(names[i:i + length]) == chain
-                    and not any(k.is_collective for _, k in flat[i:i + length])):
-                matched = chain
-                break
-        if matched is None:
-            owner, kernel = flat[i]
-            new_kernels[owner].append(kernel)
-            i += 1
-            continue
-        members = flat[i:i + len(matched)]
-        owner = members[0][0]
-        new_kernels[owner].append(KernelTask(
-            name=fused_kernel_name(len(matched), fused_id),
-            flops=sum(k.flops for _, k in members),
-            bytes_read=sum(k.bytes_read for _, k in members),
-            bytes_written=sum(k.bytes_written for _, k in members),
-            members=tuple(k for _, k in members),
-        ))
-        fused_id += 1
-        i += len(matched)
-
-    return [LoweredOp(lo.op, tuple(new_kernels[idx]))
-            for idx, lo in enumerate(lowered)]

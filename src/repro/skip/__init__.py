@@ -12,6 +12,7 @@ from repro.skip.classify import (
     classify_metrics,
     find_transition,
 )
+from repro.engine.fusion_apply import select_nonoverlapping
 from repro.skip.depgraph import DependencyGraph, LaunchRecord, OpNode
 from repro.skip.diff import KernelDelta, ProfileDiff, diff_metrics, diff_report
 from repro.skip.roofline import (
@@ -41,7 +42,6 @@ from repro.skip.proximity import (
     MiningResult,
     kernel_segments,
     mine_chains,
-    select_nonoverlapping,
 )
 from repro.skip.report import (
     fusion_report,

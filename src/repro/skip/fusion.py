@@ -18,14 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.engine.fusion_apply import FusionPlan
+from repro.engine.fusion_apply import FusionPlan, select_nonoverlapping
 from repro.errors import AnalysisError
 from repro.skip.proximity import (
     ChainStats,
     distinct_segments,
     kernel_segments,
     mine_distinct,
-    select_nonoverlapping,
 )
 from repro.trace.trace import Trace
 
@@ -85,7 +84,12 @@ class FusionAnalysis:
 def analyze_trace(trace: Trace,
                   lengths: Sequence[int] = DEFAULT_CHAIN_LENGTHS,
                   threshold: float = 1.0) -> list[FusionAnalysis]:
-    """Run the full recommendation analysis over a trace."""
+    """Run the full recommendation analysis over a trace.
+
+    Raises:
+        AnalysisError: when the trace has no iteration marks.
+        TraceError: when a launch call has no matching kernel.
+    """
     return analyze_segments(kernel_segments(trace), lengths, threshold)
 
 
@@ -109,11 +113,12 @@ def analyze_segments(segments: Sequence[Sequence[str]],
     for length in sorted(set(lengths)):
         mining = mine_distinct(distinct, length)
         deterministic = mining.deterministic(threshold)
+        chains = [c.chain for c in deterministic]
 
         instance_total = 0
         distinct_total = 0
         for segment, weight in distinct.items():
-            selected = select_nonoverlapping(segment, deterministic)
+            selected = select_nonoverlapping(segment, chains)
             instance_total += weight * len(selected)
             distinct_total += weight * len({chain for _, chain in selected})
         c_fused = distinct_total / len(segments)

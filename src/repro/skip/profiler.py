@@ -24,8 +24,8 @@ from repro.skip.depgraph import DependencyGraph
 from repro.skip.fusion import (
     DEFAULT_CHAIN_LENGTHS, FusionAnalysis, analyze_segments,
 )
-from repro.skip.metrics import SkipMetrics, compute_metrics, metrics_from_tape
-from repro.skip.proximity import kernel_segments, tape_segments
+from repro.skip.metrics import SkipMetrics, metrics_from_tape
+from repro.skip.proximity import tape_segments
 from repro.trace.tape import TraceTape
 from repro.trace.trace import Trace
 from repro.workloads.config import ModelConfig
@@ -35,20 +35,19 @@ from repro.workloads.graph import Phase
 class ProfileResult:
     """Everything SKIP derives from one profiled run.
 
-    ``metrics`` and ``metadata`` are always at hand. A result of
-    :meth:`SkipProfiler.profile` is tape-first: its metrics, metadata and
-    kernel segments come from the engine's tape, and ``trace``,
-    ``depgraph`` and ``run_result`` are built on first read by re-running
-    the same call with a full trace (without the causality log). Callers
-    that read only metrics or fusions never build a :class:`Trace`. A
-    result of :meth:`SkipProfiler.analyze` holds its trace from the start.
+    ``metrics``, ``metadata`` and the kernel segments come from the run's
+    tape. A result of :meth:`SkipProfiler.profile` is tape-first: the
+    engine writes the tape, and ``trace``, ``depgraph`` and ``run_result``
+    are built on first read by re-running the same call with a full trace
+    (without the causality log). Callers that read only metrics or fusions
+    never build a :class:`Trace`. A result of :meth:`SkipProfiler.analyze`
+    holds its trace from the start and reads it through its tape form.
     """
 
-    def __init__(self, metrics: SkipMetrics, metadata: dict,
-                 tape: TraceTape | None = None,
+    def __init__(self, tape: TraceTape,
                  rerun: Callable[[], RunResult] | None = None) -> None:
-        self.metrics = metrics
-        self.metadata = metadata
+        self.metrics: SkipMetrics = metrics_from_tape(tape)
+        self.metadata = tape.metadata
         self._tape = tape
         self._rerun = rerun
 
@@ -70,9 +69,7 @@ class ProfileResult:
     @cached_property
     def segments(self) -> list[list[str]]:
         """Kernel-name sequences per iteration, in launch order."""
-        if self._tape is not None:
-            return tape_segments(self._tape)
-        return kernel_segments(self.trace)
+        return tape_segments(self._tape)
 
     @property
     def boundedness(self) -> Boundedness:
@@ -139,8 +136,7 @@ class SkipProfiler:
                        fusion_plan=fusion_plan, tp=tp, pp=pp)
         tape = call(tape=True, causality=causality).tape
         assert tape is not None
-        return ProfileResult(metrics_from_tape(tape), tape.metadata,
-                             tape=tape, rerun=call)
+        return ProfileResult(tape, rerun=call)
 
     def profile_graph(
         self,
@@ -159,8 +155,15 @@ class SkipProfiler:
 
     @staticmethod
     def analyze(trace: Trace, run_result: RunResult | None = None) -> ProfileResult:
-        """Analyze an existing trace (simulated or imported)."""
-        result = ProfileResult(compute_metrics(trace), trace.metadata)
+        """Analyze an existing trace (simulated or imported).
+
+        Raises:
+            TraceError: when a launch call has no matching kernel, or two
+                kernels share a correlation id.
+            AnalysisError: when the trace has no iterations or an iteration
+                has no kernels or no operators.
+        """
+        result = ProfileResult(TraceTape.from_trace(trace))
         result.trace = trace
         result.run_result = run_result
         return result

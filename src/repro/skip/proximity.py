@@ -8,58 +8,70 @@ ideal fusion candidate.
 Mining operates on *segments*: kernel-name sequences in launch order,
 delimited by CPU/GPU synchronization (one segment per profiled iteration for
 the engine's traces), matching the paper's "sequences separated by
-intervening CPU operator dependency". An engine run repeats one kernel
-sequence every iteration, so mining counts each distinct segment once and
-weights it by how often it repeats; every count and ratio stays exact.
+intervening CPU operator dependency". :func:`tape_segments` is the one
+segment reader; :func:`kernel_segments` reads a trace through its tape form.
+An engine run repeats one kernel sequence every iteration, so mining counts
+each distinct segment once and weights it by how often it repeats; every
+count and ratio stays exact. The fusable, non-overlapping instances of the
+mined chains are picked by
+:func:`repro.engine.fusion_apply.select_nonoverlapping`, the matcher the
+engine fuses with.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from repro.errors import AnalysisError
 from repro.trace.tape import (
-    G_ID, G_NAME, G_TS, L_CALL_ID, L_CALL_TS, L_NAME, TraceTape,
+    G_ID, G_NAME, G_TS, L_CALL_TS, L_NAME, TraceTape,
 )
 from repro.trace.trace import Trace
 
 
 def kernel_segments(trace: Trace) -> list[list[str]]:
-    """Kernel-name sequences per iteration, in launch order."""
-    if not trace.iterations:
-        raise AnalysisError("trace has no iteration marks")
-    segments: list[list[str]] = []
-    for mark in trace.iterations:
-        kernels = trace.kernels_in_iteration(mark.index)
-        # Launch order: correlation ids ascend in launch order for launched
-        # kernels; graph-replayed kernels (negative ids) keep time order.
-        launched = sorted((k for k in kernels if k.correlation_id >= 0),
-                          key=lambda k: k.correlation_id)
-        replayed = sorted((k for k in kernels if k.correlation_id < 0),
-                          key=lambda k: (k.ts, k.event_id))
-        segments.append([k.name for k in [*launched, *replayed]])
-    return segments
+    """Kernel-name sequences per iteration, in launch order.
+
+    Raises:
+        AnalysisError: when the trace has no iteration marks.
+        TraceError: when a launch call has no matching kernel, or two
+            kernels share a correlation id.
+    """
+    return tape_segments(TraceTape.from_trace(trace))
 
 
 def tape_segments(tape: TraceTape) -> list[list[str]]:
-    """:func:`kernel_segments` of the equivalent full trace, from a tape.
+    """Kernel-name sequences per iteration of a tape, in launch order.
 
-    Launched kernels come in call-id order (the tape's counterpart of the
-    correlation id), then replayed kernels by ``(ts, id)``; a launch belongs
-    to the iteration holding its call's ``ts``, a replayed kernel to the
-    one holding its own, as in ``Trace.kernels_in_iteration``.
+    Launched kernels come in tape order (launch order), then replayed
+    kernels by ``(ts, id)``. A launch belongs to the iteration ``[ts,
+    ts_end)`` holding its call's ``ts``, since a queued kernel may start
+    after its iteration's CPU work ends; a replayed kernel has no launch
+    call and belongs to the one holding its own start. Launches and
+    replayed kernels are sorted by time once and each iteration is cut
+    out of them by bisection.
     """
     if not tape.iterations:
         raise AnalysisError("trace has no iteration marks")
-    launched = sorted(tape.launches, key=lambda r: r[L_CALL_ID])
+    launches = tape.launches
+    by_call_ts = sorted(range(len(launches)),
+                        key=lambda i: launches[i][L_CALL_TS])
+    call_ts = [launches[i][L_CALL_TS] for i in by_call_ts]
     replayed = sorted(tape.graph_kernels, key=lambda k: (k[G_TS], k[G_ID]))
-    return [
-        [r[L_NAME] for r in launched if mark.ts <= r[L_CALL_TS] < mark.ts_end]
-        + [k[G_NAME] for k in replayed if mark.ts <= k[G_TS] < mark.ts_end]
-        for mark in tape.iterations
-    ]
+    replayed_ts = [k[G_TS] for k in replayed]
+    segments: list[list[str]] = []
+    for mark in tape.iterations:
+        cut = sorted(by_call_ts[bisect_left(call_ts, mark.ts):
+                                bisect_left(call_ts, mark.ts_end)])
+        segment = [launches[i][L_NAME] for i in cut]
+        segment += [k[G_NAME] for k in
+                    replayed[bisect_left(replayed_ts, mark.ts):
+                             bisect_left(replayed_ts, mark.ts_end)]]
+        segments.append(segment)
+    return segments
 
 
 def distinct_segments(segments: Sequence[Sequence[str]]
@@ -147,38 +159,3 @@ def mine_distinct(distinct: Mapping[tuple[str, ...], int],
     chains.sort(key=lambda c: (-c.frequency, c.chain))
     return MiningResult(length=length, chains=chains,
                         total_instances=sum(window_counts.values()))
-
-
-def select_nonoverlapping(segment: Sequence[str],
-                          chains: Sequence[ChainStats] | Sequence[tuple[str, ...]]
-                          ) -> list[tuple[int, tuple[str, ...]]]:
-    """Greedy left-to-right non-overlapping chain instances in one segment.
-
-    Only non-overlapping instances can actually be fused; this mirrors the
-    paper's "actual deterministic kernel candidates that can be fused".
-    Returns (start index, chain) pairs.
-    """
-    chain_set: set[tuple[str, ...]] = set()
-    for chain in chains:
-        chain_set.add(chain.chain if isinstance(chain, ChainStats) else tuple(chain))
-    if not chain_set:
-        return []
-    lengths = sorted({len(c) for c in chain_set}, reverse=True)
-
-    selected: list[tuple[int, tuple[str, ...]]] = []
-    i = 0
-    n = len(segment)
-    while i < n:
-        matched = None
-        for length in lengths:
-            if i + length <= n:
-                window = tuple(segment[i:i + length])
-                if window in chain_set:
-                    matched = window
-                    break
-        if matched is None:
-            i += 1
-        else:
-            selected.append((i, matched))
-            i += len(matched)
-    return selected

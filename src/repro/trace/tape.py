@@ -12,9 +12,11 @@ is most of their wall time.
 through the identical method surface) that records flat tuples instead of
 event objects. :meth:`TraceTape.from_trace` turns an existing trace
 (simulated or imported) into the same records. The resulting
-:class:`TraceTape` carries exactly the information SKIP metrics consume,
-and ``repro.skip.metrics.metrics_from_tape`` is the one implementation of
-them: ``compute_metrics(trace)`` is ``metrics_from_tape`` over
+:class:`TraceTape` carries exactly the information SKIP metrics and kernel
+segments consume. ``repro.skip.metrics.metrics_from_tape`` is the one
+implementation of the metrics and ``repro.skip.proximity.tape_segments``
+the one segment reader: ``compute_metrics(trace)`` and
+``kernel_segments(trace)`` are each of them over
 ``TraceTape.from_trace(trace)``.
 
 A tape run's metrics are **bit-identical** to those of the equivalent full
@@ -48,7 +50,7 @@ from repro.trace.trace import IterationMark, Trace
 OP_TS, OP_DUR, OP_TID, OP_SEQ, OP_ID = range(5)
 
 #: Launch record layout: (call_ts, call_event_id, kernel_name, kernel_ts,
-#: kernel_dur, device).
+#: kernel_dur, device). A tape lists its launches in launch order.
 L_CALL_TS, L_CALL_ID, L_NAME, L_TS, L_DUR, L_DEVICE = range(6)
 
 #: Graph-kernel record layout: (ts, event_id, name, dur, device).
@@ -76,6 +78,11 @@ class TraceTape:
         paired with their kernels, its graph-replayed kernels and its
         iteration marks.
 
+        Launches are listed in correlation-id order, the profiler's launch
+        order, which :class:`TapeBuilder` also appends in. A Chrome round
+        trip keeps correlation ids but renumbers event ids, so event ids
+        cannot stand in for it.
+
         Raises:
             TraceError: when a launch call has no matching kernel, or two
                 kernels share a correlation id.
@@ -84,9 +91,12 @@ class TraceTape:
         tape.ops = [[op.ts, op.dur, op.tid, op.seq, op.event_id]
                     for op in trace.operators]
         kernels = trace.kernels_by_correlation()
-        for call in trace.runtime_calls:
-            if not call.is_launch or call.correlation_id < 0:
-                continue  # graph launch; its kernels are recorded below
+        # Graph launches (negative ids) are skipped; their kernels are
+        # recorded below.
+        calls = sorted((call for call in trace.runtime_calls
+                        if call.is_launch and call.correlation_id >= 0),
+                       key=lambda call: call.correlation_id)
+        for call in calls:
             kernel = kernels.get(call.correlation_id)
             if kernel is None:
                 raise TraceError(

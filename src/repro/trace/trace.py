@@ -9,7 +9,6 @@ boundary marks so analyses can work per-forward-pass.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from repro.errors import TraceError
 from repro.trace.events import (
@@ -127,34 +126,6 @@ class Trace:
             out[kernel.correlation_id] = kernel
         return out
 
-    def kernels_in_iteration(self, index: int) -> list[KernelEvent]:
-        """Kernels launched by CPU work inside iteration ``index``.
-
-        Attribution is by the launch call's timestamp, not the kernel's own
-        start, because queued kernels may begin executing after the iteration's
-        CPU work has finished. Graph-replayed kernels (negative correlation
-        ids) have no launch call and are attributed by their own start time;
-        a ``cudaGraphLaunch`` marker's default id of -1 pairs with none.
-        """
-        mark = self._iteration(index)
-        launches = {
-            r.correlation_id
-            for r in self.runtime_calls
-            if r.is_launch and r.correlation_id >= 0
-            and mark.ts <= r.ts < mark.ts_end
-        }
-        return [
-            k for k in self.kernels
-            if k.correlation_id in launches
-            or (k.correlation_id < 0 and mark.ts <= k.ts < mark.ts_end)
-        ]
-
-    def _iteration(self, index: int) -> IterationMark:
-        for mark in self.iterations:
-            if mark.index == index:
-                return mark
-        raise TraceError(f"trace has no iteration {index}")
-
     def validate(self) -> None:
         """Check internal consistency; raises :class:`TraceError` on problems."""
         correlated = self.kernels_by_correlation()
@@ -187,8 +158,3 @@ class Trace:
         out.sort()
         return out
 
-
-def concat_kernel_names(kernels: Iterable[KernelEvent]) -> list[str]:
-    """Kernel names in launch order (by correlation id ascending)."""
-    ordered = sorted(kernels, key=lambda k: k.correlation_id)
-    return [k.name for k in ordered]

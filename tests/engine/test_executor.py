@@ -5,6 +5,7 @@ import pytest
 from repro.engine import EngineConfig, ExecutionMode, FusionPlan, run
 from repro.errors import ConfigurationError
 from repro.hardware import GH200, INTEL_H100
+from repro.skip import compute_metrics, kernel_segments
 from repro.trace.events import DEVICE_SYNCHRONIZE, GRAPH_LAUNCH
 from repro.workloads import BERT_BASE, GPT2, build_graph
 
@@ -61,10 +62,11 @@ def test_sync_at_end_of_each_iteration(bert_result):
 def test_iterations_are_time_shifted_copies(bert_result):
     """The engine is deterministic; iteration k is iteration 0 shifted."""
     trace = bert_result.trace
-    k0 = trace.kernels_in_iteration(0)
-    k1 = trace.kernels_in_iteration(1)
-    assert [k.name for k in k0] == [k.name for k in k1]
-    assert [k.dur for k in k0] == pytest.approx([k.dur for k in k1])
+    first, second = kernel_segments(trace)
+    assert first == second
+    it0, it1 = compute_metrics(trace).iterations
+    assert it0.gpu_busy_ns == pytest.approx(it1.gpu_busy_ns)
+    assert it0.tklqt_ns == pytest.approx(it1.tklqt_ns)
 
 
 def test_run_accepts_prebuilt_graph():

@@ -1,67 +1,89 @@
-"""Fusion-plan application to kernel streams."""
+"""Fusion-plan application to lowered kernel streams."""
 
 import pytest
 
-from repro.engine import FusionPlan, apply_fusion_plan, launches_saved
+from repro.engine import FusionPlan, LoweredOp, apply_fusion_plan
 from repro.engine.lowering import KernelTask
 from repro.errors import AnalysisError
+from repro.workloads.ops import Op, OpKind
+
+#: A kernel name in :func:`lowering` that stands for an all-reduce.
+COLLECTIVE = "allreduce"
 
 
-def kernels(*names: str) -> list[KernelTask]:
-    return [KernelTask(name=n, flops=1.0, bytes_read=2.0, bytes_written=3.0)
-            for n in names]
+def lowering(*ops: str) -> list[LoweredOp]:
+    """One op per argument, launching its space-separated kernel names."""
+    return [
+        LoweredOp(Op(OpKind.ADD, f"op{index}", 0.0, 0.0, 0.0, dims=()),
+                  tuple(KernelTask(name, flops=1.0, bytes_read=2.0,
+                                   bytes_written=3.0,
+                                   comm_bytes=8.0 if name == COLLECTIVE else 0.0)
+                        for name in names.split()))
+        for index, names in enumerate(ops)
+    ]
+
+
+def kernels(lowered: list[LoweredOp]) -> list[KernelTask]:
+    return [kernel for lowered_op in lowered for kernel in lowered_op.kernels]
+
+
+def names(lowered: list[LoweredOp]) -> list[str]:
+    return [kernel.name for kernel in kernels(lowered)]
 
 
 def test_simple_chain_replacement():
-    stream = kernels("a", "b", "c", "d")
-    plan = FusionPlan(chains=(("b", "c"),))
-    out = apply_fusion_plan(stream, plan)
-    assert [k.name for k in out][0] == "a"
-    assert out[1].name.startswith("fused_chain_L2")
-    assert out[2].name == "d"
+    out = apply_fusion_plan(lowering("a b c d"), FusionPlan(chains=(("b", "c"),)))
+    assert names(out) == ["a", "fused_chain_L2_id0", "d"]
 
 
 def test_fused_kernel_sums_work():
-    stream = kernels("a", "b")
-    out = apply_fusion_plan(stream, FusionPlan(chains=(("a", "b"),)))
+    out = kernels(apply_fusion_plan(lowering("a b"),
+                                    FusionPlan(chains=(("a", "b"),))))
     assert len(out) == 1
     assert out[0].flops == 2.0
     assert out[0].bytes_read == 4.0
     assert out[0].bytes_written == 6.0
+    assert [m.name for m in out[0].members] == ["a", "b"]
 
 
 def test_repeated_instances_all_fused():
-    stream = kernels("a", "b", "a", "b", "a", "b")
-    out = apply_fusion_plan(stream, FusionPlan(chains=(("a", "b"),)))
-    assert len(out) == 3
-    assert all(k.name.startswith("fused_chain") for k in out)
+    out = apply_fusion_plan(lowering("a b a b a b"),
+                            FusionPlan(chains=(("a", "b"),)))
+    assert names(out) == [f"fused_chain_L2_id{i}" for i in range(3)]
 
 
 def test_longest_chain_wins():
-    stream = kernels("a", "b", "c")
     plan = FusionPlan(chains=(("a", "b"), ("a", "b", "c")))
-    out = apply_fusion_plan(stream, plan)
-    assert len(out) == 1
-    assert out[0].name.startswith("fused_chain_L3")
+    out = apply_fusion_plan(lowering("a b c"), plan)
+    assert names(out) == ["fused_chain_L3_id0"]
 
 
 def test_overlapping_instances_do_not_double_fuse():
-    stream = kernels("a", "a", "a")
-    out = apply_fusion_plan(stream, FusionPlan(chains=(("a", "a"),)))
+    out = apply_fusion_plan(lowering("a a a"), FusionPlan(chains=(("a", "a"),)))
     # greedy: (a,a) fused, trailing 'a' left alone
-    assert len(out) == 2
-    assert out[1].name == "a"
+    assert names(out) == ["fused_chain_L2_id0", "a"]
 
 
 def test_no_match_passes_through():
-    stream = kernels("x", "y")
+    stream = lowering("x y")
     out = apply_fusion_plan(stream, FusionPlan(chains=(("a", "b"),)))
-    assert [k.name for k in out] == ["x", "y"]
+    assert out == stream
 
 
-def test_launches_saved():
-    stream = kernels("a", "b", "a", "b")
-    assert launches_saved(stream, FusionPlan(chains=(("a", "b"),))) == 2
+def test_fused_kernel_belongs_to_the_op_of_its_first_member():
+    out = apply_fusion_plan(lowering("x a", "b", "c d"),
+                            FusionPlan(chains=(("a", "b", "c"),)))
+    assert [lo.op.label for lo in out] == ["op0", "op1", "op2"]
+    assert [[k.name for k in lo.kernels] for lo in out] == [
+        ["x", "fused_chain_L3_id0"], [], ["d"]]
+
+
+def test_chains_never_fuse_across_a_collective():
+    plan = FusionPlan(chains=(("a", "b", COLLECTIVE, "c"), ("b", COLLECTIVE),
+                              ("a", "b"), ("c", "d")))
+    out = apply_fusion_plan(lowering("a b", COLLECTIVE, "c d"), plan)
+    assert [[k.name for k in lo.kernels] for lo in out] == [
+        ["fused_chain_L2_id0"], [COLLECTIVE], ["fused_chain_L2_id1"]]
 
 
 def test_chain_length_one_rejected():

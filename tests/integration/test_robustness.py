@@ -13,6 +13,7 @@ from repro.errors import AnalysisError, ReproError, TraceError
 from repro.skip import (
     DependencyGraph,
     SkipProfiler,
+    analyze_trace,
     compute_metrics,
     kernel_segments,
 )
@@ -73,8 +74,20 @@ def test_overlapping_iterations_attribute_by_launch_time():
     trace.mark_iteration(0.0, 20.0)
     trace.mark_iteration(10.0, 40.0)   # overlaps the first
     trace.sort()
-    assert len(trace.kernels_in_iteration(0)) == 1
-    assert len(trace.kernels_in_iteration(1)) == 0
+    assert kernel_segments(trace) == [["k"], []]
+
+
+def test_launch_without_kernel_is_a_trace_error_for_every_analysis():
+    trace = Trace()
+    trace.add(OperatorEvent(name="op", ts=0.0, dur=10.0, tid=1, seq=0))
+    trace.add(RuntimeEvent(name=LAUNCH_KERNEL, ts=5.0, dur=1.0, tid=1,
+                           correlation_id=1))
+    trace.mark_iteration(0.0, 20.0)
+    trace.sort()
+    for analysis in (compute_metrics, kernel_segments, analyze_trace,
+                     SkipProfiler.analyze):
+        with pytest.raises(TraceError, match="has no kernel"):
+            analysis(trace)
 
 
 def test_segments_on_empty_iteration_raise_cleanly():

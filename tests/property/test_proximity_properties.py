@@ -46,7 +46,8 @@ def test_selected_instances_never_overlap(segment, length):
     result = mine_chains([segment] or [[]], length) if segment else None
     if result is None:
         return
-    selected = select_nonoverlapping(segment, result.deterministic(1.0))
+    selected = select_nonoverlapping(
+        segment, [c.chain for c in result.deterministic(1.0)])
     covered: set[int] = set()
     for start, chain in selected:
         span = set(range(start, start + len(chain)))

@@ -23,6 +23,7 @@ from repro.serving import (
 from repro.workloads import GPT2
 from tests import scenarios
 from tests.check.test_tracelint import assert_sweep_matches_reference
+from tests.perf.test_segment_parity import assert_segments_match
 
 
 @pytest.fixture(scope="module")
@@ -228,6 +229,10 @@ def test_multi_replica_trace_lints_clean(tp2_export):
 
 def test_lint_sweep_matches_its_per_iteration_form(tp2_export):
     assert assert_sweep_matches_reference(tp2_export) == 54
+
+
+def test_kernel_segments_match_their_per_iteration_form(tp2_export):
+    assert len(assert_segments_match(tp2_export)) == 54
 
 
 def test_trace_schedules_cover_all_devices(tp2_export):

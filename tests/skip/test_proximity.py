@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import AnalysisError
 from repro.skip import kernel_segments, mine_chains, select_nonoverlapping
-from repro.skip.proximity import ChainStats
+from repro.trace import KernelEvent, LAUNCH_KERNEL, RuntimeEvent, Trace
 
 
 def test_simple_deterministic_pair():
@@ -72,8 +72,7 @@ def test_chain_length_validation():
 
 def test_select_nonoverlapping_greedy():
     segment = ["a", "b", "a", "b", "a", "b"]
-    chains = [ChainStats(("a", "b"), 3, 3)]
-    selected = select_nonoverlapping(segment, chains)
+    selected = select_nonoverlapping(segment, [("a", "b")])
     assert [start for start, _ in selected] == [0, 2, 4]
 
 
@@ -94,8 +93,27 @@ def test_kernel_segments_from_engine_trace(gpt2_profile):
     assert segments[0] == segments[1] == segments[2]
 
 
+def test_kernel_segments_attribute_launches_by_call_time():
+    trace = Trace()
+    # launch inside iteration 0, kernel executes later (queued)
+    trace.add(RuntimeEvent(name=LAUNCH_KERNEL, ts=5.0, dur=1.0,
+                           correlation_id=1))
+    trace.add(KernelEvent(name="k", ts=100.0, dur=5.0, correlation_id=1))
+    trace.mark_iteration(0.0, 50.0)
+    trace.mark_iteration(50.0, 150.0)
+    trace.sort()
+    assert kernel_segments(trace) == [["k"], []]
+
+
+def test_kernel_segments_include_graph_kernels_by_start():
+    trace = Trace()
+    trace.add(KernelEvent(name="g", ts=10.0, dur=1.0, correlation_id=-1))
+    trace.mark_iteration(0.0, 50.0)
+    trace.sort()
+    assert kernel_segments(trace) == [["g"]]
+
+
 def test_kernel_segments_require_iterations():
-    from repro.trace import Trace
     with pytest.raises(AnalysisError):
         kernel_segments(Trace())
 

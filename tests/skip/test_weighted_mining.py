@@ -12,13 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.skip import select_nonoverlapping
 from repro.skip.fusion import DEFAULT_CHAIN_LENGTHS, FusionAnalysis, analyze_segments
-from repro.skip.proximity import (
-    ChainStats,
-    MiningResult,
-    mine_chains,
-    select_nonoverlapping,
-)
+from repro.skip.proximity import ChainStats, MiningResult, mine_chains
 
 LENGTHS = (2, 3, 4, 8)
 
@@ -47,7 +43,8 @@ def reference_analyze(segments, lengths, threshold=1.0):
         instance_total = 0
         distinct_total = 0
         for segment in segments:
-            selected = select_nonoverlapping(segment, deterministic)
+            selected = select_nonoverlapping(
+                segment, [c.chain for c in deterministic])
             instance_total += len(selected)
             distinct_total += len({chain for _, chain in selected})
         c_fused = distinct_total / len(segments)

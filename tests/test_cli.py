@@ -1,6 +1,10 @@
 """Command-line interface."""
 
+import os
 import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -334,6 +338,32 @@ def test_skip_analyze_with_fusion(capsys, tmp_path):
     code, out = run_cli(capsys, "skip", "analyze", str(out_path), "--fusion")
     assert code == 0
     assert "speedup" in out
+
+
+def test_skip_analyze_into_a_closed_pipe_exits_quietly(tmp_path):
+    from repro.engine import EngineConfig, run
+    from repro.hardware import INTEL_H100
+    from repro.trace import chrome
+    from repro.workloads import GPT2
+
+    trace_path = tmp_path / "trace.json"
+    chrome.dump(run(GPT2, INTEL_H100, seq_len=64,
+                    config=EngineConfig(iterations=1)).trace, trace_path)
+    # The reader is gone before the first write, as after `| head -1`
+    # once head has its line.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = Path(__file__).resolve().parent.parent / "src"
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", "skip", "analyze",
+             str(trace_path), "--fusion"],
+            stdout=write_end, stderr=subprocess.PIPE, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(src)})
+    finally:
+        os.close(write_end)
+    assert result.stderr == b""
+    assert result.returncode == 1
 
 
 def test_serve_record_sample_rejects_zero(capsys):

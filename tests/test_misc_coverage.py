@@ -4,15 +4,6 @@ import pytest
 
 from repro.engine import GpuStream
 from repro.errors import AnalysisError
-from repro.trace.trace import concat_kernel_names
-
-
-def test_concat_kernel_names_orders_by_correlation(gpt2_profile):
-    kernels = gpt2_profile.trace.kernels_in_iteration(0)
-    names = concat_kernel_names(kernels)
-    assert len(names) == len(kernels)
-    ordered = sorted(kernels, key=lambda k: k.correlation_id)
-    assert names == [k.name for k in ordered]
 
 
 def test_stream_pending_at_counts_backlog():

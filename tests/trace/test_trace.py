@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import TraceError
+from repro.skip import kernel_segments
 from repro.trace import (
     GRAPH_LAUNCH,
     KernelEvent,
@@ -79,25 +80,6 @@ def test_kernels_by_correlation_skips_graph_kernels():
     assert trace.kernels_by_correlation() == {}
 
 
-def test_kernels_in_iteration_by_launch_time():
-    trace = Trace()
-    # launch inside iteration 0, kernel executes later (queued)
-    call, kernel = make_launch_pair(1, 5.0, 100.0)
-    trace.add(call)
-    trace.add(kernel)
-    trace.mark_iteration(0.0, 50.0)
-    trace.sort()
-    assert [k.correlation_id for k in trace.kernels_in_iteration(0)] == [1]
-
-
-def test_kernels_in_iteration_includes_graph_kernels_by_start():
-    trace = Trace()
-    trace.add(KernelEvent(name="g", ts=10.0, dur=1.0, correlation_id=-1))
-    trace.mark_iteration(0.0, 50.0)
-    trace.sort()
-    assert [k.name for k in trace.kernels_in_iteration(0)] == ["g"]
-
-
 def test_graph_launch_marker_claims_no_replayed_kernel():
     # A cudaGraphLaunch marker keeps the default correlation id -1, which
     # the first replayed kernel also carries; the kernel belongs only to
@@ -108,14 +90,7 @@ def test_graph_launch_marker_claims_no_replayed_kernel():
     trace.mark_iteration(0.0, 50.0)
     trace.mark_iteration(50.0, 100.0)
     trace.sort()
-    assert [k.name for k in trace.kernels_in_iteration(0)] == ["g"]
-    assert trace.kernels_in_iteration(1) == []
-
-
-def test_missing_iteration_raises():
-    trace = build_simple_trace()
-    with pytest.raises(TraceError):
-        trace.kernels_in_iteration(7)
+    assert kernel_segments(trace) == [["g"], []]
 
 
 def test_validate_detects_orphan_kernel():
