@@ -12,8 +12,7 @@ from repro.serving import (
     LatencyModel,
     StaticBatchPolicy,
     poisson_requests,
-    simulate_continuous_batching,
-    simulate_static_batching,
+    simulate_serving,
 )
 from repro.units import ns_to_ms
 from repro.viz import render_table
@@ -24,13 +23,13 @@ def _compare():
     latency = LatencyModel(INTEL_H100)
     stream = poisson_requests(rate_per_s=40, duration_s=2.0, prompt_len=256,
                               output_tokens=16, seed=5)
-    static_1 = simulate_static_batching(
-        stream, GPT2, latency, StaticBatchPolicy(max_batch_size=1))
-    static_16 = simulate_static_batching(
+    static_1 = simulate_serving(
+        stream, GPT2, latency, StaticBatchPolicy(max_batch_size=1)).report
+    static_16 = simulate_serving(
         stream, GPT2, latency,
-        StaticBatchPolicy(max_batch_size=16, max_wait_ns=100e6))
-    continuous = simulate_continuous_batching(
-        stream, GPT2, latency, ContinuousBatchPolicy(max_active=16))
+        StaticBatchPolicy(max_batch_size=16, max_wait_ns=100e6)).report
+    continuous = simulate_serving(
+        stream, GPT2, latency, ContinuousBatchPolicy(max_active=16)).report
     return {"static BS=1": static_1, "static BS<=16": static_16,
             "continuous (16)": continuous}
 

@@ -27,6 +27,14 @@ them directly:
   per-file ignores in ``pyproject.toml``: they re-export their
   submodules' names. :func:`unused_imports` applies the rule alone, for
   trees such as ``tests/`` where the other rules do not hold.
+* **C006** — a function or class that nothing references outside its own
+  body is dead code. A reference is any name load, attribute, import or
+  string constant naming it in ``src/``, ``tests/``, ``benchmarks/`` or
+  ``examples/``; an ``__init__.py`` re-export or an ``__all__`` entry is
+  not one. Dunders and ``visit_*`` methods are exempt: the language and
+  :class:`ast.NodeVisitor` call them by protocol. The rule needs the
+  sibling trees, so it runs only when the linted package sits at
+  ``src/<package>`` in a checkout that has them.
 
 The pass walks real files (``lint_path``) so tests can point it at fixture
 trees with deliberately bad modules.
@@ -35,6 +43,7 @@ trees with deliberately bad modules.
 from __future__ import annotations
 
 import ast
+import re
 from collections.abc import Iterator
 from pathlib import Path
 
@@ -50,6 +59,11 @@ C004 = register_rule(
     "C004", "code", "*_process function contains no yield")
 C005 = register_rule(
     "C005", "code", "unused module-level import")
+C006 = register_rule(
+    "C006", "code", "function or class nothing references")
+
+#: Trees beside ``src/`` whose references keep a definition alive (C006).
+REFERENCE_TREES = ("tests", "benchmarks", "examples")
 
 #: Module path prefixes (relative to the package root) where the wall
 #: clock is banned: everything the deterministic simulation touches.
@@ -64,6 +78,10 @@ _WALL_CLOCK_DATETIME = frozenset({"now", "utcnow", "today"})
 
 #: Expression names treated as simulated timestamps for C002.
 _TIMESTAMP_NAMES = frozenset({"ts", "ts_end", "now", "free_at"})
+
+#: A string constant that may name a definition: an identifier or a
+#: dotted path such as ``"repro.sim.queue.EventQueue"`` (C006).
+_DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 
 #: Request verbs the simulation core understands (mirrors SimCore._handle).
 _REQUEST_VERBS = frozenset({"at", "join"})
@@ -239,21 +257,28 @@ def _quoted_names(annotation: ast.expr | None, names: set[str]) -> None:
             _quoted_names(quoted.body, names)
 
 
-def _read_names(tree: ast.Module) -> set[str]:
-    """Every name the module reads, lists in ``__all__``, or quotes in an
-    annotation."""
-    names: set[str] = set()
+def _all_entries(tree: ast.Module) -> list[ast.Constant]:
+    """The string constants assigned to ``__all__`` in a module."""
+    entries = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-            names.add(node.id)
-        elif isinstance(node, (ast.Assign, ast.AugAssign)):
+        if isinstance(node, (ast.Assign, ast.AugAssign)):
             targets = (node.targets if isinstance(node, ast.Assign)
                        else [node.target])
             if any(isinstance(t, ast.Name) and t.id == "__all__"
                    for t in targets):
-                names.update(n.value for n in ast.walk(node.value)
-                             if isinstance(n, ast.Constant)
-                             and isinstance(n.value, str))
+                entries.extend(n for n in ast.walk(node.value)
+                               if isinstance(n, ast.Constant)
+                               and isinstance(n.value, str))
+    return entries
+
+
+def _read_names(tree: ast.Module) -> set[str]:
+    """Every name the module reads, lists in ``__all__``, or quotes in an
+    annotation."""
+    names = {entry.value for entry in _all_entries(tree)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
         elif isinstance(node, ast.arg):
             _quoted_names(node.annotation, names)
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -301,6 +326,85 @@ def lint_source(source: str, where: str,
     return linter.findings + unused_imports(tree, where)
 
 
+_Definition = ast.FunctionDef | ast.AsyncFunctionDef | ast.ClassDef
+
+
+def _definitions(tree: ast.Module) -> Iterator[_Definition]:
+    """Every function and class a module defines, at any depth, except
+    the ones called by protocol (dunders, ``visit_*``)."""
+    for node in ast.walk(tree):
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef))
+                and not (node.name.startswith("__")
+                         and node.name.endswith("__"))
+                and not node.name.startswith("visit_")):
+            yield node
+
+
+def _references(tree: ast.Module, where: str) -> Iterator[tuple[str, int]]:
+    """``(name, line)`` for every reference a module makes (C006): name
+    loads, attributes, imports outside ``__init__.py``, and string
+    constants, each dotted part of a dotted one counted, except the
+    entries of ``__all__``."""
+    exports = {id(entry) for entry in _all_entries(tree)}
+    reexports = Path(where).name == "__init__.py"
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx,
+                                                            ast.Load):
+            yield node.attr, node.lineno
+        elif (isinstance(node, (ast.Import, ast.ImportFrom))
+              and not reexports):
+            for alias in node.names:
+                yield alias.name.rpartition(".")[2], node.lineno
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in exports
+              and _DOTTED.fullmatch(node.value)):
+            for name in node.value.split("."):
+                yield name, node.lineno
+
+
+def unreferenced_definitions(root: Path) -> list[Finding]:
+    """C006 findings for the package at ``root`` (``<checkout>/src/<pkg>``).
+
+    Empty when ``root`` does not sit in such a checkout, since without
+    the sibling trees every definition only tests use would be flagged.
+    """
+    src = root.parent
+    checkout = src.parent
+    if src.name != "src" or not all((checkout / tree).is_dir()
+                                    for tree in REFERENCE_TREES):
+        return []
+    refs: dict[str, list[tuple[str, int]]] = {}
+    defined: list[tuple[str, _Definition]] = []
+    files = [path for tree in (src, *(checkout / t for t in REFERENCE_TREES))
+             for path in sorted(tree.rglob("*.py"))]
+    for path in files:
+        try:
+            tree = ast.parse(path.read_text(), filename=str(path))
+        except SyntaxError:
+            continue  # a src module that fails to parse is C003's finding
+        where = str(path)
+        for name, line in _references(tree, where):
+            refs.setdefault(name, []).append((where, line))
+        if path.is_relative_to(root):
+            defined.extend((where, node) for node in _definitions(tree))
+    findings = []
+    for where, node in defined:
+        first = min([node.lineno]
+                    + [d.lineno for d in node.decorator_list])
+        last = node.end_lineno or node.lineno
+        if not any(ref_where != where or not first <= line <= last
+                   for ref_where, line in refs.get(node.name, ())):
+            kind = "class" if isinstance(node, ast.ClassDef) else "function"
+            findings.append(Finding(
+                C006, Severity.ERROR, f"{where}:{node.lineno}",
+                f"{kind} {node.name!r} is referenced nowhere outside its "
+                f"own body; delete it"))
+    return findings
+
+
 def lint_path(root: str | Path) -> tuple[list[Finding], list[str]]:
     """Lint every ``*.py`` file under ``root`` (a package directory).
 
@@ -317,4 +421,5 @@ def lint_path(root: str | Path) -> tuple[list[Finding], list[str]]:
         in_sim = parts[0] in SIM_MODULE_PREFIXES if parts else False
         findings.extend(lint_source(path.read_text(), str(path), in_sim))
         checked.append(str(path))
+    findings.extend(unreferenced_definitions(root))
     return findings, checked

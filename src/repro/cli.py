@@ -99,7 +99,6 @@ def _share(text: str) -> float:
     return value
 
 
-_INT_LIST = _comma_list(int, "integers")
 _POSITIVE_INT_LIST = _comma_list(_positive_int, "positive integers")
 _POSITIVE_FLOAT_LIST = _comma_list(_positive_float, "positive numbers")
 _KV_POLICY_LIST = _comma_list(
@@ -110,12 +109,12 @@ def _add_workload_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--model", default="gpt2", help="model name (catalog)")
     parser.add_argument("--platform", default="Intel+H100",
                         help="platform name (catalog)")
-    parser.add_argument("--batch-size", type=int, default=1)
-    parser.add_argument("--seq-len", type=int, default=512)
+    parser.add_argument("--batch-size", type=_positive_int, default=1)
+    parser.add_argument("--seq-len", type=_positive_int, default=512)
 
 
 def _add_tp_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tp", type=int, default=1,
+    parser.add_argument("--tp", type=_positive_int, default=1,
                         help="tensor-parallel degree (GPU count)")
     parser.add_argument("--dispatch", default="single",
                         choices=[m.value for m in DispatchMode],
@@ -143,12 +142,7 @@ def _pp_config(args: argparse.Namespace):
     from repro.engine import PPConfig
 
     stages = getattr(args, "pp", 1)
-    if stages < 1:
-        raise ConfigurationError("--pp must be at least 1 (1 disables "
-                                 "pipeline parallelism)")
     microbatches = getattr(args, "pp_microbatches", 1)
-    if microbatches < 1:
-        raise ConfigurationError("--pp-microbatches must be at least 1")
     if stages == 1:
         if microbatches > 1:
             raise ConfigurationError(
@@ -158,10 +152,10 @@ def _pp_config(args: argparse.Namespace):
 
 
 def _add_pp_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--pp", type=int, default=1,
+    parser.add_argument("--pp", type=_positive_int, default=1,
                         help="pipeline-parallel stage count (1 disables; "
                              ">1 splits the layer stack across stages)")
-    parser.add_argument("--pp-microbatches", type=int, default=1,
+    parser.add_argument("--pp-microbatches", type=_positive_int, default=1,
                         help="microbatches flowing through the pipeline "
                              "per step (GPipe-style)")
 
@@ -198,9 +192,7 @@ def _causality_log(args: argparse.Namespace):
 def _dump_causality(log, args: argparse.Namespace) -> None:
     if log is None:
         return
-    from repro.obs import dump_causality
-
-    dump_causality(log, args.causality)
+    log.dump(args.causality)
     print(f"wrote {len(log.events)} causality events to {args.causality} "
           f"(verify with 'repro check hb --log {args.causality}')")
 
@@ -355,9 +347,6 @@ def _serve_requests(args: argparse.Namespace) -> list:
         tag_requests,
     )
 
-    if not 0 < args.rate < math.inf:
-        raise ConfigurationError(
-            f"--rate must be positive and finite (got {args.rate:g})")
     prefix = (PrefixSpec(share=args.prefix_share, prefix_len=args.prefix_len,
                          pool=args.prefix_pool)
               if args.prefix_share > 0 else None)
@@ -396,14 +385,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.trace import chrome
     from repro.viz import TimelineOptions, render_serving_timeline
 
-    if args.record_sample < 1:
-        raise ConfigurationError(
-            f"--record-sample must be at least 1 (got {args.record_sample}); "
-            f"K=1 records everything, K>1 samples 1-in-K requests")
-    if args.chunk_tokens < 0:
-        raise ConfigurationError(
-            f"--chunk-tokens must be non-negative (got {args.chunk_tokens}); "
-            f"0 disables chunked prefill and reproduces whole-prompt serving")
     clustered = args.router != "shared"
     if clustered and args.scenario != "continuous":
         raise ConfigurationError(
@@ -716,11 +697,11 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--model", default="bert-base-uncased")
     sweep.add_argument("--platform", default="all",
                        help="platform name or 'all'")
-    sweep.add_argument("--seq-len", type=int, default=512)
-    sweep.add_argument("--batches", type=_INT_LIST,
+    sweep.add_argument("--seq-len", type=_positive_int, default=512)
+    sweep.add_argument("--batches", type=_POSITIVE_INT_LIST,
                        default="1,2,4,8,16,32,64,128")
     _add_tp_args(sweep)
-    sweep.add_argument("--jobs", type=int, default=1,
+    sweep.add_argument("--jobs", type=_positive_int, default=1,
                        help="worker processes for the sweep grid (results "
                             "merge in deterministic serial order)")
     sweep.add_argument("--ignore-memory", action="store_true",
@@ -761,7 +742,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--platform", default="Intel+H100")
     serve.add_argument("--scenario", default="continuous",
                        choices=["continuous", "static", "priority"])
-    serve.add_argument("--replicas", type=int, default=1,
+    serve.add_argument("--replicas", type=_positive_int, default=1,
                        help="engine replicas serving one admission queue")
     _add_tp_args(serve)
     _add_pp_args(serve)
@@ -770,17 +751,17 @@ def build_parser() -> argparse.ArgumentParser:
                        help="arrival process: fixed replays the historical "
                             "seeded Poisson list bit-identically; the "
                             "others generate through repro.traffic")
-    serve.add_argument("--rate", type=float, default=20.0,
+    serve.add_argument("--rate", type=_positive_float, default=20.0,
                        help="mean arrival rate (req/s)")
-    serve.add_argument("--duration", type=float, default=1.0,
+    serve.add_argument("--duration", type=_positive_float, default=1.0,
                        help="arrival stream duration (s)")
     serve.add_argument("--prefix-share", type=_share, default=0.0,
                        help="fraction of requests tagged with a shared "
                             "prefix (enables copy-on-write prefix caching "
                             "when positive)")
-    serve.add_argument("--prefix-len", type=int, default=256,
+    serve.add_argument("--prefix-len", type=_positive_int, default=256,
                        help="tokens in each shared prefix")
-    serve.add_argument("--prefix-pool", type=int, default=4,
+    serve.add_argument("--prefix-pool", type=_positive_int, default=4,
                        help="distinct shared prefixes tagged requests draw "
                             "from")
     serve.add_argument("--sessions", type=_non_negative_int, default=0,
@@ -792,28 +773,29 @@ def build_parser() -> argparse.ArgumentParser:
                        help="shared = replicas race on one queue (the flat "
                             "runtime); anything else routes through the "
                             "cluster tier with that placement policy")
-    serve.add_argument("--autoscale-max", type=int, default=0,
+    serve.add_argument("--autoscale-max", type=_non_negative_int, default=0,
                        help="let the cluster router spin up replicas to "
                             "this ceiling under backlog (0 = fixed pool; "
                             "needs a cluster --router)")
     serve.add_argument("--prompt-len", type=_positive_int, default=128)
     serve.add_argument("--output-tokens", type=_positive_int, default=16)
-    serve.add_argument("--max-active", type=int, default=8,
+    serve.add_argument("--max-active", type=_positive_int, default=8,
                        help="max active sequences (continuous), batch size "
                             "(static), or bulk batch (priority)")
-    serve.add_argument("--chunk-tokens", type=int, default=0,
+    serve.add_argument("--chunk-tokens", type=_non_negative_int, default=0,
                        help="per-step token budget for chunked prefill "
                             "(sarathi-style stall-free scheduling); 0 "
                             "disables chunking and reproduces whole-prompt "
                             "serving bit-identically")
-    serve.add_argument("--seed", type=int, default=0)
-    serve.add_argument("--record-sample", type=int, default=1, metavar="K",
+    serve.add_argument("--seed", type=_non_negative_int, default=0)
+    serve.add_argument("--record-sample", type=_positive_int, default=1,
+                       metavar="K",
                        help="record full per-request detail for 1-in-K "
                             "requests; aggregate counters stay exact for all "
                             "(K=1 records everything)")
     serve.add_argument("--timeline", action="store_true",
                        help="render the recorded run as an ASCII timeline")
-    serve.add_argument("--width", type=int, default=100)
+    serve.add_argument("--width", type=_positive_int, default=100)
     serve.add_argument("--emit-trace", metavar="PATH",
                        help="export the recorded run as Chrome-trace JSON "
                             "(analyzable with 'repro skip analyze')")
@@ -852,10 +834,10 @@ def build_parser() -> argparse.ArgumentParser:
     hostsweep.add_argument("--platforms",
                            default="AMD+A100,Intel+H100,GH200",
                            help="comma-separated platform names to compare")
-    hostsweep.add_argument("--counts", type=_INT_LIST,
+    hostsweep.add_argument("--counts", type=_POSITIVE_INT_LIST,
                            default="1,2,3,4,6,8",
                            help="comma-separated replica counts (increasing)")
-    hostsweep.add_argument("--scale", type=int, default=16,
+    hostsweep.add_argument("--scale", type=_positive_int, default=16,
                            help="divide each cataloged host's cores by this "
                                 "(topology preserved) so the knee lands in "
                                 "a small sweep")
@@ -867,8 +849,8 @@ def build_parser() -> argparse.ArgumentParser:
     hostsweep.add_argument("--output-tokens", type=_positive_int, default=16)
     hostsweep.add_argument("--requests", type=_positive_int, default=40,
                            help="burst size served by every cell")
-    hostsweep.add_argument("--seed", type=int, default=11)
-    hostsweep.add_argument("--max-active", type=int, default=4)
+    hostsweep.add_argument("--seed", type=_non_negative_int, default=11)
+    hostsweep.add_argument("--max-active", type=_positive_int, default=4)
     hostsweep.set_defaults(func=_cmd_hostsweep)
 
     kvpressure = sub.add_parser(
@@ -885,12 +867,12 @@ def build_parser() -> argparse.ArgumentParser:
                             help="comma-separated pressure policies")
     kvpressure.add_argument("--prompt-len", type=_positive_int, default=1024)
     kvpressure.add_argument("--output-tokens", type=_positive_int, default=128)
-    kvpressure.add_argument("--rate", type=float, default=40.0,
+    kvpressure.add_argument("--rate", type=_positive_float, default=40.0,
                             help="Poisson arrival rate (req/s)")
-    kvpressure.add_argument("--duration", type=float, default=1.0,
+    kvpressure.add_argument("--duration", type=_positive_float, default=1.0,
                             help="arrival stream duration (s)")
-    kvpressure.add_argument("--seed", type=int, default=7)
-    kvpressure.add_argument("--max-active", type=int, default=16)
+    kvpressure.add_argument("--seed", type=_non_negative_int, default=7)
+    kvpressure.add_argument("--max-active", type=_positive_int, default=16)
     kvpressure.add_argument("--slo-ms", type=_positive_float, default=200.0)
     kvpressure.add_argument(
         "--mode", default="compile_reduce_overhead",
@@ -905,7 +887,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze = skip_sub.add_parser(
         "analyze", help="metrics + classification for a trace JSON")
     analyze.add_argument("trace", help="Chrome-trace JSON path")
-    analyze.add_argument("--top", type=int, default=5,
+    analyze.add_argument("--top", type=_positive_int, default=5,
                          help="top-k kernel table size")
     analyze.add_argument("--fusion", action="store_true",
                          help="also mine fusion candidates (Fig. 7/8 table)")
@@ -924,8 +906,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="'paper', 'all', or comma-separated model names")
         p.add_argument("--degrees", type=_POSITIVE_INT_LIST, default="1,2,4,8",
                        help="TP degrees to verify (non-dividing skipped)")
-        p.add_argument("--batch-size", type=int, default=1)
-        p.add_argument("--seq-len", type=int, default=128)
+        p.add_argument("--batch-size", type=_positive_int, default=1)
+        p.add_argument("--seq-len", type=_positive_int, default=128)
         _add_check_common(p)
 
     check_graph = check_sub.add_parser(
@@ -986,8 +968,8 @@ def build_parser() -> argparse.ArgumentParser:
     export = sub.add_parser("export", help="sweep to JSON/CSV for plotting")
     export.add_argument("--model", default="bert-base-uncased")
     export.add_argument("--platform", default="all")
-    export.add_argument("--seq-len", type=int, default=512)
-    export.add_argument("--batches", type=_INT_LIST,
+    export.add_argument("--seq-len", type=_positive_int, default=512)
+    export.add_argument("--batches", type=_POSITIVE_INT_LIST,
                         default="1,2,4,8,16,32,64,128")
     export.add_argument("--out", required=True,
                         help="output path (.json or .csv)")
@@ -996,7 +978,7 @@ def build_parser() -> argparse.ArgumentParser:
     timeline = sub.add_parser("timeline", help="ASCII trace timeline")
     _add_workload_args(timeline)
     _add_tp_args(timeline)
-    timeline.add_argument("--width", type=int, default=100)
+    timeline.add_argument("--width", type=_positive_int, default=100)
     timeline.add_argument("--window-fraction", type=_fraction, default=0.34,
                           help="fraction of the trace to show (default: "
                                "roughly the first iteration)")

@@ -21,7 +21,6 @@ from repro.engine.pp import (
     PP_DISABLED,
     PP_STAGE_CACHE,
     PPConfig,
-    ParallelConfig,
     partition_lowered,
     stage_boundary_bytes,
     validate_pp,
@@ -51,7 +50,6 @@ __all__ = [
     "PP_DISABLED",
     "PP_STAGE_CACHE",
     "PPConfig",
-    "ParallelConfig",
     "RunResult",
     "TP_DISABLED",
     "TPConfig",

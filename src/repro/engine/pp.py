@@ -30,7 +30,6 @@ from repro.engine.cache import CACHE_ENTRIES
 from repro.engine.lowering import KernelTask, LoweredOp
 from repro.engine.modes import ExecutionMode
 from repro.engine.processes import _op_walk, _synchronize
-from repro.engine.tp import TP_DISABLED, TPConfig
 from repro.errors import ConfigurationError
 from repro.hardware.interconnect import InterconnectSpec, NVLINK4_P2P
 from repro.hardware.platform import Platform
@@ -67,28 +66,6 @@ class PPConfig:
 
 
 PP_DISABLED = PPConfig()
-
-
-@dataclass(frozen=True)
-class ParallelConfig:
-    """The tp × pp parallelism plan for one engine run.
-
-    Bundles the two orthogonal axes: tensor parallelism shards every
-    kernel *within* a stage across ``tp.degree`` devices; pipeline
-    parallelism splits the layer stack *across* ``pp.stages`` stages.
-    Total device count is the product.
-    """
-
-    tp: TPConfig = TP_DISABLED
-    pp: PPConfig = PP_DISABLED
-
-    @property
-    def world(self) -> int:
-        return self.tp.degree * self.pp.stages
-
-    @property
-    def enabled(self) -> bool:
-        return self.tp.enabled or self.pp.enabled
 
 
 def validate_pp(pp: PPConfig, op_count: int, model_name: str = "model") -> None:
@@ -312,7 +289,6 @@ __all__ = [
     "PP_STAGE_CACHE",
     "PPConfig",
     "PPStageCache",
-    "ParallelConfig",
     "microbatch_lowered",
     "partition_lowered",
     "pp_stage_processes",

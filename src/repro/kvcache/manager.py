@@ -227,24 +227,6 @@ class KvManager:
         self._log(ts_ns, "alloc", seq, blocks)
         return True
 
-    def apply_growth(self, seqs: Sequence[int], deltas: Sequence[int],
-                     ts_ns: float) -> None:
-        """Acquire each nonzero ``deltas[i]`` for ``seqs[i]``; logs ``grow``.
-
-        ``deltas`` comes from :meth:`growth_deltas` after the caller made
-        room for their sum, so a refused acquire is a simulator bug. With
-        :meth:`note_decode`, the one-step reference form of
-        :meth:`apply_decode_window`.
-        """
-        for seq, delta in zip(seqs, deltas):
-            if not delta:
-                continue
-            if not self.resource.try_acquire(seq, delta, ts_ns):
-                raise SimulationError(
-                    f"kv growth failed for seq {seq} after eviction made "
-                    f"room")
-            self._log(ts_ns, "grow", seq, delta)
-
     def decode_steps_covered(self, seqs: Sequence[int],
                              contexts: Sequence[int],
                              first_deltas: Sequence[int], limit: int) -> int:
@@ -287,16 +269,17 @@ class KvManager:
                             contexts: Sequence[int],
                             first_deltas: Sequence[int],
                             starts: Sequence[float]) -> None:
-        """Window form of :meth:`apply_growth` plus :meth:`note_decode`.
+        """Grow the pool and log the decode events of a window of steps.
 
         Runs the growth and decode logging of one decode step per entry
         of ``starts`` (the step's start time): the first step acquires
         ``first_deltas``, every later step one block for each sequence at
         a block boundary (see :meth:`decode_steps_covered`). Each step
         logs its ``grow`` events, then its ``decode`` event stamped with
-        that step's ``allocated`` count, as one call of each per step
-        would. The resident set cannot change inside a window, so every
-        step's ``decode`` event carries the same id tuple.
+        that step's ``allocated`` count; a ``decode`` event (``seq`` -1)
+        carries the step's ids in batch order for K003. The resident set
+        cannot change inside a window, so every step's ``decode`` event
+        carries the same id tuple.
         """
         block_tokens = self.block_tokens
         due: dict[int, list[tuple[int, int]]] = {}
@@ -389,9 +372,6 @@ class KvManager:
         """Blocks ``seq`` has parked in host memory (0 when resident)."""
         return self._host_blocks.get(seq, 0)
 
-    def is_swapped_out(self, seq: int) -> bool:
-        return seq in self._host_blocks
-
     @property
     def host_blocks(self) -> int:
         """Blocks currently parked in host memory."""
@@ -475,22 +455,6 @@ class KvManager:
             raise SimulationError(
                 "prefix groups still referenced at end of run: "
                 f"{self.pool.shared_allocated} blocks leaked")
-
-    # -- observation -----------------------------------------------------
-    def note_decode(self, seqs: Sequence[int], ts_ns: float) -> None:
-        """Log which sequences took part in a decode step (for K003).
-
-        One ``decode`` event carrying ``seqs`` in batch order, appended to
-        :attr:`events` and the recorder's mirror; a step with no sequences
-        logs nothing.
-        """
-        if not seqs:
-            return
-        event = KvCacheEvent.decode_step(ts_ns, tuple(seqs),
-                                         self.pool.allocated, self.replica)
-        self.events.append(event)
-        if self.recorder is not None:
-            self.recorder.kv_events.append(event)
 
     def _log(self, ts_ns: float, kind: str, seq: int, blocks: int,
              refs: int = 0) -> None:

@@ -5,14 +5,14 @@ recorded run summarizes into percentile tables, renders as a timeline, and
 exports (via :func:`recording_to_trace` + :mod:`repro.trace.chrome`) as a
 Chrome trace that SKIP's own analysis pipeline consumes unmodified. Runs
 with causality logging on (``SimCore(causality=...)``) additionally export
-a JSON sidecar (:func:`dump_causality`) that ``repro check hb`` verifies
-offline.
+a JSON sidecar (:meth:`repro.sim.CausalityLog.dump`) that
+``repro check hb`` verifies offline.
 """
 
 from repro.obs.events import EngineShape, RequestSpan, StepEvent, StepKind
 from repro.obs.stats import CounterSet, Histogram, HistogramSummary
 from repro.obs.recorder import RunRecorder, RunSummary
-from repro.obs.export import dump_causality, load_causality, recording_to_trace
+from repro.obs.export import recording_to_trace
 
 __all__ = [
     "CounterSet",
@@ -24,7 +24,5 @@ __all__ = [
     "RunSummary",
     "StepEvent",
     "StepKind",
-    "dump_causality",
-    "load_causality",
     "recording_to_trace",
 ]

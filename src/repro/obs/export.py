@@ -244,20 +244,3 @@ class _Splicer:
             correlation_id=correlation, stream=stream,
             device=device_offset))
 
-
-def dump_causality(log, path) -> None:
-    """Write a causality log as a JSON sidecar (schema ``repro.causality/v1``).
-
-    The sidecar is the input to ``repro check hb --log``: a serving or
-    engine run records its scheduling decisions once, and the
-    happens-before pass verifies them offline, the same division of labor
-    as the Chrome-trace export and ``repro check trace``.
-    """
-    log.dump(path)
-
-
-def load_causality(path):
-    """Read a causality sidecar back into a :class:`CausalityLog`."""
-    from repro.sim.causality import CausalityLog
-
-    return CausalityLog.load(path)

@@ -254,21 +254,16 @@ class RunRecorder:
         """A request produced one decode token; feeds the TBT histogram."""
         self.on_token_steps((request_id,), (ts_ns,))
 
-    def on_tokens(self, request_ids: Sequence[int], ts_ns: float) -> None:
-        """Every request in ``request_ids`` produced one decode token at
-        ``ts_ns``; feeds the TBT histogram."""
-        self.on_token_steps(request_ids, (ts_ns,))
-
     def on_token_steps(self, request_ids: Sequence[int],
                        stamps: Sequence[float]) -> None:
         """Every request in ``request_ids`` (distinct ids) produced one
-        decode token at each of ``stamps``: the window form of
-        :meth:`on_tokens`.
+        decode token at each of ``stamps``; feeds the TBT histogram.
 
         Gaps accumulate step-major, sequence-minor, so ``tbt_sum_ns``
         and the TBT histogram's value order are those of one
-        :meth:`on_tokens` call per stamp. After the first stamp every
-        request's gap is the distance between consecutive stamps.
+        :meth:`on_token` call per request per stamp. After the first
+        stamp every request's gap is the distance between consecutive
+        stamps.
         """
         if not request_ids or not stamps:
             return

@@ -2,7 +2,7 @@
 
 Every policy runs as a process on the shared sim-backed runtime
 (:mod:`repro.serving.runtime`); :func:`simulate_serving` is the one entry
-point, and the per-policy ``simulate_*`` helpers are thin wrappers over it.
+point, whatever the policy.
 Two processes serve all policies: continuous batching
 (:mod:`repro.serving.continuous`), which a replica's KV pool gates when
 it has one, and the batched loop (:mod:`repro.serving.batched`) that
@@ -14,7 +14,6 @@ pre-runtime standalone loops' outcomes are frozen as exact test fixtures.
 from repro.serving.batcher import (
     ServingReport,
     StaticBatchPolicy,
-    simulate_static_batching,
 )
 from repro.serving.cluster import (
     AutoscaleConfig,
@@ -25,10 +24,7 @@ from repro.serving.cluster import (
     ScaleEvent,
     simulate_cluster,
 )
-from repro.serving.continuous import (
-    ContinuousBatchPolicy,
-    simulate_continuous_batching,
-)
+from repro.serving.continuous import ContinuousBatchPolicy
 from repro.serving.latency import LatencyModel
 from repro.serving.planner import (
     BatchDecision,
@@ -64,9 +60,7 @@ from repro.serving.runtime import (
 from repro.serving.scheduler import (
     ClassifiedRequest,
     PriorityPolicy,
-    PriorityReport,
     RequestClass,
-    simulate_priority_scheduling,
 )
 from repro.serving.requests import (
     Request,
@@ -101,7 +95,6 @@ __all__ = [
     "StepPlanner",
     "chunk_plan",
     "decode_schedule_label",
-    "simulate_continuous_batching",
     "EngineSession",
     "LatencyModel",
     "PipelineResult",
@@ -109,14 +102,12 @@ __all__ = [
     "PipelineStage",
     "ClassifiedRequest",
     "PriorityPolicy",
-    "PriorityReport",
     "RagLatency",
     "RagPipeline",
     "RagServingPolicy",
     "KvReplicaStats",
     "ReplicaStats",
     "RequestClass",
-    "simulate_priority_scheduling",
     "Request",
     "RequestOutcome",
     "ServingReport",
@@ -132,5 +123,4 @@ __all__ = [
     "measured_retrieval_ns",
     "poisson_requests",
     "queue_delay_ns",
-    "simulate_static_batching",
 ]

@@ -9,7 +9,7 @@ prefill + decode for the whole batch padded to its longest member.
 :class:`StaticBatchPolicy` serves through the batched loop
 (:func:`repro.serving.batched.batched_serving_process`): its ``claim`` hook
 gathers the batching window and its ``plan`` hook prices the padded batch;
-:func:`simulate_static_batching` wraps it for the single-call API. With one
+:func:`repro.serving.runtime.simulate_serving` serves it. With one
 replica its outcomes match the original standalone loop's frozen ones
 except where the batched loop's booked clock moves a completion by a few
 ulps (``tests/golden/data/legacy_parity_rows.json`` holds the moved rows).
@@ -18,15 +18,12 @@ ulps (``tests/golden/data/legacy_parity_rows.json`` holds the moved rows).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError
-from repro.obs.recorder import RunRecorder
 from repro.serving.batched import BatchPlan, padded_plan
-from repro.serving.latency import LatencyModel
 from repro.serving.planner import BatchDecision
 from repro.serving.requests import Request, RequestOutcome
-from repro.workloads.config import ModelConfig
 
 if TYPE_CHECKING:
     from repro.serving.runtime import AdmissionQueue, ServingRuntime
@@ -109,30 +106,3 @@ class ServingReport:
     def mean_batch_size(self) -> float:
         return sum(o.batch_size for o in self.outcomes) / len(self.outcomes)
 
-
-def simulate_static_batching(
-    requests: Sequence[Request],
-    model: ModelConfig,
-    latency: LatencyModel,
-    policy: StaticBatchPolicy = StaticBatchPolicy(),
-    recorder: RunRecorder | None = None,
-) -> ServingReport:
-    """Run a static-batching serving loop over an arrival stream.
-
-    The server collects requests until the batch is full or the oldest
-    request has waited ``max_wait_ns``, then runs prefill + decode for the
-    whole batch (padded to the longest prompt/output in the batch — the
-    classic static-batching inefficiency).
-
-    A recorder, when given, sees each batch as one engine-shaped prefill step
-    plus a closed-form generation step (decode here is priced by a trapezoid
-    integral, not per-step engine runs).
-
-    This is a thin wrapper over :func:`repro.serving.runtime.simulate_serving`
-    with one replica; use ``simulate_serving`` directly for multi-replica
-    runs or per-replica statistics.
-    """
-    from repro.serving.runtime import simulate_serving
-
-    return simulate_serving(requests, model, latency, policy=policy,
-                            recorder=recorder).report

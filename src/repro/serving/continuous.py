@@ -40,19 +40,15 @@ SKIP-analyzable Chrome trace (see ``docs/observability.md``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.kvcache.manager import KvManager, KvPolicy
 from repro.obs.events import EngineShape, StepKind
-from repro.obs.recorder import RunRecorder
-from repro.serving.batcher import ServingReport
-from repro.serving.latency import LatencyModel
 from repro.serving.planner import (ChunkedSequenceState, PlannerConfig,
                                    PromptChunk, StepPlanner,
                                    decode_schedule_label)
 from repro.serving.requests import Request
-from repro.workloads.config import ModelConfig
 
 if TYPE_CHECKING:
     from repro.serving.runtime import EngineSession, ServingRuntime
@@ -499,21 +495,3 @@ def continuous_batching_process(runtime: ServingRuntime,
         # Admit newly arrived requests (and parked work) at the boundary.
         admit()
 
-
-def simulate_continuous_batching(
-    requests: Sequence[Request],
-    model: ModelConfig,
-    latency: LatencyModel,
-    policy: ContinuousBatchPolicy = ContinuousBatchPolicy(),
-    recorder: RunRecorder | None = None,
-) -> ServingReport:
-    """Run an iteration-level serving loop over an arrival stream.
-
-    This is a thin wrapper over :func:`repro.serving.runtime.simulate_serving`
-    with one replica; use ``simulate_serving`` directly for multi-replica
-    runs or per-replica statistics.
-    """
-    from repro.serving.runtime import simulate_serving
-
-    return simulate_serving(requests, model, latency, policy=policy,
-                            recorder=recorder).report

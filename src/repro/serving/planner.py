@@ -1,9 +1,9 @@
 """Token-budget step planner: chunked prefill and hybrid batch composition.
 
-Sarathi-serve's observation (ROADMAP open item 1): a serving loop that runs
-*whole* prefills stalls every in-flight decode whenever a long prompt
-arrives — the scheduling tax that dominates tail time-between-tokens under
-mixed long-prompt traffic. The fix is a token budget: each engine step may
+Sarathi-serve's observation: a serving loop that runs *whole* prefills
+stalls every in-flight decode whenever a long prompt arrives — the
+scheduling tax that dominates tail time-between-tokens under mixed
+long-prompt traffic. The fix is a token budget: each engine step may
 process at most ``max_num_batched_tokens`` tokens, decodes take priority
 (one token per running sequence), and the remaining budget is filled with
 prompt *chunks*; a prompt larger than the leftover budget carries its

@@ -31,13 +31,9 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError
-from repro.obs.recorder import RunRecorder
 from repro.serving.batched import BatchPlan, padded_plan
-from repro.serving.batcher import ServingReport
-from repro.serving.latency import LatencyModel
 from repro.serving.planner import BatchDecision
-from repro.serving.requests import Request, RequestOutcome
-from repro.workloads.config import ModelConfig
+from repro.serving.requests import Request
 
 if TYPE_CHECKING:
     from repro.serving.runtime import AdmissionQueue, ServingRuntime
@@ -128,50 +124,3 @@ class PriorityPolicy:
         return padded_plan(runtime.latency, runtime.model, batch,
                            max(r.prompt_len for r in batch), own_output=True)
 
-
-@dataclass
-class PriorityReport:
-    """Per-class serving statistics."""
-
-    interactive: ServingReport
-    bulk: ServingReport
-
-    @property
-    def all_outcomes(self) -> list[RequestOutcome]:
-        return [*self.interactive.outcomes, *self.bulk.outcomes]
-
-
-def simulate_priority_scheduling(
-    requests: list[ClassifiedRequest],
-    model: ModelConfig,
-    latency: LatencyModel,
-    policy: PriorityPolicy = PriorityPolicy(),
-    recorder: RunRecorder | None = None,
-) -> PriorityReport:
-    """Run the two-class scheduler over a classified arrival stream.
-
-    This is a thin wrapper over :func:`repro.serving.runtime.simulate_serving`
-    with one replica, re-partitioning the outcomes by class.
-    """
-    from repro.serving.runtime import simulate_serving
-
-    if not requests:
-        raise ConfigurationError("no requests to serve")
-    classes = {c.request.request_id: c.request_class for c in requests}
-    result = simulate_serving(requests, model, latency, policy=policy,
-                              recorder=recorder)
-    by_class: dict[RequestClass, list[RequestOutcome]] = {
-        RequestClass.INTERACTIVE: [],
-        RequestClass.BULK: [],
-    }
-    for outcome in result.outcomes:
-        by_class[classes[outcome.request.request_id]].append(outcome)
-    interactive_outcomes = by_class[RequestClass.INTERACTIVE]
-    bulk_outcomes = by_class[RequestClass.BULK]
-    if not interactive_outcomes or not bulk_outcomes:
-        raise ConfigurationError(
-            "stream must contain both interactive and bulk requests")
-    return PriorityReport(
-        interactive=ServingReport(outcomes=interactive_outcomes),
-        bulk=ServingReport(outcomes=bulk_outcomes),
-    )

@@ -21,7 +21,7 @@ default) is bit-identical to pre-causality behavior.
 
 from repro.sim.causality import CausalityEvent, CausalityLog
 from repro.sim.core import Rendezvous, SimCore
-from repro.sim.queue import EventQueue, PerturbedEventQueue, ReferenceEventQueue
+from repro.sim.queue import EventQueue, PerturbedEventQueue
 from repro.sim.resources import GpuDevice, LinkResource, StreamResource
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "GpuDevice",
     "LinkResource",
     "PerturbedEventQueue",
-    "ReferenceEventQueue",
     "Rendezvous",
     "SimCore",
     "StreamResource",

@@ -96,8 +96,8 @@ class SimCore:
 
     def __init__(self, queue: EventQueue | None = None,
                  causality: CausalityLog | None = None) -> None:
-        # An injectable queue lets the parity suite drive identical runs
-        # through the slimmed queue and the reference queue.
+        # An injectable queue (a subclass runs on the generic loop) lets
+        # the parity suite and the certifier drive both loops.
         self._queue = EventQueue() if queue is None else queue
         # Opt-in happens-before record; None (the default) keeps the core
         # on its fast path with zero behavioral or allocation change.

@@ -5,15 +5,11 @@ insertion counter, so two events scheduled for the same instant pop in the
 order they were pushed — simulation results never depend on heap internals,
 which is what makes multi-process runs (and their traces) reproducible.
 
-Two implementations share the contract:
-
-* :class:`EventQueue` — the production queue. ``__slots__`` keeps the
-  object lean and :class:`~repro.sim.core.SimCore` is allowed to drain
-  ``_heap`` directly in its hot loop (saving a method call and tuple
-  re-pack per event).
-* :class:`ReferenceEventQueue` — the original, defensively validating
-  implementation, kept as the parity oracle: the fast-path test suite runs
-  identical simulations on both queues and asserts bit-identical results.
+``__slots__`` keeps :class:`EventQueue` lean, and
+:class:`~repro.sim.core.SimCore` drains ``_heap`` directly in its hot loop
+(saving a method call and tuple re-pack per event). Any subclass, such as
+:class:`PerturbedEventQueue`, steers the core onto its generic loop, which
+pops through :meth:`EventQueue.pop_entry`.
 """
 
 from __future__ import annotations
@@ -46,22 +42,6 @@ class EventQueue:
         heapq.heappush(self._heap, (time_ns, self._seq, item))
         self._seq += 1
 
-    def push_many(self, entries: list[tuple[float, Any]]) -> None:
-        """Schedule a batch of ``(time_ns, item)`` entries.
-
-        Amortizes the per-push attribute traffic; FIFO tie-breaking across
-        the batch follows list order, exactly as repeated :meth:`push` calls
-        would.
-        """
-        seq = self._seq
-        heap = self._heap
-        for time_ns, item in entries:
-            if time_ns < 0:
-                raise SimulationError("event time must be non-negative")
-            heapq.heappush(heap, (time_ns, seq, item))
-            seq += 1
-        self._seq = seq
-
     def pop_entry(self) -> tuple[float, int, Any]:
         """Remove and return the earliest ``(time, tie, item)`` entry.
 
@@ -74,38 +54,11 @@ class EventQueue:
             raise SimulationError("pop from an empty event queue")
         return heapq.heappop(self._heap)
 
-    def pop(self) -> tuple[float, Any]:
-        """Remove and return the earliest ``(time, item)`` entry."""
-        time_ns, _, item = self.pop_entry()
-        return time_ns, item
-
     def peek_time(self) -> float:
         """Earliest scheduled time without popping."""
         if not self._heap:
             raise SimulationError("peek into an empty event queue")
         return self._heap[0][0]
-
-
-class ReferenceEventQueue(EventQueue):
-    """The pre-optimization event queue, kept as a parity oracle.
-
-    Behaviorally identical to :class:`EventQueue` by construction (it *is*
-    the same heap discipline), but carries a per-instance ``__dict__`` and
-    pays full method-call overhead on every operation — the shape the fast
-    path is measured against. ``popped`` counts drained events so tests can
-    assert both queues processed identical event streams.
-    """
-
-    # No __slots__ on purpose: subclassing re-grows a __dict__, restoring
-    # the original allocation profile.
-    def __init__(self) -> None:
-        super().__init__()
-        self.popped = 0
-
-    def pop_entry(self) -> tuple[float, int, Any]:
-        entry = super().pop_entry()
-        self.popped += 1
-        return entry
 
 
 class PerturbedEventQueue(EventQueue):
@@ -127,7 +80,3 @@ class PerturbedEventQueue(EventQueue):
             raise SimulationError("event time must be non-negative")
         heapq.heappush(self._heap, (time_ns, -self._seq, item))
         self._seq += 1
-
-    def push_many(self, entries: list[tuple[float, Any]]) -> None:
-        for time_ns, item in entries:
-            self.push(time_ns, item)

@@ -6,9 +6,12 @@ by exactly this chain. ``PS(C) = 1`` identifies a deterministic pattern, the
 ideal fusion candidate.
 
 Mining operates on *segments*: kernel-name sequences in launch order,
-delimited by CPU/GPU synchronization (one segment per profiled iteration for
-the engine's traces), matching the paper's "sequences separated by
-intervening CPU operator dependency". :func:`tape_segments` is the one
+delimited by CPU/GPU synchronization (one segment per profiled iteration
+and device for the engine's traces), matching the paper's "sequences
+separated by intervening CPU operator dependency". Each device's kernels
+form their own sequence: one dispatch thread that launches a TP step's
+shards in turn would otherwise interleave the devices' kernels, and no
+chain would reach PS=1. :func:`tape_segments` is the one
 segment reader; :func:`kernel_segments` reads a trace through its tape form.
 An engine run repeats one kernel sequence every iteration, so mining counts
 each distinct segment once and weights it by how often it repeats; every
@@ -27,7 +30,7 @@ from typing import Mapping, Sequence
 
 from repro.errors import AnalysisError
 from repro.trace.tape import (
-    G_ID, G_NAME, G_TS, L_CALL_TS, L_NAME, TraceTape,
+    G_DEVICE, G_ID, G_NAME, G_TS, L_CALL_TS, L_DEVICE, L_NAME, TraceTape,
 )
 from repro.trace.trace import Trace
 
@@ -44,7 +47,8 @@ def kernel_segments(trace: Trace) -> list[list[str]]:
 
 
 def tape_segments(tape: TraceTape) -> list[list[str]]:
-    """Kernel-name sequences per iteration of a tape, in launch order.
+    """Kernel-name sequences per iteration and device of a tape, in
+    launch order.
 
     Launched kernels come in tape order (launch order), then replayed
     kernels by ``(ts, id)``. A launch belongs to the iteration ``[ts,
@@ -52,7 +56,9 @@ def tape_segments(tape: TraceTape) -> list[list[str]]:
     after its iteration's CPU work ends; a replayed kernel has no launch
     call and belongs to the one holding its own start. Launches and
     replayed kernels are sorted by time once and each iteration is cut
-    out of them by bisection.
+    out of them by bisection. Each iteration yields one segment per
+    device of the tape, by device ordinal, empty ones included, so a
+    single-device tape yields exactly one segment per iteration.
     """
     if not tape.iterations:
         raise AnalysisError("trace has no iteration marks")
@@ -62,15 +68,18 @@ def tape_segments(tape: TraceTape) -> list[list[str]]:
     call_ts = [launches[i][L_CALL_TS] for i in by_call_ts]
     replayed = sorted(tape.graph_kernels, key=lambda k: (k[G_TS], k[G_ID]))
     replayed_ts = [k[G_TS] for k in replayed]
+    devices = sorted({launch[L_DEVICE] for launch in launches}
+                     | {kernel[G_DEVICE] for kernel in replayed}) or [0]
     segments: list[list[str]] = []
     for mark in tape.iterations:
-        cut = sorted(by_call_ts[bisect_left(call_ts, mark.ts):
-                                bisect_left(call_ts, mark.ts_end)])
-        segment = [launches[i][L_NAME] for i in cut]
-        segment += [k[G_NAME] for k in
-                    replayed[bisect_left(replayed_ts, mark.ts):
-                             bisect_left(replayed_ts, mark.ts_end)]]
-        segments.append(segment)
+        by_device: dict[int, list[str]] = {device: [] for device in devices}
+        for i in sorted(by_call_ts[bisect_left(call_ts, mark.ts):
+                                   bisect_left(call_ts, mark.ts_end)]):
+            by_device[launches[i][L_DEVICE]].append(launches[i][L_NAME])
+        for kernel in replayed[bisect_left(replayed_ts, mark.ts):
+                               bisect_left(replayed_ts, mark.ts_end)]:
+            by_device[kernel[G_DEVICE]].append(kernel[G_NAME])
+        segments.extend(by_device.values())
     return segments
 
 

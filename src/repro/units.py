@@ -20,34 +20,14 @@ GIGA = 1e9
 TERA = 1e12
 
 
-def ns_to_us(value_ns: float) -> float:
-    """Convert nanoseconds to microseconds."""
-    return value_ns / US
-
-
 def ns_to_ms(value_ns: float) -> float:
     """Convert nanoseconds to milliseconds."""
     return value_ns / MS
 
 
-def ns_to_s(value_ns: float) -> float:
-    """Convert nanoseconds to seconds."""
-    return value_ns / SEC
-
-
-def us_to_ns(value_us: float) -> float:
-    """Convert microseconds to nanoseconds."""
-    return value_us * US
-
-
 def ms_to_ns(value_ms: float) -> float:
     """Convert milliseconds to nanoseconds."""
     return value_ms * MS
-
-
-def s_to_ns(value_s: float) -> float:
-    """Convert seconds to nanoseconds."""
-    return value_s * SEC
 
 
 def gib_to_bytes(value_gib: float) -> int:

@@ -3,11 +3,15 @@
 ``lint_path`` tests build throwaway package trees shaped like ``src/repro``
 (a ``sim/`` subdirectory marks simulation modules), with one deliberately
 bad module each — the wall-clock-in-sim fixture the acceptance criteria
-require lives here.
+require lives here. The C006 tests build a whole checkout instead
+(``src/repro`` beside ``tests/``, ``benchmarks/`` and ``examples/``),
+since that rule reads the sibling trees.
 """
 
 import ast
 from pathlib import Path
+
+import pytest
 
 from repro.check import check_source, lint_path, lint_source
 from repro.check.code import unused_imports
@@ -242,3 +246,109 @@ def test_all_and_attribute_reads_count_as_use_c005():
         "    return os.path.sep\n"
     )
     assert lint_source(source, "repro/serving/loop.py") == []
+
+
+# ----------------------------------------------------------------------
+# C006: functions and classes nothing references
+# ----------------------------------------------------------------------
+def _checkout(tmp_path: Path, files: dict[str, str]) -> Path:
+    """A checkout shaped like the repo's; returns its ``src/repro`` root."""
+    for tree in ("tests", "benchmarks", "examples"):
+        (tmp_path / tree).mkdir()
+    for relative, source in files.items():
+        path = tmp_path / relative
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(source)
+    return tmp_path / "src" / "repro"
+
+
+_USED = "from repro.sim.core import run\nrun()\n"
+
+
+def test_self_referencing_definition_flagged_c006(tmp_path):
+    root = _checkout(tmp_path, {
+        "src/repro/sim/core.py": (
+            "def run():\n"
+            "    return countdown(3)\n"
+            "def countdown(n):\n"
+            "    return n if n == 0 else countdown(n - 1)\n"
+            "class Node:\n"
+            "    def clone(self) -> 'Node':\n"
+            "        return Node()\n"),
+        "tests/test_core.py": _USED,
+    })
+    findings, _ = lint_path(root)
+    assert _rule_ids(findings) == {"C006"}
+    assert sorted(f.message.split()[1] for f in findings) == [
+        "'Node'", "'clone'"]
+
+
+def test_reexport_and_all_are_no_reference_c006(tmp_path):
+    root = _checkout(tmp_path, {
+        "src/repro/sim/__init__.py": (
+            "from repro.sim.core import Oracle, run\n"
+            "__all__ = ['Oracle', 'run']\n"),
+        "src/repro/sim/core.py": (
+            "class Oracle:\n"
+            "    pass\n"
+            "def run():\n"
+            "    return 1\n"),
+        "tests/test_core.py": _USED,
+    })
+    findings, _ = lint_path(root)
+    assert [(f.rule_id, f.location.rsplit(":", 1)[1]) for f in findings] == [
+        ("C006", "1")]
+    assert "'Oracle'" in findings[0].message
+
+
+@pytest.mark.parametrize("tree", ["tests", "benchmarks", "examples"])
+def test_reference_from_a_sibling_tree_keeps_a_definition_c006(tmp_path,
+                                                               tree):
+    root = _checkout(tmp_path, {
+        "src/repro/sim/core.py": "def run():\n    return 1\n",
+        f"{tree}/use.py": _USED,
+    })
+    assert lint_path(root)[0] == []
+
+
+def test_string_constants_count_as_references_c006(tmp_path):
+    root = _checkout(tmp_path, {
+        "src/repro/sim/core.py": (
+            "class Recorder:\n"
+            "    def on_token(self):\n"
+            "        return 1\n"
+            "def run():\n"
+            "    return 1\n"),
+        "benchmarks/tracing.py": (
+            "HOOKS = ('on_token',)\n"
+            "TARGET = 'repro.sim.core.Recorder'\n"
+            "ENTRY = 'repro.sim.core.run'\n"),
+    })
+    assert lint_path(root)[0] == []
+
+
+def test_dunders_and_visitors_exempt_c006(tmp_path):
+    root = _checkout(tmp_path, {
+        "src/repro/check/walk.py": (
+            "import ast\n"
+            "class Walker(ast.NodeVisitor):\n"
+            "    def __init__(self):\n"
+            "        self.names = []\n"
+            "    def __repr__(self):\n"
+            "        return 'Walker'\n"
+            "    def visit_Name(self, node):\n"
+            "        self.names.append(node.id)\n"),
+        "tests/test_walk.py": (
+            "from repro.check.walk import Walker\n"
+            "Walker().visit(None)\n"),
+    })
+    assert lint_path(root)[0] == []
+
+
+def test_c006_needs_the_sibling_trees(tmp_path):
+    # A package linted outside a checkout (an installed copy, or a
+    # fixture tree) cannot see its tests, so the rule stays off.
+    root = _package(tmp_path, {"sim/core.py": "def run():\n    return 1\n"})
+    assert lint_path(root)[0] == []
+    (tmp_path / "tests").mkdir()
+    assert lint_path(root)[0] == []

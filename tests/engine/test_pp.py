@@ -16,7 +16,6 @@ from repro.engine import (
     ExecutionMode,
     PP_STAGE_CACHE,
     PPConfig,
-    ParallelConfig,
     TPConfig,
     partition_lowered,
     stage_boundary_bytes,
@@ -46,13 +45,6 @@ def test_pp_config_rejects_bad_shapes():
         PPConfig(stages=2, microbatches=0)
     assert not PPConfig(stages=1).enabled
     assert PPConfig(stages=2).enabled
-
-
-def test_parallel_config_world_is_the_product():
-    plan = ParallelConfig(tp=TPConfig(degree=2), pp=PPConfig(stages=4))
-    assert plan.world == 8
-    assert plan.enabled
-    assert not ParallelConfig().enabled
 
 
 def test_validate_pp_rejects_more_stages_than_ops(lowered):

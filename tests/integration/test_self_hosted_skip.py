@@ -16,7 +16,7 @@ from repro.serving import (
     ContinuousBatchPolicy,
     LatencyModel,
     poisson_requests,
-    simulate_continuous_batching,
+    simulate_serving,
 )
 from repro.skip import (
     Boundedness,
@@ -35,7 +35,7 @@ def serving_trace_file(tmp_path_factory):
     requests = poisson_requests(rate_per_s=30, duration_s=0.25,
                                 prompt_len=64, output_tokens=4, seed=7)
     recorder = RunRecorder()
-    simulate_continuous_batching(
+    simulate_serving(
         requests, GPT2, latency, ContinuousBatchPolicy(max_active=4),
         recorder=recorder)
     path = tmp_path_factory.mktemp("obs") / "serving.json"

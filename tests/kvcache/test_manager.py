@@ -47,13 +47,15 @@ def test_for_gpu_derives_capacity_from_pool_arithmetic():
 def test_allocation_lifecycle_logs_events():
     manager = make_manager()
     assert manager.try_allocate(1, 4, ts_ns=0.0)
+    context = 5 * manager.block_tokens - 1
     for ts_ns in (10.0, 11.0):
-        deltas = manager.growth_deltas([1], [5 * manager.block_tokens])
-        manager.apply_growth([1], deltas, ts_ns=ts_ns)
+        deltas = manager.growth_deltas([1], [context + 1])
+        manager.apply_decode_window([1], [context], deltas, [ts_ns])
     assert manager.free(1, ts_ns=20.0) == 5
     kinds = [e.kind for e in manager.events]
-    assert kinds == ["alloc", "grow", "free"]  # the no-op grow logs nothing
-    assert [e.allocated for e in manager.events] == [4, 5, 0]
+    # The second step's no-op grow logs nothing.
+    assert kinds == ["alloc", "grow", "decode", "decode", "free"]
+    assert [e.allocated for e in manager.events] == [4, 5, 5, 5, 0]
 
 
 def test_growth_delta_counts_missing_blocks_only():
@@ -85,7 +87,7 @@ def test_swap_out_prices_transfer_over_the_link():
     manager.try_allocate(1, 8, ts_ns=0.0)
     transfer = manager.swap_out(1, ts_ns=10.0)
     assert transfer == A100.transfer_ns(8 * block_bytes(GPT2))
-    assert manager.is_swapped_out(1)
+    assert manager.host_blocks_of(1) == 8
     assert manager.host_blocks == 8
     assert manager.pool.allocated == 0
     assert manager.swapped_blocks == 8
@@ -116,7 +118,7 @@ def test_swap_in_returns_none_when_pool_is_full():
     assert manager.swap_in(1, ts_ns=3.0) is None
     manager.free(2, ts_ns=4.0)
     assert manager.swap_in(1, ts_ns=5.0) is not None
-    assert not manager.is_swapped_out(1)
+    assert manager.host_blocks_of(1) == 0
     with pytest.raises(SimulationError):
         manager.swap_in(99, ts_ns=6.0)
 
@@ -133,8 +135,9 @@ def test_events_mirror_into_the_recorder():
     manager.try_allocate(1, 4, ts_ns=0.0)
     manager.swap_out(1, ts_ns=1.0)
     manager.swap_in(1, ts_ns=2.0)
+    manager.apply_decode_window([1], [4 * manager.block_tokens - 1], [0],
+                                [2.5])
     manager.free(1, ts_ns=3.0)
-    manager.note_decode([1], ts_ns=2.5)
     assert len(recorder.kv_events) == len(manager.events) == 5
     counters = recorder.counters.as_dict()
     assert counters["kv_swap_out"] == 1

@@ -10,7 +10,7 @@ from repro.serving import (
     ContinuousBatchPolicy,
     LatencyModel,
     poisson_requests,
-    simulate_continuous_batching,
+    simulate_serving,
 )
 from repro.workloads import GPT2
 
@@ -22,7 +22,7 @@ def recorded_run():
     requests = poisson_requests(rate_per_s=25, duration_s=0.3, prompt_len=64,
                                 output_tokens=4, seed=3)
     recorder = RunRecorder()
-    report = simulate_continuous_batching(
+    report = simulate_serving(
         requests, GPT2, latency, ContinuousBatchPolicy(max_active=4),
-        recorder=recorder)
+        recorder=recorder).report
     return recorder, latency, report, requests

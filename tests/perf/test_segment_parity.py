@@ -4,9 +4,9 @@
 ``TraceTape.from_trace(trace)``: the tape lists launches in correlation-id
 order, and ``tape_segments`` sorts them by call ``ts`` once, cuts each
 iteration ``[ts, ts_end)`` out by bisection and puts each cut back in
-launch order. :func:`reference_segments` is the per-iteration body it
-replaced, kept here for exactly this comparison. It scans every launch
-call and every kernel once per iteration.
+launch order, one segment per device. :func:`reference_segments` is the
+per-iteration body it replaced, kept here for exactly this comparison. It
+scans every launch call and every kernel once per iteration.
 
 The traces cover what the cut must get right: the engine's modes and
 topologies on the three paper platforms, each trace's Chrome round trip
@@ -43,8 +43,10 @@ from tests.property.test_metrics_properties import sorted_traces
 
 
 def reference_segments(trace: Trace) -> list[list[str]]:
-    """Kernel names per iteration: launched kernels by correlation id,
-    then graph-replayed kernels by ``(ts, event_id)``."""
+    """Kernel names per iteration and device (every device of the trace,
+    by ordinal, empty segments kept): launched kernels by correlation
+    id, then graph-replayed kernels by ``(ts, event_id)``."""
+    devices = sorted({k.device for k in trace.kernels}) or [0]
     segments = []
     for mark in trace.iterations:
         launched_here = {
@@ -61,7 +63,9 @@ def reference_segments(trace: Trace) -> list[list[str]]:
                           key=lambda k: k.correlation_id)
         replayed = sorted((k for k in kernels if k.correlation_id < 0),
                           key=lambda k: (k.ts, k.event_id))
-        segments.append([k.name for k in [*launched, *replayed]])
+        for device in devices:
+            segments.append([k.name for k in [*launched, *replayed]
+                             if k.device == device])
     return segments
 
 
@@ -99,7 +103,8 @@ def test_engine_segments_match_the_reference(platform, mode, topology):
                   **TOPOLOGIES[topology])
     trace = run(GPT2, platform, **kwargs).trace
     expected = assert_segments_match(trace)
-    assert len(expected) == 2 and all(expected)
+    devices = {k.device for k in trace.kernels}
+    assert len(expected) == 2 * len(devices) and all(expected)
     assert assert_segments_match(chrome.loads(chrome.dumps(trace))) == expected
     assert tape_segments(run(GPT2, platform, tape=True, **kwargs).tape) == expected
 

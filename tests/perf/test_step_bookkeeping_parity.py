@@ -394,6 +394,12 @@ def _primed(sample_every: int) -> RunRecorder:
     return recorder
 
 
+def _on_tokens(recorder: RunRecorder, request_ids, ts_ns: float) -> None:
+    """One decode step's tokens: the one-stamp reference the window form
+    :meth:`RunRecorder.on_token_steps` is checked against."""
+    recorder.on_token_steps(request_ids, (ts_ns,))
+
+
 @pytest.mark.parametrize("sample_every", [1, 3])
 def test_on_tokens_equals_a_loop_of_on_token(sample_every):
     batched, looped = _primed(sample_every), _primed(sample_every)
@@ -401,7 +407,7 @@ def test_on_tokens_equals_a_loop_of_on_token(sample_every):
     steps = [([0, 1, 2, 3, 4, 5], 130.1), ([1, 3, 7], 161.3),
              ([], 170.0), ([5, 0, 7, 2, 4], 190.7)]
     for ids, ts_ns in steps:
-        batched.on_tokens(ids, ts_ns)
+        _on_tokens(batched, ids, ts_ns)
         for rid in ids:
             looped.on_token(rid, ts_ns)
         assert _token_state(batched) == _token_state(looped)
@@ -411,7 +417,7 @@ def test_on_tokens_equals_a_loop_of_on_token(sample_every):
 
 def test_on_tokens_of_an_empty_batch_records_nothing():
     recorder = RunRecorder()
-    recorder.on_tokens([], 5.0)
+    _on_tokens(recorder, [], 5.0)
     assert _token_state(recorder) == _token_state(RunRecorder())
 
 
@@ -430,6 +436,30 @@ def _pressured_manager() -> KvManager:
     # 3: exactly at a block boundary (two full blocks).
     assert manager.try_allocate(3, 2, 0.0)
     return manager
+
+
+def _apply_growth(manager: KvManager, seqs, deltas, ts_ns: float) -> None:
+    """One decode step's growth, the reference for the growth half of
+    :meth:`KvManager.apply_decode_window`: acquire each nonzero delta and
+    log it as ``grow``."""
+    for seq, delta in zip(seqs, deltas):
+        if not delta:
+            continue
+        if not manager.resource.try_acquire(seq, delta, ts_ns):
+            raise SimulationError(f"kv growth failed for seq {seq}")
+        manager._log(ts_ns, "grow", seq, delta)
+
+
+def _note_decode(manager: KvManager, seqs, ts_ns: float) -> None:
+    """One decode step's ``decode`` event (none for an empty step), the
+    reference for the logging half of :meth:`KvManager.apply_decode_window`."""
+    if not seqs:
+        return
+    event = KvCacheEvent.decode_step(ts_ns, tuple(seqs),
+                                     manager.pool.allocated, manager.replica)
+    manager.events.append(event)
+    if manager.recorder is not None:
+        manager.recorder.kv_events.append(event)
 
 
 def test_growth_deltas_equal_growth_delta_per_sequence():
@@ -454,13 +484,13 @@ def test_apply_growth_acquires_only_nonzero_deltas():
     seqs = [1, 2, 3]
     before = len(manager.events)
     deltas = manager.growth_deltas(seqs, [3 * bt + 1, 3 * bt, 2 * bt + 1])
-    manager.apply_growth(seqs, deltas, ts_ns=5.0)
+    _apply_growth(manager, seqs, deltas, ts_ns=5.0)
     grown = manager.events[before:]
     assert [(e.kind, e.seq, e.blocks) for e in grown] == [
         ("grow", 1, 1), ("grow", 3, 1)]
     assert [manager.pool.held(seq) for seq in seqs] == [2, 3, 3]
     with pytest.raises(SimulationError):
-        manager.apply_growth([3], [manager.pool.free_blocks + 1], ts_ns=6.0)
+        _apply_growth(manager, [3], [manager.pool.free_blocks + 1], ts_ns=6.0)
 
 
 def test_note_decode_logs_one_event_per_step_in_both_logs():
@@ -469,9 +499,9 @@ def test_note_decode_logs_one_event_per_step_in_both_logs():
                         capacity_blocks=64, recorder=recorder, replica=2)
     manager.try_allocate(5, 3, 0.0)
     manager.try_allocate(9, 1, 0.0)
-    manager.note_decode([9, 5], ts_ns=4.0)
-    manager.note_decode([], ts_ns=5.0)
-    manager.note_decode([5], ts_ns=6.0)
+    _note_decode(manager, [9, 5], ts_ns=4.0)
+    _note_decode(manager, [], ts_ns=5.0)
+    _note_decode(manager, [5], ts_ns=6.0)
     assert manager.events[2:] == [
         KvCacheEvent(4.0, "decode", -1, 0, 4, 2, 0, (9, 5)),
         KvCacheEvent(6.0, "decode", -1, 0, 4, 2, 0, (5,))]
@@ -491,7 +521,7 @@ def test_on_token_steps_equals_a_loop_of_on_tokens(sample_every):
     for ids, stamps in windows:
         windowed.on_token_steps(ids, stamps)
         for ts_ns in stamps:
-            looped.on_tokens(ids, ts_ns)
+            _on_tokens(looped, ids, ts_ns)
         assert _token_state(windowed) == _token_state(looped)
 
 
@@ -536,8 +566,8 @@ def _window_contexts(manager: KvManager) -> list[int]:
 def _step_by_step(manager: KvManager, seqs, contexts, starts) -> None:
     for step, ts_ns in enumerate(starts):
         deltas = manager.growth_deltas(seqs, [c + step + 1 for c in contexts])
-        manager.apply_growth(seqs, deltas, ts_ns)
-        manager.note_decode(seqs, ts_ns)
+        _apply_growth(manager, seqs, deltas, ts_ns)
+        _note_decode(manager, seqs, ts_ns)
 
 
 def test_apply_decode_window_equals_steps_done_one_by_one():
@@ -592,7 +622,7 @@ def test_decode_steps_covered_stops_where_eviction_would_run(spare):
                                       [c + steps + 1 for c in contexts])
         if not looped.pool.can_allocate(sum(deltas)):
             break
-        looped.apply_growth(seqs, deltas, 0.0)
+        _apply_growth(looped, seqs, deltas, 0.0)
         steps += 1
     assert covered == steps
     assert windowed.decode_steps_covered(seqs, contexts, first, 1) == 1

@@ -9,8 +9,7 @@ from repro.serving import (
     LatencyModel,
     Request,
     StaticBatchPolicy,
-    simulate_continuous_batching,
-    simulate_static_batching,
+    simulate_serving,
 )
 from repro.workloads import GPT2
 
@@ -39,8 +38,8 @@ def request_streams(draw):
        batch=st.integers(1, 8))
 @settings(max_examples=25, deadline=None)
 def test_static_batching_conservation(stream, batch):
-    report = simulate_static_batching(
-        stream, GPT2, _LATENCY, StaticBatchPolicy(max_batch_size=batch))
+    report = simulate_serving(
+        stream, GPT2, _LATENCY, StaticBatchPolicy(max_batch_size=batch)).report
     assert {o.request.request_id for o in report.outcomes} == {
         r.request_id for r in stream}
     for outcome in report.outcomes:
@@ -54,9 +53,9 @@ def test_static_batching_conservation(stream, batch):
        max_active=st.integers(1, 8))
 @settings(max_examples=20, deadline=None)
 def test_continuous_batching_conservation(stream, max_active):
-    report = simulate_continuous_batching(
+    report = simulate_serving(
         stream, GPT2, _LATENCY,
-        ContinuousBatchPolicy(max_active=max_active, context_bucket=64))
+        ContinuousBatchPolicy(max_active=max_active, context_bucket=64)).report
     assert {o.request.request_id for o in report.outcomes} == {
         r.request_id for r in stream}
     for outcome in report.outcomes:
@@ -68,7 +67,8 @@ def test_continuous_batching_conservation(stream, max_active):
 @settings(max_examples=15, deadline=None)
 def test_server_never_time_travels(stream):
     """Batch launches are ordered and no request finishes before arriving."""
-    report = simulate_static_batching(stream, GPT2, _LATENCY)
+    report = simulate_serving(stream, GPT2, _LATENCY,
+                              StaticBatchPolicy()).report
     absolute_completions = sorted(
         o.request.arrival_ns + o.completion_ns for o in report.outcomes)
     assert all(c >= 0 for c in absolute_completions)

@@ -8,7 +8,7 @@ from repro.serving import (
     LatencyModel,
     StaticBatchPolicy,
     poisson_requests,
-    simulate_static_batching,
+    simulate_serving,
 )
 from repro.workloads import GPT2
 
@@ -25,14 +25,16 @@ def stream():
 
 
 def test_every_request_served(latency, stream):
-    report = simulate_static_batching(stream, GPT2, latency)
+    report = simulate_serving(stream, GPT2, latency,
+                              StaticBatchPolicy()).report
     assert len(report.outcomes) == len(stream)
     served = {o.request.request_id for o in report.outcomes}
     assert served == {r.request_id for r in stream}
 
 
 def test_latency_ordering_invariants(latency, stream):
-    report = simulate_static_batching(stream, GPT2, latency)
+    report = simulate_serving(stream, GPT2, latency,
+                              StaticBatchPolicy()).report
     for outcome in report.outcomes:
         assert outcome.queue_ns >= 0
         assert outcome.ttft_ns > outcome.queue_ns
@@ -40,10 +42,10 @@ def test_latency_ordering_invariants(latency, stream):
 
 
 def test_bs1_policy_minimizes_ttft_but_costs_throughput(latency, stream):
-    single = simulate_static_batching(stream, GPT2, latency,
-                                      StaticBatchPolicy(max_batch_size=1))
-    batched = simulate_static_batching(stream, GPT2, latency,
-                                       StaticBatchPolicy(max_batch_size=16))
+    single = simulate_serving(stream, GPT2, latency,
+                              StaticBatchPolicy(max_batch_size=1)).report
+    batched = simulate_serving(stream, GPT2, latency,
+                               StaticBatchPolicy(max_batch_size=16)).report
     assert batched.mean_batch_size() > single.mean_batch_size()
     assert single.mean_batch_size() == 1.0
     # Batch-16 prefill is slower per call than BS=1 prefill.
@@ -53,13 +55,14 @@ def test_bs1_policy_minimizes_ttft_but_costs_throughput(latency, stream):
 
 
 def test_batches_respect_max_size(latency, stream):
-    report = simulate_static_batching(stream, GPT2, latency,
-                                      StaticBatchPolicy(max_batch_size=4))
+    report = simulate_serving(stream, GPT2, latency,
+                              StaticBatchPolicy(max_batch_size=4)).report
     assert all(o.batch_size <= 4 for o in report.outcomes)
 
 
 def test_report_statistics(latency, stream):
-    report = simulate_static_batching(stream, GPT2, latency)
+    report = simulate_serving(stream, GPT2, latency,
+                              StaticBatchPolicy()).report
     assert report.p99_ttft_ns() >= report.mean_ttft_ns() * 0.5
     assert report.mean_completion_ns() >= report.mean_ttft_ns()
     assert report.throughput_tokens_per_s() > 0
@@ -67,7 +70,7 @@ def test_report_statistics(latency, stream):
 
 def test_empty_inputs_rejected(latency):
     with pytest.raises(ConfigurationError):
-        simulate_static_batching([], GPT2, latency)
+        simulate_serving([], GPT2, latency, StaticBatchPolicy())
 
 
 def test_policy_validation():

@@ -11,8 +11,7 @@ from repro.serving import (
     Request,
     StaticBatchPolicy,
     poisson_requests,
-    simulate_continuous_batching,
-    simulate_static_batching,
+    simulate_serving,
 )
 from repro.workloads import GPT2
 
@@ -29,13 +28,13 @@ def stream():
 
 
 def test_every_request_completes(latency, stream):
-    report = simulate_continuous_batching(stream, GPT2, latency)
+    report = simulate_serving(stream, GPT2, latency).report
     assert {o.request.request_id for o in report.outcomes} == {
         r.request_id for r in stream}
 
 
 def test_latency_invariants(latency, stream):
-    report = simulate_continuous_batching(stream, GPT2, latency)
+    report = simulate_serving(stream, GPT2, latency).report
     for outcome in report.outcomes:
         assert outcome.ttft_ns > 0
         assert outcome.completion_ns >= outcome.ttft_ns
@@ -44,19 +43,19 @@ def test_latency_invariants(latency, stream):
 def test_continuous_beats_static_on_mean_ttft(latency, stream):
     """The vLLM argument the paper cites: continuous batching approaches
     BS=1 latency while keeping the batch full."""
-    continuous = simulate_continuous_batching(
-        stream, GPT2, latency, ContinuousBatchPolicy(max_active=16))
-    static = simulate_static_batching(
+    continuous = simulate_serving(
+        stream, GPT2, latency, ContinuousBatchPolicy(max_active=16)).report
+    static = simulate_serving(
         stream, GPT2, latency,
-        StaticBatchPolicy(max_batch_size=16, max_wait_ns=100e6))
+        StaticBatchPolicy(max_batch_size=16, max_wait_ns=100e6)).report
     assert continuous.mean_ttft_ns() < static.mean_ttft_ns()
 
 
 def test_max_active_bounds_concurrency(latency):
     burst = poisson_requests(rate_per_s=500, duration_s=0.1, prompt_len=128,
                              output_tokens=8, seed=3)
-    report = simulate_continuous_batching(
-        burst, GPT2, latency, ContinuousBatchPolicy(max_active=4))
+    report = simulate_serving(
+        burst, GPT2, latency, ContinuousBatchPolicy(max_active=4)).report
     assert {o.request.request_id for o in report.outcomes} == {
         r.request_id for r in burst}
 
@@ -64,7 +63,7 @@ def test_max_active_bounds_concurrency(latency):
 def test_context_bucket_bounds_latency_lookups(stream):
     fresh = LatencyModel(INTEL_H100)
     policy = ContinuousBatchPolicy(max_active=8, context_bucket=128)
-    simulate_continuous_batching(stream, GPT2, fresh, policy)
+    simulate_serving(stream, GPT2, fresh, policy)
     contexts = {key[2] for key in fresh._decode_cache}
     assert contexts
     assert all(c % 128 == 0 for c in contexts)
@@ -74,8 +73,8 @@ def test_single_token_request_completes_at_prefill(latency):
     """output_tokens=1 finishes at its first token: no decode step runs."""
     requests = [Request(0, 0.0, prompt_len=64, output_tokens=1)]
     recorder = RunRecorder()
-    report = simulate_continuous_batching(requests, GPT2, latency,
-                                          recorder=recorder)
+    report = simulate_serving(requests, GPT2, latency,
+                              recorder=recorder).report
     outcome = report.outcomes[0]
     assert outcome.completion_ns == outcome.ttft_ns
     assert not [s for s in recorder.steps if s.kind.value == "decode"]
@@ -88,7 +87,7 @@ def test_decode_steps_match_output_tokens(latency):
     """Prefill emits token 1; each decode step emits exactly one more."""
     requests = [Request(0, 0.0, prompt_len=64, output_tokens=6)]
     recorder = RunRecorder()
-    simulate_continuous_batching(requests, GPT2, latency, recorder=recorder)
+    simulate_serving(requests, GPT2, latency, recorder=recorder)
     decode_steps = [s for s in recorder.steps if s.kind.value == "decode"]
     assert len(decode_steps) == 5
     assert recorder.counters.get("tokens_generated") == 5  # plus the prefill token
@@ -99,8 +98,8 @@ def test_outcome_reports_actual_decode_batch(latency):
     policy.max_active."""
     requests = [Request(0, 0.0, prompt_len=64, output_tokens=4),
                 Request(1, 0.0, prompt_len=64, output_tokens=2)]
-    report = simulate_continuous_batching(
-        requests, GPT2, latency, ContinuousBatchPolicy(max_active=16))
+    report = simulate_serving(
+        requests, GPT2, latency, ContinuousBatchPolicy(max_active=16)).report
     by_id = {o.request.request_id for o in report.outcomes}
     assert by_id == {0, 1}
     outcomes = {o.request.request_id: o for o in report.outcomes}
@@ -111,7 +110,7 @@ def test_outcome_reports_actual_decode_batch(latency):
 
 def test_empty_stream_rejected(latency):
     with pytest.raises(ConfigurationError):
-        simulate_continuous_batching([], GPT2, latency)
+        simulate_serving([], GPT2, latency)
 
 
 def test_policy_validation():

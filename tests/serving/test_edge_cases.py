@@ -14,8 +14,7 @@ from repro.serving import (
     LatencyModel,
     Request,
     StaticBatchPolicy,
-    simulate_continuous_batching,
-    simulate_static_batching,
+    simulate_serving,
 )
 from repro.workloads import GPT2
 
@@ -44,18 +43,18 @@ def _assert_spans_monotone(recorder):
 
 def test_empty_request_list_rejected(latency):
     with pytest.raises(ConfigurationError):
-        simulate_continuous_batching([], GPT2, latency)
+        simulate_serving([], GPT2, latency)
     with pytest.raises(ConfigurationError):
-        simulate_static_batching([], GPT2, latency)
+        simulate_serving([], GPT2, latency, StaticBatchPolicy())
 
 
 def test_max_active_one_serializes_requests(latency):
     requests = [Request(i, i * 1e6, prompt_len=64, output_tokens=3)
                 for i in range(4)]
     recorder = RunRecorder()
-    report = simulate_continuous_batching(
+    report = simulate_serving(
         requests, GPT2, latency, ContinuousBatchPolicy(max_active=1),
-        recorder=recorder)
+        recorder=recorder).report
     _assert_all_served(report, requests)
     _assert_spans_monotone(recorder)
     for step in recorder.steps:
@@ -72,8 +71,8 @@ def test_request_longer_than_context_bucket(latency):
     policy = ContinuousBatchPolicy(max_active=2, context_bucket=128)
     requests = [Request(0, 0.0, prompt_len=700, output_tokens=5)]
     recorder = RunRecorder()
-    report = simulate_continuous_batching(requests, GPT2, latency, policy,
-                                          recorder=recorder)
+    report = simulate_serving(requests, GPT2, latency, policy,
+                              recorder=recorder).report
     _assert_all_served(report, requests)
     _assert_spans_monotone(recorder)
     decode_steps = [s for s in recorder.steps if s.kind.value == "decode"]
@@ -88,9 +87,9 @@ def test_simultaneous_arrivals_all_admitted(latency):
     requests = [Request(i, 5e6, prompt_len=64, output_tokens=2)
                 for i in range(6)]
     recorder = RunRecorder()
-    report = simulate_continuous_batching(
+    report = simulate_serving(
         requests, GPT2, latency, ContinuousBatchPolicy(max_active=8),
-        recorder=recorder)
+        recorder=recorder).report
     _assert_all_served(report, requests)
     _assert_spans_monotone(recorder)
     admitted = {s.admitted_ns for s in recorder.spans.values()}
@@ -101,9 +100,9 @@ def test_simultaneous_arrivals_static(latency):
     requests = [Request(i, 0.0, prompt_len=64, output_tokens=2)
                 for i in range(5)]
     recorder = RunRecorder()
-    report = simulate_static_batching(
+    report = simulate_serving(
         requests, GPT2, latency, StaticBatchPolicy(max_batch_size=3),
-        recorder=recorder)
+        recorder=recorder).report
     _assert_all_served(report, requests)
     _assert_spans_monotone(recorder)
     assert sorted(o.batch_size for o in report.outcomes) == [2, 2, 3, 3, 3]

@@ -232,7 +232,8 @@ def test_lint_sweep_matches_its_per_iteration_form(tp2_export):
 
 
 def test_kernel_segments_match_their_per_iteration_form(tp2_export):
-    assert len(assert_segments_match(tp2_export)) == 54
+    # 54 iterations, each cut once per device of the 2 x TP=2 export.
+    assert len(assert_segments_match(tp2_export)) == 54 * 4
 
 
 def test_trace_schedules_cover_all_devices(tp2_export):

@@ -24,10 +24,8 @@ from repro.serving import (
     PriorityPolicy,
     RequestClass,
     StaticBatchPolicy,
-    simulate_continuous_batching,
-    simulate_priority_scheduling,
-    simulate_static_batching,
     poisson_requests,
+    simulate_serving,
 )
 from repro.workloads import GPT2
 from tests.golden.conftest import DATA_DIR
@@ -69,23 +67,23 @@ def frozen():
 
 
 def test_static_batching_matches_legacy_exactly(frozen):
-    sim = simulate_static_batching(stream(), GPT2, LatencyModel(INTEL_H100),
-                                   STATIC)
+    sim = simulate_serving(stream(), GPT2, LatencyModel(INTEL_H100), STATIC)
     assert rows(sim.outcomes) == frozen["static"]
 
 
 def test_continuous_batching_matches_legacy_exactly(frozen):
-    sim = simulate_continuous_batching(stream(), GPT2,
-                                       LatencyModel(INTEL_H100), CONTINUOUS)
+    sim = simulate_serving(stream(), GPT2, LatencyModel(INTEL_H100),
+                           CONTINUOUS)
     assert rows(sim.outcomes) == frozen["continuous"]
 
 
 def test_priority_matches_legacy_except_bulk_overcharge(frozen):
-    sim = simulate_priority_scheduling(classified(stream()), GPT2,
-                                       LatencyModel(GH200), PRIORITY)
-    for kind, report in (("interactive", sim.interactive),
-                         ("bulk", sim.bulk)):
-        ours = rows(report.outcomes)
+    requests = classified(stream())
+    kinds = {c.request.request_id: c.request_class.value for c in requests}
+    sim = simulate_serving(requests, GPT2, LatencyModel(GH200), PRIORITY)
+    for kind in ("interactive", "bulk"):
+        ours = rows([o for o in sim.outcomes
+                     if kinds[o.request.request_id] == kind])
         theirs = frozen[f"priority_{kind}"]
         assert [row[:2] + row[3:] for row in ours] == (
             [row[:2] + row[3:] for row in theirs])

@@ -4,15 +4,28 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.hardware import GH200
-from repro.serving import LatencyModel, StaticBatchPolicy, poisson_requests
-from repro.serving.batcher import simulate_static_batching
+from repro.serving import (
+    LatencyModel,
+    ServingReport,
+    StaticBatchPolicy,
+    poisson_requests,
+    simulate_serving,
+)
 from repro.serving.scheduler import (
     ClassifiedRequest,
     PriorityPolicy,
     RequestClass,
-    simulate_priority_scheduling,
 )
 from repro.workloads import GPT2
+
+
+def _serve(classified, latency, policy=PriorityPolicy()):
+    """Per-class reports of one priority serve, keyed by request class."""
+    classes = {c.request.request_id: c.request_class for c in classified}
+    outcomes = simulate_serving(classified, GPT2, latency, policy).outcomes
+    return {cls: ServingReport([o for o in outcomes
+                                if classes[o.request.request_id] is cls])
+            for cls in RequestClass}
 
 
 @pytest.fixture(scope="module")
@@ -36,38 +49,39 @@ def classified_stream():
 
 
 def test_every_request_served(latency, classified_stream):
-    report = simulate_priority_scheduling(classified_stream, GPT2, latency)
-    served = {o.request.request_id for o in report.all_outcomes}
+    outcomes = simulate_serving(classified_stream, GPT2, latency,
+                                PriorityPolicy()).outcomes
+    served = {o.request.request_id for o in outcomes}
     assert served == {c.request.request_id for c in classified_stream}
 
 
 def test_interactive_runs_small_bulk_runs_big(latency, classified_stream):
     policy = PriorityPolicy(interactive_batch=2, bulk_batch=16)
-    report = simulate_priority_scheduling(classified_stream, GPT2, latency,
-                                          policy)
-    assert all(o.batch_size <= 2 for o in report.interactive.outcomes)
-    assert report.bulk.mean_batch_size() > 4
+    report = _serve(classified_stream, latency, policy)
+    assert all(o.batch_size <= 2
+               for o in report[RequestClass.INTERACTIVE].outcomes)
+    assert report[RequestClass.BULK].mean_batch_size() > 4
 
 
 def test_interactive_ttft_beats_bulk(latency, classified_stream):
-    report = simulate_priority_scheduling(classified_stream, GPT2, latency)
-    assert (report.interactive.mean_ttft_ns()
-            < report.bulk.mean_ttft_ns())
+    report = _serve(classified_stream, latency)
+    assert (report[RequestClass.INTERACTIVE].mean_ttft_ns()
+            < report[RequestClass.BULK].mean_ttft_ns())
 
 
 def test_priority_beats_fifo_for_interactive(latency, classified_stream):
     """The paper's scheduling lever: on GH200 the two-class scheduler keeps
     interactive TTFT far below a single FIFO batch queue."""
-    report = simulate_priority_scheduling(classified_stream, GPT2, latency)
-    fifo = simulate_static_batching(
+    report = _serve(classified_stream, latency)
+    fifo = simulate_serving(
         [c.request for c in classified_stream], GPT2, latency,
-        StaticBatchPolicy(max_batch_size=16, max_wait_ns=100e6))
+        StaticBatchPolicy(max_batch_size=16, max_wait_ns=100e6)).report
     interactive_ids = {c.request.request_id for c in classified_stream
                        if c.request_class is RequestClass.INTERACTIVE}
     fifo_interactive = [o.ttft_ns for o in fifo.outcomes
                         if o.request.request_id in interactive_ids]
     fifo_mean = sum(fifo_interactive) / len(fifo_interactive)
-    assert report.interactive.mean_ttft_ns() < fifo_mean
+    assert report[RequestClass.INTERACTIVE].mean_ttft_ns() < fifo_mean
 
 
 def test_bulk_starvation_guard(latency):
@@ -80,21 +94,16 @@ def test_bulk_starvation_guard(latency):
         request_class=(RequestClass.BULK if request.request_id < 5
                        else RequestClass.INTERACTIVE))
         for request in stream]
-    report = simulate_priority_scheduling(
-        classified, GPT2, latency,
-        PriorityPolicy(bulk_batch=64, bulk_max_wait_ns=50e6))
-    assert len(report.bulk.outcomes) == 5
+    report = _serve(classified, latency,
+                    PriorityPolicy(bulk_batch=64, bulk_max_wait_ns=50e6))
+    assert len(report[RequestClass.BULK].outcomes) == 5
 
 
-def test_validation(latency, classified_stream):
+def test_validation(latency):
     with pytest.raises(ConfigurationError):
-        simulate_priority_scheduling([], GPT2, latency)
+        simulate_serving([], GPT2, latency, PriorityPolicy())
     with pytest.raises(ConfigurationError):
         PriorityPolicy(interactive_batch=0)
-    only_bulk = [ClassifiedRequest(c.request, RequestClass.BULK)
-                 for c in classified_stream]
-    with pytest.raises(ConfigurationError):
-        simulate_priority_scheduling(only_bulk, GPT2, latency)
 
 
 def test_bulk_completion_charges_own_output_length(latency):
@@ -113,8 +122,9 @@ def test_bulk_completion_charges_own_output_length(latency):
                            else RequestClass.BULK))
         for i in range(4)
     ]
-    report = simulate_priority_scheduling(classified, GPT2, latency)
-    by_id = {o.request.request_id: o for o in report.bulk.outcomes}
+    report = _serve(classified, latency)
+    by_id = {o.request.request_id: o
+             for o in report[RequestClass.BULK].outcomes}
     batch = by_id[0].batch_size
     assert batch == 3
     for outcome in by_id.values():

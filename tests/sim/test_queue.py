@@ -6,12 +6,18 @@ from repro.errors import SimulationError
 from repro.sim import EventQueue
 
 
+def _pop(queue):
+    """The earliest ``(time, item)`` entry, its tie key dropped."""
+    time_ns, _, item = queue.pop_entry()
+    return time_ns, item
+
+
 def test_pops_in_time_order():
     queue = EventQueue()
     queue.push(30.0, "c")
     queue.push(10.0, "a")
     queue.push(20.0, "b")
-    assert [queue.pop() for _ in range(3)] == [
+    assert [_pop(queue) for _ in range(3)] == [
         (10.0, "a"), (20.0, "b"), (30.0, "c")]
 
 
@@ -19,7 +25,7 @@ def test_fifo_tie_break_at_equal_times():
     queue = EventQueue()
     for item in ("first", "second", "third"):
         queue.push(5.0, item)
-    assert [queue.pop()[1] for _ in range(3)] == ["first", "second", "third"]
+    assert [_pop(queue)[1] for _ in range(3)] == ["first", "second", "third"]
 
 
 def test_peek_does_not_pop():
@@ -27,7 +33,7 @@ def test_peek_does_not_pop():
     queue.push(7.0, "x")
     assert queue.peek_time() == 7.0
     assert len(queue) == 1
-    assert queue.pop() == (7.0, "x")
+    assert _pop(queue) == (7.0, "x")
 
 
 def test_len_and_bool():
@@ -48,7 +54,7 @@ def test_negative_time_rejected():
 def test_empty_pop_and_peek_rejected():
     queue = EventQueue()
     with pytest.raises(SimulationError):
-        queue.pop()
+        _pop(queue)
     with pytest.raises(SimulationError):
         queue.peek_time()
 
@@ -57,10 +63,10 @@ def test_interleaved_push_pop_stays_ordered():
     queue = EventQueue()
     queue.push(10.0, "late")
     queue.push(1.0, "early")
-    assert queue.pop() == (1.0, "early")
+    assert _pop(queue) == (1.0, "early")
     queue.push(5.0, "middle")
-    assert queue.pop() == (5.0, "middle")
-    assert queue.pop() == (10.0, "late")
+    assert _pop(queue) == (5.0, "middle")
+    assert _pop(queue) == (10.0, "late")
 
 
 # ----------------------------------------------------------------------
@@ -82,11 +88,11 @@ def _drain(queue):
     queue.push(10.0, "late")
     for item in ("t1", "t2", "t3"):
         queue.push(5.0, item)
-    order = [queue.pop() for _ in range(2)]
+    order = [_pop(queue) for _ in range(2)]
     queue.push(5.0, "t4")
     queue.push(0.0, "early")
     while queue:
-        order.append(queue.pop())
+        order.append(_pop(queue))
     return order
 
 
@@ -94,14 +100,6 @@ def test_identical_runs_pop_identically():
     # The explicit insertion-sequence tie-break makes pop order a pure
     # function of the push sequence: no heap internals, no item ordering.
     assert _drain(EventQueue()) == _drain(EventQueue())
-
-
-def test_reference_queue_agrees_with_production_queue():
-    from repro.sim import ReferenceEventQueue
-
-    reference = ReferenceEventQueue()
-    assert _drain(EventQueue()) == _drain(reference)
-    assert reference.popped == 6
 
 
 # ----------------------------------------------------------------------
@@ -113,15 +111,16 @@ def test_perturbed_queue_is_lifo_at_ties():
     queue = PerturbedEventQueue()
     for item in ("first", "second", "third"):
         queue.push(5.0, item)
-    assert [queue.pop()[1] for _ in range(3)] == ["third", "second", "first"]
+    assert [_pop(queue)[1] for _ in range(3)] == ["third", "second", "first"]
 
 
 def test_perturbed_queue_preserves_time_order():
     from repro.sim import PerturbedEventQueue
 
     queue = PerturbedEventQueue()
-    queue.push_many([(30.0, "c"), (10.0, "a"), (20.0, "b")])
-    assert [queue.pop() for _ in range(3)] == [
+    for time_ns, item in [(30.0, "c"), (10.0, "a"), (20.0, "b")]:
+        queue.push(time_ns, item)
+    assert [_pop(queue) for _ in range(3)] == [
         (10.0, "a"), (20.0, "b"), (30.0, "c")]
     with pytest.raises(SimulationError):
         queue.push(-1.0, "x")

@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.engine import EngineConfig, ExecutionMode
+from repro.engine import DispatchMode, EngineConfig, ExecutionMode, TPConfig
 from repro.hardware import INTEL_H100
 from repro.skip import Boundedness, SkipProfiler
-from repro.workloads import GPT2, LLAMA_3_2_1B, Phase
+from repro.workloads import GPT2, LLAMA_3_2_1B, PAPER_MODELS, Phase
 
 
 def test_profile_produces_full_result(intel_profiler):
@@ -64,3 +64,19 @@ def test_custom_engine_config():
     profiler = SkipProfiler(INTEL_H100, EngineConfig(iterations=2))
     result = profiler.profile(GPT2, batch_size=1, seq_len=128)
     assert len(result.metrics.iterations) == 2
+
+
+@pytest.mark.parametrize("batch_size", [1, 8])
+@pytest.mark.parametrize("model", PAPER_MODELS, ids=lambda m: m.name)
+def test_single_thread_tp_gets_the_per_device_fusion_plan(model, batch_size):
+    """One dispatch thread launches a TP step's shards in turn, so its
+    segments interleave the devices' kernels unless cut per device."""
+    def plan(**tp):
+        return SkipProfiler(INTEL_H100).profile(
+            model, batch_size=batch_size, seq_len=64,
+            tp=TPConfig(degree=2, **tp)).fusion_plan()
+
+    single = plan()
+    per_device = plan(dispatch=DispatchMode.THREAD_PER_DEVICE)
+    assert single is not None and per_device is not None
+    assert single.chains == per_device.chains

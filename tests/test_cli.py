@@ -1,5 +1,6 @@
 """Command-line interface."""
 
+import argparse
 import os
 import signal
 import subprocess
@@ -14,6 +15,57 @@ from repro.cli import build_parser, main
 def run_cli(capsys, *argv):
     code = main(list(argv))
     return code, capsys.readouterr().out
+
+
+def usage_error(capsys, *argv) -> str:
+    """The stderr of a command argparse refuses (exit 2, no traceback)."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "Traceback" not in err
+    return err
+
+
+def _options(parser: argparse.ArgumentParser, path: str):
+    """``(command path, option, action)`` for every option of ``parser``
+    and of its subcommands, at any depth."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _options(sub, f"{path} {name}")
+        elif action.option_strings:
+            yield path, action.option_strings[-1], action
+
+
+def _is_numeric(kind) -> bool:
+    try:
+        value = kind("1")
+    except (ValueError, TypeError, argparse.ArgumentTypeError):
+        return False
+    values = value if isinstance(value, tuple) else (value,)
+    return all(isinstance(v, (int, float)) and not isinstance(v, bool)
+               for v in values)
+
+
+def test_every_numeric_option_uses_a_checked_type():
+    """An int, float or int-list option refuses a negative, NaN or
+    infinite value at parse time, so a bad input exits 2 before any
+    simulation runs. Walks the parser only; runs no command."""
+    plain = []
+    numeric = 0
+    for path, option, action in _options(build_parser(), "repro"):
+        if action.type is None or not _is_numeric(action.type):
+            continue
+        numeric += 1
+        for text in ("-1", "nan", "inf"):
+            try:
+                action.type(text)
+            except (ValueError, argparse.ArgumentTypeError):
+                continue
+            plain.append(f"{path} {option} accepts {text}")
+    assert numeric >= 40
+    assert plain == []
 
 
 def test_nullkernel_command(capsys):
@@ -170,13 +222,10 @@ def deadline():
 ], ids=" ".join)
 def test_non_finite_rate_or_duration_is_a_configuration_error(
         capsys, deadline, argv):
-    """A NaN or infinite rate or duration fails its guard instead of
-    generating arrivals forever."""
-    code = main(argv)
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err.startswith("error:") and "positive" in err
-    assert "Traceback" not in err
+    """A NaN or infinite rate or duration fails its checked type at parse
+    time instead of generating arrivals forever."""
+    err = usage_error(capsys, *argv)
+    assert f"argument {argv[-2]}:" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -367,21 +416,15 @@ def test_skip_analyze_into_a_closed_pipe_exits_quietly(tmp_path):
 
 
 def test_serve_record_sample_rejects_zero(capsys):
-    code = main(["serve", "--rate", "20", "--duration", "0.2",
-                 "--record-sample", "0"])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert "--record-sample must be at least 1" in err
-    assert "Traceback" not in err
+    err = usage_error(capsys, "serve", "--rate", "20", "--duration", "0.2",
+                      "--record-sample", "0")
+    assert "argument --record-sample:" in err
 
 
 def test_serve_chunk_tokens_rejects_negative(capsys):
-    code = main(["serve", "--rate", "20", "--duration", "0.2",
-                 "--chunk-tokens", "-5"])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert "--chunk-tokens must be non-negative" in err
-    assert "Traceback" not in err
+    err = usage_error(capsys, "serve", "--rate", "20", "--duration", "0.2",
+                      "--chunk-tokens", "-5")
+    assert "argument --chunk-tokens:" in err
 
 
 def test_serve_chunk_tokens_rejected_for_static(capsys):
@@ -412,9 +455,9 @@ def test_serve_chunked_prefill_summary(capsys):
 
 
 def test_serve_pp_validation(capsys):
-    code = main(["serve", "--rate", "20", "--duration", "0.2", "--pp", "0"])
-    assert code == 2
-    assert "--pp" in capsys.readouterr().err
+    err = usage_error(capsys, "serve", "--rate", "20", "--duration", "0.2",
+                      "--pp", "0")
+    assert "argument --pp:" in err
 
     code = main(["serve", "--rate", "20", "--duration", "0.2",
                  "--pp-microbatches", "4"])
@@ -501,11 +544,8 @@ def test_serve_cluster_emit_trace_is_checkable(capsys, tmp_path):
 
 
 def test_serve_rejects_nonpositive_rate(capsys):
-    code = main(["serve", "--rate", "0", "--duration", "0.1"])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err.startswith("error:")
-    assert "--rate must be positive" in err
+    err = usage_error(capsys, "serve", "--rate", "0", "--duration", "0.1")
+    assert "argument --rate:" in err
 
 
 def test_serve_rejects_out_of_range_prefix_share(capsys):

@@ -12,9 +12,7 @@ def test_constants_are_consistent():
 
 
 def test_round_trips():
-    assert units.ns_to_us(units.us_to_ns(3.5)) == pytest.approx(3.5)
     assert units.ns_to_ms(units.ms_to_ns(0.25)) == pytest.approx(0.25)
-    assert units.ns_to_s(units.s_to_ns(1.75)) == pytest.approx(1.75)
 
 
 @pytest.mark.parametrize("value,expected", [
