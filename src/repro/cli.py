@@ -58,45 +58,38 @@ def _comma_list(element: Callable[[str], object],
     def parse(text: str) -> tuple:
         try:
             return tuple(element(item) for item in text.split(","))
-        except ValueError:
+        except (ValueError, argparse.ArgumentTypeError):
             raise argparse.ArgumentTypeError(
                 f"expected comma-separated {what}, got {text!r}") from None
     return parse
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value <= 0:
-        raise ValueError(f"not positive: {value}")
-    return value
+def _bounded(kind: Callable[[str], float], ok: Callable[[float], bool],
+             bound: str) -> Callable[[str], float]:
+    """An argparse ``type``: ``kind(text)``, which must satisfy ``ok``.
+
+    A value out of bounds, and text ``kind`` cannot parse, are usage
+    errors (exit 2) whose message names the bound. ``ok`` is written so
+    that NaN fails it.
+    """
+    def parse(text: str) -> float:
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"must be {bound} (got {text!r})") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {bound} (got {text})")
+        return value
+    return parse
 
 
-def _non_negative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise ValueError(f"negative: {value}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not 0 < value < math.inf:  # NaN fails too
-        raise ValueError(f"not positive and finite: {value}")
-    return value
-
-
-def _fraction(text: str) -> float:
-    value = float(text)
-    if not 0 < value <= 1:  # NaN fails too
-        raise ValueError(f"not in (0, 1]: {value}")
-    return value
-
-
-def _share(text: str) -> float:
-    value = float(text)
-    if not 0 <= value <= 1:  # NaN fails too
-        raise argparse.ArgumentTypeError(f"must be in [0, 1] (got {text})")
-    return value
+_positive_int = _bounded(int, lambda v: v > 0, "a positive integer")
+_non_negative_int = _bounded(int, lambda v: v >= 0, "a non-negative integer")
+_positive_float = _bounded(float, lambda v: 0 < v < math.inf,
+                           "a positive finite number")
+_fraction = _bounded(float, lambda v: 0 < v <= 1, "in (0, 1]")
+_share = _bounded(float, lambda v: 0 <= v <= 1, "in [0, 1]")
 
 
 _POSITIVE_INT_LIST = _comma_list(_positive_int, "positive integers")

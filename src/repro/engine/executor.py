@@ -29,7 +29,6 @@ frozen in ``tests/golden/data/legacy_engine_digests.json``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Literal, overload
 
@@ -59,7 +58,9 @@ from repro.engine.tp import (
     shard_lowered,
     validate_tp,
 )
-from repro.errors import ConfigurationError
+from repro.errors import (
+    ConfigurationError, require_non_negative, require_positive,
+)
 from repro.hardware.platform import Platform
 from repro.obs.events import StepKind
 from repro.obs.recorder import RunRecorder
@@ -118,16 +119,12 @@ class EngineConfig:
             raise ConfigurationError("child_dispatch_fraction must be in [0, 1)")
         # A negative cost would run the clock backwards (an iteration
         # starting inside the one before it); NaN or infinity would poison
-        # every timestamp after it. The comparisons fail on NaN.
-        for name in ("compiled_guard_ns", "graph_replay_dispatch_ns",
-                     "graph_replay_kernel_gap_ns", "stream_kernel_gap_ns",
-                     "inter_iteration_gap_ns", "sync_call_ns"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ConfigurationError(
-                    f"{name} must be finite and non-negative")
-        if not 0 < self.graph_kernel_floor_scale < math.inf:
-            raise ConfigurationError(
-                "graph_kernel_floor_scale must be finite and positive")
+        # every timestamp after it.
+        require_non_negative(
+            self, "compiled_guard_ns", "graph_replay_dispatch_ns",
+            "graph_replay_kernel_gap_ns", "stream_kernel_gap_ns",
+            "inter_iteration_gap_ns", "sync_call_ns")
+        require_positive(self, "graph_kernel_floor_scale")
 
 
 DEFAULT_CONFIG = EngineConfig()

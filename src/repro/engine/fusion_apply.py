@@ -11,6 +11,7 @@ launches only: the fused kernel performs the sum of the member kernels' work.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Sequence
 
 from repro.engine.lowering import KernelTask, LoweredOp
@@ -51,23 +52,31 @@ def select_nonoverlapping(segment: Sequence[str],
     its last member. Only non-overlapping instances can actually be fused,
     which mirrors the paper's "actual deterministic kernel candidates that
     can be fused". Returns (start index, chain) pairs.
+
+    Only positions whose kernel heads some chain are visited, and only
+    the lengths of the chains it heads are tried there, so a position
+    whose kernel starts no chain is passed without slicing a window.
     """
     chain_set = set(chains)
-    lengths = sorted({len(c) for c in chain_set}, reverse=True)
+    head_lengths: dict[str, set[int]] = {}
+    for chain in chain_set:
+        head_lengths.setdefault(chain[0], set()).add(len(chain))
+    lengths_at = {head: sorted(lengths, reverse=True)
+                  for head, lengths in head_lengths.items()}
     selected: list[tuple[int, tuple[str, ...]]] = []
-    i = 0
+    free = 0    # the first position no selected instance covers
     n = len(segment)
-    while i < n:
-        for length in lengths:
+    for i in compress(range(n), map(lengths_at.__contains__, segment)):
+        if i < free:
+            continue
+        for length in lengths_at[segment[i]]:
             if i + length > n:
                 continue
             window = tuple(segment[i:i + length])
             if window in chain_set:
                 selected.append((i, window))
-                i += length
+                free = i + length
                 break
-        else:
-            i += 1
     return selected
 
 

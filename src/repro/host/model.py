@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, require_non_negative
 from repro.hardware.host import HostSpec, NumaDomain, host_for
 from repro.hardware.platform import Platform
 from repro.host.pool import CoreGrant, pool_from_domains
@@ -51,11 +51,10 @@ class HostConfig:
     pin: bool = False
 
     def __post_init__(self) -> None:
-        if self.cores < 0:
-            raise ConfigurationError(
-                "host cores must be non-negative (0 = unlimited)")
-        if self.numa is not None and self.numa < 0:
-            raise ConfigurationError("numa domain must be non-negative")
+        # cores 0 keeps the cataloged topology.
+        require_non_negative(self, "cores")
+        if self.numa is not None:
+            require_non_negative(self, "numa")
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,9 @@ import enum
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import (
+    ConfigurationError, SimulationError, require_positive,
+)
 from repro.hardware.platform import Platform
 from repro.kvcache.events import KvCacheEvent
 from repro.kvcache.pool import (
@@ -73,10 +75,9 @@ class KvCacheConfig:
     prefix_caching: bool = False
 
     def __post_init__(self) -> None:
-        if self.block_tokens <= 0:
-            raise ConfigurationError("block_tokens must be positive")
-        if self.pool_gib is not None and not self.pool_gib > 0:
-            raise ConfigurationError("pool_gib must be positive")
+        require_positive(self, "block_tokens")
+        if self.pool_gib is not None:
+            require_positive(self, "pool_gib")
 
     @property
     def enabled(self) -> bool:

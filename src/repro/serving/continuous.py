@@ -42,7 +42,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import (
+    ConfigurationError, SimulationError, require_non_negative, require_positive,
+)
 from repro.kvcache.manager import KvManager, KvPolicy
 from repro.obs.events import EngineShape, StepKind
 from repro.serving.planner import (ChunkedSequenceState, PlannerConfig,
@@ -73,13 +75,9 @@ class ContinuousBatchPolicy:
     chunk_tokens: int = 0
 
     def __post_init__(self) -> None:
-        if self.max_active <= 0:
-            raise ConfigurationError("max_active must be positive")
-        if self.context_bucket <= 0:
-            raise ConfigurationError("context_bucket must be positive")
-        if self.chunk_tokens < 0:
-            raise ConfigurationError(
-                "chunk_tokens must be non-negative (0 disables chunking)")
+        require_positive(self, "max_active", "context_bucket")
+        # 0 disables chunking.
+        require_non_negative(self, "chunk_tokens")
         if self.chunk_tokens and self.chunk_tokens < self.max_active:
             raise ConfigurationError(
                 f"chunk_tokens ({self.chunk_tokens}) must cover one decode "

@@ -21,10 +21,10 @@ from typing import Sequence
 from repro.engine.fusion_apply import FusionPlan, select_nonoverlapping
 from repro.errors import AnalysisError
 from repro.skip.proximity import (
+    ChainIndex,
     ChainStats,
     distinct_segments,
     kernel_segments,
-    mine_distinct,
 )
 from repro.trace.trace import Trace
 
@@ -107,11 +107,13 @@ def analyze_segments(segments: Sequence[Sequence[str]],
         raise AnalysisError("no segments to analyze")
     # Each distinct segment is mined and selected once, weighted by how
     # often it repeats; all totals are integers, so the ratios are exact.
+    # One index serves every length, so each rank array is built once.
     distinct = distinct_segments(segments)
+    index = ChainIndex(distinct)
     k_eager = sum(len(s) * w for s, w in distinct.items()) / len(segments)
     results: list[FusionAnalysis] = []
     for length in sorted(set(lengths)):
-        mining = mine_distinct(distinct, length)
+        mining = index.mine(length)
         deterministic = mining.deterministic(threshold)
         chains = [c.chain for c in deterministic]
 

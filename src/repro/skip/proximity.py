@@ -15,8 +15,15 @@ chain would reach PS=1. :func:`tape_segments` is the one
 segment reader; :func:`kernel_segments` reads a trace through its tape form.
 An engine run repeats one kernel sequence every iteration, so mining counts
 each distinct segment once and weights it by how often it repeats; every
-count and ratio stays exact. The fusable, non-overlapping instances of the
-mined chains are picked by
+count and ratio stays exact.
+
+:class:`ChainIndex` is the one miner. Ranks stand for windows: it interns
+kernel names to ints in sorted order, and gives every window of a
+power-of-two length a rank built from the pair of its halves' ranks
+(Karp–Miller–Rosenberg doubling), so equal windows share a rank and ranks
+order like the windows they stand for. Counting chains counts ints, and
+only one window per distinct rank becomes a chain tuple. The fusable,
+non-overlapping instances of the mined chains are picked by
 :func:`repro.engine.fusion_apply.select_nonoverlapping`, the matcher the
 engine fuses with.
 """
@@ -145,26 +152,96 @@ def mine_distinct(distinct: Mapping[tuple[str, ...], int],
             :func:`distinct_segments`).
         length: Chain length L (>= 2).
     """
-    if length < 2:
-        raise AnalysisError("chain length must be >= 2")
-    if not distinct:
-        raise AnalysisError("no segments to mine")
+    return ChainIndex(distinct).mine(length)
 
-    window_counts: Counter[tuple[str, ...]] = Counter()
-    anchor_counts: Counter[str] = Counter()
-    for segment, weight in distinct.items():
-        for name, count in Counter(segment).items():
-            anchor_counts[name] += count * weight
-        windows = Counter(segment[i:i + length]
-                          for i in range(len(segment) - length + 1))
-        for chain, count in windows.items():
-            window_counts[chain] += count * weight
 
-    chains = [
-        ChainStats(chain=chain, frequency=freq,
-                   anchor_frequency=anchor_counts[chain[0]])
-        for chain, freq in window_counts.items()
-    ]
-    chains.sort(key=lambda c: (-c.frequency, c.chain))
-    return MiningResult(length=length, chains=chains,
-                        total_instances=sum(window_counts.values()))
+class ChainIndex:
+    """Rank arrays over a set of distinct segments, shared by every length.
+
+    Kernel names are interned to ints in sorted order, so the length-1
+    rank of a position is its name's id. The rank of a window of length
+    ``2p`` is the rank of the pair ``(r_p[i], r_p[i + p])`` among all
+    such pairs; a length ``L`` with ``p < L < 2p`` ranks the overlapping
+    pair ``(r_p[i], r_p[i + L - p])``. Pairs are ranked in sorted order
+    across all segments, so two windows share a rank exactly when they
+    are equal, and ranks order like the windows' name tuples. The
+    power-of-two rank arrays are built once and kept for every later
+    length.
+
+    Raises:
+        AnalysisError: when there are no segments.
+    """
+
+    def __init__(self, distinct: Mapping[tuple[str, ...], int]) -> None:
+        if not distinct:
+            raise AnalysisError("no segments to mine")
+        self._segments = list(distinct)
+        self._weights = list(distinct.values())
+        names = sorted({name for segment in self._segments
+                        for name in segment})
+        ids = {name: k for k, name in enumerate(names)}
+        self._powers: dict[int, tuple[list[list[int]], int]] = {
+            1: ([list(map(ids.__getitem__, segment))
+                 for segment in self._segments], len(names)),
+        }
+        self._anchor_counts: Counter[str] = Counter()
+        for segment, weight in distinct.items():
+            for name, count in Counter(segment).items():
+                self._anchor_counts[name] += count * weight
+
+    def _power(self, p: int) -> tuple[list[list[int]], int]:
+        """Rank arrays and rank count of the windows of length ``p``, a
+        power of two."""
+        ranked = self._powers.get(p)
+        if ranked is None:
+            ranked = _rank_pairs(self._power(p // 2)[0], p // 2)
+            self._powers[p] = ranked
+        return ranked
+
+    def _ranks(self, length: int) -> tuple[list[list[int]], int]:
+        p = 1 << (length.bit_length() - 1)
+        if p == length:
+            return self._power(p)
+        return _rank_pairs(self._power(p)[0], length - p)
+
+    def mine(self, length: int) -> MiningResult:
+        """All distinct chains of ``length``, by ``(-frequency, chain)``.
+
+        Raises:
+            AnalysisError: when ``length`` is below 2.
+        """
+        if length < 2:
+            raise AnalysisError("chain length must be >= 2")
+        ranks, count = self._ranks(length)
+        frequency = [0] * count
+        chains: list[tuple[str, ...]] = [()] * count
+        total = 0
+        for segment, seg_ranks, weight in zip(self._segments, ranks,
+                                              self._weights):
+            for rank, n in Counter(seg_ranks).items():
+                frequency[rank] += n * weight
+            # Every window of one rank is the same chain: slice one.
+            for rank, i in dict(zip(seg_ranks, range(len(seg_ranks)))).items():
+                chains[rank] = segment[i:i + length]
+            total += len(seg_ranks) * weight
+        anchors = self._anchor_counts
+        # Ranks ascend like chains, and a reversed sort is still stable, so
+        # sorting by frequency alone breaks ties by chain.
+        order = sorted(range(count), key=frequency.__getitem__, reverse=True)
+        return MiningResult(
+            length=length,
+            chains=[ChainStats(chains[rank], frequency[rank],
+                               anchors[chains[rank][0]])
+                    for rank in order],
+            total_instances=total)
+
+
+def _rank_pairs(ranks: list[list[int]], offset: int
+                ) -> tuple[list[list[int]], int]:
+    """Rank each pair ``(r[i], r[i + offset])`` among the distinct pairs
+    of all segments, in sorted order."""
+    pairs = [list(zip(seg_ranks, seg_ranks[offset:])) for seg_ranks in ranks]
+    order = sorted(set().union(*pairs))
+    rank_of = {pair: k for k, pair in enumerate(order)}
+    return ([list(map(rank_of.__getitem__, seg_pairs)) for seg_pairs in pairs],
+            len(order))

@@ -32,7 +32,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, require_positive
 
 
 class ArrivalFamily(enum.Enum):
@@ -73,20 +73,16 @@ class ArrivalSpec:
     period_s: float | None = None
 
     def __post_init__(self) -> None:
-        if not 0 < self.rate_per_s < math.inf:
-            raise ConfigurationError("rate must be positive and finite")
-        if not 0 < self.duration_s < math.inf:
-            raise ConfigurationError("duration must be positive and finite")
-        if not self.burst_multiplier > 1:
-            raise ConfigurationError("burst_multiplier must exceed 1")
+        require_positive(self, "rate_per_s", "duration_s", "burst_dwell_s")
+        if not 1 < self.burst_multiplier < math.inf:
+            raise ConfigurationError(
+                "burst_multiplier must exceed 1 and be finite")
         if not 0 < self.burst_fraction < 1:
             raise ConfigurationError("burst_fraction must be in (0, 1)")
-        if not self.burst_dwell_s > 0:
-            raise ConfigurationError("burst_dwell_s must be positive")
         if not 0 <= self.amplitude < 1:
             raise ConfigurationError("amplitude must be in [0, 1)")
-        if self.period_s is not None and not self.period_s > 0:
-            raise ConfigurationError("period_s must be positive")
+        if self.period_s is not None:
+            require_positive(self, "period_s")
 
 
 def arrival_times_ns(spec: ArrivalSpec) -> list[float]:

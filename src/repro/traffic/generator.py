@@ -18,7 +18,9 @@ import random
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.errors import ConfigurationError
+from repro.errors import (
+    ConfigurationError, require_non_negative, require_positive,
+)
 from repro.serving.requests import Request, ServingRequest
 from repro.traffic.arrivals import ArrivalFamily, ArrivalSpec, arrival_times_ns
 
@@ -47,10 +49,7 @@ class PrefixSpec:
     def __post_init__(self) -> None:
         if not 0.0 <= self.share <= 1.0:
             raise ConfigurationError("prefix share must be in [0, 1]")
-        if self.prefix_len <= 0:
-            raise ConfigurationError("prefix_len must be positive")
-        if self.pool <= 0:
-            raise ConfigurationError("prefix pool must be positive")
+        require_positive(self, "prefix_len", "pool")
 
 
 @dataclass(frozen=True)
@@ -67,15 +66,9 @@ class TrafficConfig:
     tenants: int = 1
 
     def __post_init__(self) -> None:
-        if self.prompt_len <= 0 or self.output_tokens <= 0:
-            raise ConfigurationError(
-                "prompt_len and output_tokens must be positive")
-        if self.prompt_jitter < 0 or self.output_jitter < 0:
-            raise ConfigurationError("jitter must be non-negative")
-        if self.sessions < 0:
-            raise ConfigurationError("sessions must be non-negative")
-        if self.tenants <= 0:
-            raise ConfigurationError("tenants must be positive")
+        require_positive(self, "prompt_len", "output_tokens", "tenants")
+        require_non_negative(self, "prompt_jitter", "output_jitter",
+                             "sessions")
 
 
 def generate_traffic(config: TrafficConfig) -> list[ServingRequest]:

@@ -2,6 +2,7 @@
 
 import argparse
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -66,6 +67,28 @@ def test_every_numeric_option_uses_a_checked_type():
             plain.append(f"{path} {option} accepts {text}")
     assert numeric >= 40
     assert plain == []
+
+
+def test_numeric_option_errors_name_the_bound_not_a_helper(capsys):
+    """argparse names a type's function in its message when the type
+    raises ``ValueError`` ("invalid _positive_int value: '0'"). Every
+    numeric option refuses out-of-bound and unparsable text with its
+    bound instead. Parses only; runs no command."""
+    parser = build_parser()
+    checked = 0
+    for path, option, action in _options(parser, "repro"):
+        if action.type is None or not _is_numeric(action.type):
+            continue
+        for text in ("-1", "nan", "x"):
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args([*path.split()[1:], option, text])
+            message = capsys.readouterr().err.strip().splitlines()[-1]
+            assert exc.value.code == 2
+            assert f"argument {option}: " in message, message
+            assert "invalid" not in message, message
+            assert not re.search(r"\b_[a-z]", message), message
+            checked += 1
+    assert checked >= 120
 
 
 def test_nullkernel_command(capsys):
